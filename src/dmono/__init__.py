@@ -30,7 +30,6 @@ from .lattice import (
     Lattice,
     load_lattice,
     parse_lattice,
-    validate_explicit,
 )
 from .learner import (
     DescentResult,
@@ -83,5 +82,4 @@ __all__ = [
     "strict_decompose",
     "takimoto_family",
     "tightness_family",
-    "validate_explicit",
 ]

@@ -75,6 +75,18 @@ class MonotoneDNF:
                     )
         object.__setattr__(self, "minimals", tuple(elems))
 
+    @classmethod
+    def from_mask(cls, lattice: Lattice, mask: int) -> "MonotoneDNF":
+        """Trusted constructor from a dense antichain, skipping the pairwise check.
+
+        Callers pass the output of ``lattice.minimal`` (or an equivalent
+        level), which is an antichain by construction.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "lattice", lattice)
+        object.__setattr__(g, "minimals", tuple(mask_elements(mask)))
+        return g
+
     @property
     def size(self) -> int:
         return len(self.minimals)
@@ -183,16 +195,9 @@ Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget
 
 
 def global_min(f: Representation) -> list[int]:
-    """Points of value 1 with value 0 strictly everywhere below.
-
-    One closure sweep gives, at each element, whether some point at or
-    below it has value 1; a point is globally minimal when it has value 1
-    and no immediate predecessor carries that flag.
-    """
+    """Points of value 1 with value 0 strictly everywhere below."""
     fd = f.dense()
-    lat = fd.lattice
-    reach = lat.up_closure(fd.mask)
-    return mask_elements(fd.mask & ~lat.shadow(reach))
+    return mask_elements(fd.lattice.minimal(fd.mask))
 
 
 def local_min(f: Representation) -> list[int]:
@@ -209,7 +214,7 @@ def local_min(f: Representation) -> list[int]:
 def monotone_closure(f: Representation) -> MonotoneDNF:
     """Least monotone function implied by f, as its minimal-element antichain."""
     fd = f.dense()
-    return MonotoneDNF(fd.lattice, tuple(global_min(fd)))
+    return MonotoneDNF.from_mask(fd.lattice, fd.lattice.minimal(fd.mask))
 
 
 def strict_decompose(f: Representation, cap: int | None = None) -> XorHypothesis:
@@ -233,8 +238,9 @@ def strict_decompose(f: Representation, cap: int | None = None) -> XorHypothesis
     while cur:
         if len(levels) == cap:
             raise InternalError(f"decomposition did not terminate within {cap} levels")
+        # the minimal elements of cur, keeping the closure for the next residue
         reach = lat.up_closure(cur)
-        levels.append(MonotoneDNF(lat, tuple(mask_elements(cur & ~lat.shadow(reach)))))
+        levels.append(MonotoneDNF.from_mask(lat, cur & ~lat.shadow(reach)))
         cur ^= reach
     return XorHypothesis(lat, tuple(levels))
 

@@ -8,6 +8,7 @@ standard tooling.  Exit codes: 0 ok, 1 input error or failed verification,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ from .families import (
 )
 from .fileio import function_to_doc, load_function
 from .lattice import CubeLattice, Lattice, load_lattice
-from .learner import EquivalenceOracle, MembershipOracle, learn
+from .learner import EquivalenceOracle, MembershipOracle, counterexample_bound, learn
 
 DEFAULT_MAX_N = 22
 
@@ -70,7 +71,7 @@ def _resolved_max_n(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SizeCapExceededError(f"DMONO_MAX_N={env!r} is not an integer") from None
+            raise DmonoError(f"DMONO_MAX_N={env!r} is not an integer") from None
     return DEFAULT_MAX_N
 
 
@@ -154,6 +155,7 @@ def cmd_learn(args) -> int:
 
 def cmd_consistent(args) -> int:
     lat = _load_lattice_spec(args.lattice)
+    _check_cap(lat, args.max_n)
     x0 = frozenset(lat.parse_element(nm) for nm in args.x0 or [])
     x1 = frozenset(lat.parse_element(nm) for nm in args.x1 or [])
     hypothesis = consistent(args.d, LabeledSample(lat, x0, x1))
@@ -270,16 +272,11 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
             )
         )
         if not target.outer_at_origin:
-            product = 1
-            for g in target.inner:
-                product *= g.size + 1
+            bound = counterexample_bound(target)
             s, d = target.size, target.d
-            ok = (
-                xor.size <= product - 1
-                and (xor.size + 1) * d**d <= (s + d) ** d
-            )
+            ok = xor.size <= bound and (xor.size + 1) * d**d <= (s + d) ** d
             checks.append(
-                ("sms-bound", ok, f"size {xor.size} exceeds product bound {product - 1}")
+                ("sms-bound", ok, f"size {xor.size} exceeds product bound {bound}")
             )
     if isinstance(target, XorHypothesis) and nested_disjoint_violation(target) is None:
         given = list(target.levels)
@@ -314,8 +311,6 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
         checks.append(
             ("separation-size", xor.size >= count, f"{xor.size} < {count}")
         )
-        import itertools
-
         witnesses_ok = all(
             chain_witness_check(target, picks, levels=xor)
             for picks in itertools.product(*(range(len(blk)) for blk in blocks))
@@ -413,8 +408,8 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_help()
         return 1
-    args.max_n = _resolved_max_n(args)
     try:
+        args.max_n = _resolved_max_n(args)
         return args.func(args)
     except SizeCapExceededError as exc:
         print(f"dmono: {exc}", file=sys.stderr)

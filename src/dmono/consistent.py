@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .boolfn import MonotoneDNF, XorHypothesis
 from .errors import InconsistentSampleError, InvalidSampleError
-from .lattice import Lattice
+from .lattice import Lattice, elements_mask
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,13 @@ def consistent(d: int, sample: LabeledSample) -> XorHypothesis:
     """Return h = F_1 xor ... xor F_d agreeing with every sample label.
 
     Round i takes the minimal elements of the current positives as the
-    minterms of F_i, then swaps the roles: the negatives that F_i already
-    kills are parked, the rest become the next positives, and the old
-    positives (plus the parked points) become the next negatives.  The
-    output always has exactly d levels; trailing all-zero levels are kept
-    so the hypothesis shape is stable, and evaluation ignores them.
+    minterms of F_i, then swaps the roles: the negatives outside the
+    up-closure of the positives (where F_i is already 0) are parked, the
+    rest become the next positives, and the old positives (plus the parked
+    points) become the next negatives.  Point sets are dense masks, so
+    each round is one closure and one shadow sweep.  The output always has
+    exactly d levels; trailing all-zero levels are kept so the hypothesis
+    shape is stable, and evaluation ignores them.
 
     Raises InconsistentSampleError when no d-monotone function fits the
     sample, naming a point the output would misclassify.
@@ -46,15 +48,14 @@ def consistent(d: int, sample: LabeledSample) -> XorHypothesis:
     if d < 1:
         raise ValueError("degree must be at least 1")
     lat = sample.lattice
-    s0, s1 = set(sample.x0), set(sample.x1)
+    s0, s1 = elements_mask(sample.x0), elements_mask(sample.x1)
     levels = []
     for _ in range(d):
-        level = MonotoneDNF(lat, tuple(lat.min_antichain(s1)))
-        w0 = {x for x in s0 if not level.evaluate(x)}
-        s0, s1 = s1 | w0, s0 - w0
-        levels.append(level)
+        up = lat.up_closure(s1)
+        levels.append(MonotoneDNF.from_mask(lat, s1 & ~lat.shadow(up)))
+        s0, s1 = s1 | (s0 & ~up), s0 & up
     if s1:
-        point = min(s1)
+        point = (s1 & -s1).bit_length() - 1
         raise InconsistentSampleError(
             f"no {d}-monotone function matches the sample "
             f"(violated at {lat.element_name(point)})",

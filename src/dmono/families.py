@@ -159,8 +159,8 @@ def random_composed(
     """Deterministic-from-seed random target with a 0 at the origin tuple.
 
     Each inner function is a uniform antichain of the requested size,
-    produced by rejection: sample that many distinct nonzero points, keep
-    their minimal elements, retry until the count matches.
+    produced by rejection: sample that many distinct nonzero points and
+    retry until no two of them are comparable.
     """
     if len(sizes) != d:
         raise ValueError("need one size per inner function")
@@ -168,9 +168,7 @@ def random_composed(
         raise ValueError("cube dimension must be at least 1")
     rng = random.Random(seed)
     lat = CubeLattice(n)
-    inner = tuple(
-        MonotoneDNF(lat, _random_antichain(rng, lat, s)) for s in sizes
-    )
+    inner = tuple(_random_antichain(rng, lat, s) for s in sizes)
     outer = rng.getrandbits(1 << d) & ~1
     return ComposedTarget(lat, outer, inner)
 
@@ -178,18 +176,20 @@ def random_composed(
 _RETRY_BUDGET = 1000
 
 
-def _random_antichain(rng: random.Random, lat: CubeLattice, size: int) -> tuple[int, ...]:
+def _random_antichain(rng: random.Random, lat: CubeLattice, size: int) -> MonotoneDNF:
     if size == 0:
-        return ()
+        return MonotoneDNF(lat)
     if size > lat.size - 1:
         raise GenerationError(
             f"cannot place {size} incomparable points in {lat.describe()}"
         )
     for _ in range(_RETRY_BUDGET):
-        picks = rng.sample(range(1, lat.size), size)
-        mins = lat.min_antichain(picks)
-        if len(mins) == size:
-            return tuple(mins)
+        picks = tuple(rng.sample(range(1, lat.size), size))
+        # the constructor's sparse check rejects draws with a comparable pair
+        try:
+            return MonotoneDNF(lat, picks)
+        except ValueError:
+            pass
     raise GenerationError(
         f"no antichain of {size} points found in {lat.describe()} "
         f"after {_RETRY_BUDGET} attempts"

@@ -57,6 +57,14 @@ class Lattice:
         """Every element after all of its immediate predecessors."""
         raise NotImplementedError
 
+    def up_closure(self, mask: int) -> int:
+        """Dense indicator of the union of up-sets of the set bits of mask."""
+        raise NotImplementedError
+
+    def shadow(self, mask: int) -> int:
+        """Elements having at least one immediate predecessor inside mask."""
+        raise NotImplementedError
+
     def element_name(self, a: int) -> str:
         raise NotImplementedError
 
@@ -76,34 +84,14 @@ class Lattice:
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
 
-    def min_antichain(self, points: Iterable[int]) -> list[int]:
-        """Minimal elements of a point set, in canonical order.
+    def minimal(self, mask: int) -> int:
+        """Minimal elements of a dense subset, as a dense subset.
 
-        Pairwise dominance testing; the inputs here are always small
-        collections of sample points, so O(k^2) comparisons are fine.
+        An element of ``mask`` is minimal when no immediate predecessor
+        lies in the up-closure of ``mask``, i.e. nothing of ``mask`` sits
+        strictly below it.  The result is always an antichain.
         """
-        elems = sorted({self.check_element(a) for a in points})
-        return [
-            a
-            for a in elems
-            if not any(b != a and self.leq(b, a) for b in elems)
-        ]
-
-    def up_closure(self, mask: int) -> int:
-        """Dense indicator of the union of up-sets of the set bits of mask."""
-        out = 0
-        for a in self.topo_order():
-            if mask >> a & 1 or any(out >> b & 1 for b in self.immediate_predecessors(a)):
-                out |= 1 << a
-        return out
-
-    def shadow(self, mask: int) -> int:
-        """Elements having at least one immediate predecessor inside mask."""
-        out = 0
-        for a in self.elements():
-            if any(mask >> b & 1 for b in self.immediate_predecessors(a)):
-                out |= 1 << a
-        return out
+        return mask & ~self.shadow(self.up_closure(mask))
 
     def sigma(self) -> int:
         """Maximal predecessor sum over descending cover chains from the top.
@@ -174,11 +162,14 @@ class CubeLattice(Lattice):
     def _coordinate_clear_masks(self) -> list[int]:
         # mask j marks every element whose j-th coordinate is 0
         if self._clear_masks is None:
-            full = (1 << self.size) - 1
             masks = []
             for j in range(self.n):
-                spaced = full // ((1 << (2 << j)) - 1)
-                masks.append(spaced * ((1 << (1 << j)) - 1))
+                # 2^j ones then 2^j zeros, doubled until it spans the cube
+                m, width = (1 << (1 << j)) - 1, 2 << j
+                while width < self.size:
+                    m |= m << width
+                    width <<= 1
+                masks.append(m)
             self._clear_masks = masks
         return self._clear_masks
 
@@ -200,7 +191,8 @@ class ExplicitLattice(Lattice):
 
     Validation establishes antisymmetry (no cycles), a unique top element
     and a unique least upper bound for every pair; after that the instance
-    is immutable and every query is table lookup.
+    is immutable and every query reads per-element bit sets: the up-set and
+    the upper covers of each element.
     """
 
     def __init__(
@@ -262,33 +254,6 @@ class ExplicitLattice(Lattice):
             )
         self.top = maximal[0]
 
-        # unique join for every pair: the minimum of the common up-set
-        join_table = [[0] * self.size for _ in range(self.size)]
-        for a in range(self.size):
-            join_table[a][a] = a
-            for b in range(a + 1, self.size):
-                common = ups[a] & ups[b]
-                j = None
-                for c in mask_elements(common):
-                    if ups[c] & common == common:
-                        j = c
-                        break
-                if j is None:
-                    minimal_ubs = [
-                        names[c]
-                        for c in mask_elements(common)
-                        if not any(
-                            c2 != c and ups[c2] >> c & 1
-                            for c2 in mask_elements(common)
-                        )
-                    ]
-                    raise LatticeValidationError(
-                        f"elements {names[a]!r} and {names[b]!r} have no unique "
-                        f"least upper bound (minimal upper bounds: {minimal_ubs})"
-                    )
-                join_table[a][b] = join_table[b][a] = j
-        self._join = join_table
-
         # true covers from the closure; input pairs may contain transitive edges
         below = [0] * self.size
         for b in range(self.size):
@@ -302,19 +267,33 @@ class ExplicitLattice(Lattice):
             )
             for a in range(self.size)
         )
-
-        indeg = [len(p) for p in self._preds]
-        above: list[list[int]] = [[] for _ in range(self.size)]
+        up_covers = [0] * self.size
         for a in range(self.size):
             for b in self._preds[a]:
-                above[b].append(a)
+                up_covers[b] |= 1 << a
+        self._up_covers = up_covers
+
+        # a pair has a least upper bound exactly when its common up-set is
+        # itself the up-set of one element, which is then the join
+        self._by_up = {up: a for a, up in enumerate(ups)}
+        for a in range(self.size):
+            for b in range(a + 1, self.size):
+                common = ups[a] & ups[b]
+                if common not in self._by_up:
+                    minimal_ubs = [names[c] for c in mask_elements(self.minimal(common))]
+                    raise LatticeValidationError(
+                        f"elements {names[a]!r} and {names[b]!r} have no unique "
+                        f"least upper bound (minimal upper bounds: {minimal_ubs})"
+                    )
+
+        indeg = [len(p) for p in self._preds]
         heap = [a for a in range(self.size) if indeg[a] == 0]
         heapq.heapify(heap)
         order = []
         while heap:
             u = heapq.heappop(heap)
             order.append(u)
-            for v in above[u]:
+            for v in mask_elements(up_covers[u]):
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     heapq.heappush(heap, v)
@@ -344,7 +323,7 @@ class ExplicitLattice(Lattice):
     def join(self, a: int, b: int) -> int:
         self.check_element(a)
         self.check_element(b)
-        return self._join[a][b]
+        return self._by_up[self._ups[a] & self._ups[b]]
 
     def immediate_predecessors(self, a: int) -> tuple[int, ...]:
         self.check_element(a)
@@ -352,6 +331,19 @@ class ExplicitLattice(Lattice):
 
     def topo_order(self) -> tuple[int, ...]:
         return self._topo
+
+    def up_closure(self, mask: int) -> int:
+        out = 0
+        while mask:
+            out |= self._ups[(mask & -mask).bit_length() - 1]
+            mask &= ~out  # points already covered add nothing new
+        return out
+
+    def shadow(self, mask: int) -> int:
+        out = 0
+        for a in mask_elements(mask):
+            out |= self._up_covers[a]
+        return out
 
     def element_name(self, a: int) -> str:
         self.check_element(a)
@@ -364,20 +356,6 @@ class ExplicitLattice(Lattice):
             raise InvalidElementError(
                 f"{name!r} is not an element of {self.describe()}"
             ) from None
-
-
-def validate_explicit(
-    names: Sequence[str],
-    covers: Iterable[tuple[str, str]],
-    source_path: str | None = None,
-) -> ExplicitLattice:
-    """Validate a cover-relation description and return the lattice.
-
-    Raises LatticeValidationError naming the first offending pair when the
-    order has a cycle, more than one maximal element, or a pair without a
-    unique least upper bound.
-    """
-    return ExplicitLattice(names, covers, source_path=source_path)
 
 
 def parse_lattice(text: str, source: str = "<lattice>") -> ExplicitLattice:

@@ -1,6 +1,6 @@
 import pytest
 
-from dmono import CubeLattice, validate_explicit
+from dmono import CubeLattice, ExplicitLattice
 
 DIAMOND_NAMES = ["bot", "p", "q", "top"]
 DIAMOND_COVERS = [("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")]
@@ -18,13 +18,13 @@ def cube3():
 
 @pytest.fixture
 def diamond():
-    return validate_explicit(DIAMOND_NAMES, DIAMOND_COVERS)
+    return ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS)
 
 
 @pytest.fixture
 def chain4():
     names = ["a", "b", "c", "d"]
-    return validate_explicit(names, [("a", "b"), ("b", "c"), ("c", "d")])
+    return ExplicitLattice(names, [("a", "b"), ("b", "c"), ("c", "d")])
 
 
 def lattice_file_text(names, covers):

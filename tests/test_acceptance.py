@@ -16,6 +16,7 @@ from dmono import (
     CubeLattice,
     DenseFunction,
     EquivalenceOracle,
+    ExplicitLattice,
     LabeledSample,
     MembershipOracle,
     chain_alternations,
@@ -29,7 +30,6 @@ from dmono import (
     strict_decompose,
     takimoto_family,
     tightness_family,
-    validate_explicit,
 )
 from dmono.boolfn import XorHypothesis, implies
 
@@ -162,7 +162,7 @@ def test_criterion_8_sigma():
         assert sigma_downset_recursion(CubeLattice(n)) == n * (n + 1) // 2
     for m in (1, 2, 3, 4, 5, 6):
         names = [f"c{i}" for i in range(m)]
-        chain = validate_explicit(names, list(zip(names, names[1:])))
+        chain = ExplicitLattice(names, list(zip(names, names[1:])))
         assert chain.sigma() == m - 1
     _report(8, "down-set recursion matches n(n+1)/2 on cubes; chains of m elements give m-1")
 

@@ -9,6 +9,7 @@ from dmono import (
     ComposedTarget,
     CubeLattice,
     DenseFunction,
+    ExplicitLattice,
     MonotoneDNF,
     XorHypothesis,
     chain_alternations,
@@ -22,6 +23,7 @@ from dmono import (
     strict_decompose,
 )
 from dmono.errors import InternalError, InvalidChainError
+from dmono.lattice import elements_mask, mask_elements
 
 from oracles import (
     brute_closure_value,
@@ -36,7 +38,7 @@ from oracles import (
 def random_antichain(rng, lat, max_size=3):
     want = rng.randint(1, max_size)
     picks = rng.sample(range(1, lat.size), min(want, lat.size - 1))
-    return tuple(lat.min_antichain(picks))
+    return tuple(mask_elements(lat.minimal(elements_mask(picks))))
 
 
 def random_mdnf(rng, lat, max_size=3):
@@ -95,6 +97,24 @@ class TestValidation:
     def test_level_lattice_mismatch(self, cube2, cube3):
         with pytest.raises(ValueError, match="lattice"):
             XorHypothesis(cube2, (MonotoneDNF(cube3, (1,)),))
+
+
+class TestFromMask:
+    @given(st.sets(st.integers(0, 63)))
+    def test_equals_validated_constructor_on_cube(self, points):
+        lat = CubeLattice(6)
+        mins = lat.minimal(elements_mask(points))
+        trusted = MonotoneDNF.from_mask(lat, mins)
+        assert trusted == MonotoneDNF(lat, tuple(mask_elements(mins)))
+        assert trusted.dense().mask == lat.up_closure(elements_mask(points))
+
+    def test_equals_validated_constructor_on_explicit(self, diamond, chain4):
+        for lat in (diamond, chain4):
+            for mask in range(1 << lat.size):
+                mins = lat.minimal(mask)
+                assert MonotoneDNF.from_mask(lat, mins) == MonotoneDNF(
+                    lat, tuple(mask_elements(mins))
+                )
 
 
 class TestMinimalElements:
@@ -204,10 +224,9 @@ class TestStrictDecompose:
             assert strict_decompose(f).dense().mask == mask
 
     def test_pentagon_identity_and_minimality(self):
-        from dmono import validate_explicit
         from oracles import brute_global_min, brute_local_min
 
-        lat = validate_explicit(
+        lat = ExplicitLattice(
             ["top", "c", "bot", "a", "b"],
             [("bot", "a"), ("a", "c"), ("c", "top"), ("bot", "b"), ("b", "top")],
         )
@@ -218,9 +237,7 @@ class TestStrictDecompose:
             assert local_min(f) == brute_local_min(lat, f.evaluate)
 
     def test_multiple_bottom_most_elements_are_local_minimal(self):
-        from dmono import validate_explicit
-
-        lat = validate_explicit(["p", "q", "t"], [("p", "t"), ("q", "t")])
+        lat = ExplicitLattice(["p", "q", "t"], [("p", "t"), ("q", "t")])
         f = DenseFunction(lat, 0b011)  # value 1 exactly at p and q
         assert [lat.element_name(x) for x in local_min(f)] == ["p", "q"]
         assert local_min(f) == global_min(f)
@@ -371,7 +388,7 @@ class TestStrictShapeRecovery:
             if not pool:
                 break
             picks = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
-            levels.append(MonotoneDNF(lat, tuple(lat.min_antichain(picks))))
+            levels.append(MonotoneDNF.from_mask(lat, lat.minimal(elements_mask(picks))))
         return XorHypothesis(lat, tuple(levels))
 
     def test_nested_disjoint_levels_are_recovered_exactly(self):

@@ -285,6 +285,21 @@ class TestSizeCap:
         code, _, _ = run_cli(capsys, "learn", str(target), "-d", "1", "--max-n", "5")
         assert code == 0
 
+    def test_consistent_is_capped(self, capsys):
+        code, out, err = run_cli(
+            capsys, "consistent", "--lattice", "cube:5", "-d", "1", "--x1", "00001", "--max-n", "4"
+        )
+        assert code == 3
+        assert out == ""
+        assert "--max-n" in err
+
+    def test_malformed_env_value_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DMONO_MAX_N", "abc")
+        code, out, err = run_cli(capsys, "sigma", "cube:3")
+        assert code == 1
+        assert out == ""
+        assert err == "dmono: DMONO_MAX_N='abc' is not an integer\n"
+
 
 class TestUsage:
     def test_bad_usage_exits_1(self, capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dmono import (
+    CubeLattice,
     chain_witness_check,
     implies,
     monotone_degree,
@@ -160,6 +161,19 @@ class TestRandomComposed:
             random_composed(1, [2], 1, seed=0)
         with pytest.raises(GenerationError):
             random_composed(1, [3], 2, seed=0)
+
+    def test_wide_cubes_build_without_dense_tables(self, monkeypatch):
+        # n = 40 is far past any dense table; generation must stay sparse
+        def refuse(*args):
+            raise AssertionError("dense sweep during generation")
+
+        for attr in ("up_closure", "shadow", "minimal", "_coordinate_clear_masks"):
+            monkeypatch.setattr(CubeLattice, attr, refuse)
+        t = tightness_family(8, 5)
+        assert t.lattice.n == 40 and t.size == 40
+        r = random_composed(3, (3, 3, 3), 40, 0)
+        assert [g.size for g in r.inner] == [3, 3, 3]
+        assert r == random_composed(3, (3, 3, 3), 40, 0)
 
     def test_sizes_arity_mismatch(self):
         with pytest.raises(ValueError):

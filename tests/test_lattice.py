@@ -4,16 +4,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmono import CubeLattice, load_lattice, parse_lattice, validate_explicit
+from dmono import CubeLattice, ExplicitLattice, load_lattice, parse_lattice
 from dmono.errors import InvalidElementError, LatticeValidationError
 from dmono.lattice import elements_mask, mask_elements
 
 from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text
 from oracles import (
+    brute_global_min,
     brute_immediate_predecessors,
     brute_join,
     sigma_downset_recursion,
 )
+
+
+# non-graded order, declaration order far from topological
+PENTAGON_NAMES = ["top", "c", "bot", "a", "b"]
+PENTAGON_COVERS = [
+    ("bot", "a"),
+    ("a", "c"),
+    ("c", "top"),
+    ("bot", "b"),
+    ("b", "top"),
+    ("bot", "top"),  # transitive, must not become a cover
+]
+CHAIN4_NAMES = ["a", "b", "c", "d"]
+
+
+def _reversed_cube(n):
+    """The n-cube as an explicit lattice whose ids run top-down."""
+    cube = CubeLattice(n)
+    names = [cube.element_name(a) for a in reversed(cube.elements())]
+    covers = [
+        (cube.element_name(b), cube.element_name(a))
+        for a in cube.elements()
+        for b in cube.immediate_predecessors(a)
+    ]
+    return ExplicitLattice(names, covers)
+
+
+KERNEL_LATTICES = {
+    "cube6": CubeLattice(6),
+    "diamond": ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS),
+    "chain4": ExplicitLattice(CHAIN4_NAMES, list(zip(CHAIN4_NAMES, CHAIN4_NAMES[1:]))),
+    "pentagon": ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS),
+}
+EXPLICIT_SWEEP_LATTICES = [
+    KERNEL_LATTICES["diamond"],
+    KERNEL_LATTICES["chain4"],
+    KERNEL_LATTICES["pentagon"],
+    _reversed_cube(3),
+]
 
 
 class TestCubeOrder:
@@ -89,7 +129,7 @@ class TestSigma:
         assert chain4.sigma() == 3
 
     def test_singleton(self):
-        lat = validate_explicit(["only"], [])
+        lat = ExplicitLattice(["only"], [])
         assert lat.sigma() == 0
 
     def test_diamond(self, diamond):
@@ -98,22 +138,32 @@ class TestSigma:
         assert sigma_downset_recursion(diamond) == 3
 
 
-class TestMinAntichain:
+class TestMinimal:
     def test_examples(self, cube2):
-        assert cube2.min_antichain({0b01, 0b10, 0b11}) == [0b01, 0b10]
-        assert cube2.min_antichain(set()) == []
-        assert CubeLattice(3).min_antichain({0b110}) == [0b110]
+        assert cube2.minimal(elements_mask({0b01, 0b10, 0b11})) == elements_mask({0b01, 0b10})
+        assert cube2.minimal(0) == 0
+        assert CubeLattice(3).minimal(elements_mask({0b110})) == elements_mask({0b110})
 
     @given(st.sets(st.integers(0, 63)))
     def test_output_is_undominated_and_covers_input(self, points):
         lat = CubeLattice(6)
-        mins = lat.min_antichain(points)
-        assert set(mins) <= set(points)
-        for a in mins:
+        mins = lat.minimal(elements_mask(points))
+        assert set(mask_elements(mins)) <= set(points)
+        for a in mask_elements(mins):
             assert not any(b != a and lat.leq(b, a) for b in points)
         for b in points:
-            assert any(lat.leq(a, b) for a in mins)
-        assert lat.min_antichain(mins) == mins
+            assert any(lat.leq(a, b) for a in mask_elements(mins))
+        assert lat.minimal(mins) == mins
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_global_min(self, name, data):
+        lat = KERNEL_LATTICES[name]
+        mask = data.draw(st.integers(0, (1 << lat.size) - 1))
+        assert mask_elements(lat.minimal(mask)) == brute_global_min(
+            lat, lambda x: mask >> x & 1
+        )
 
 
 class TestExplicitLattice:
@@ -124,7 +174,7 @@ class TestExplicitLattice:
 
     def test_two_maximal_elements_rejected(self):
         with pytest.raises(LatticeValidationError, match="'a'.*'b'"):
-            validate_explicit(["a", "b"], [])
+            ExplicitLattice(["a", "b"], [])
 
     def test_non_unique_join_rejected(self):
         names = ["a", "b", "c", "d", "top"]
@@ -137,18 +187,18 @@ class TestExplicitLattice:
             ("d", "top"),
         ]
         with pytest.raises(LatticeValidationError, match="'a' and 'b'"):
-            validate_explicit(names, covers)
+            ExplicitLattice(names, covers)
 
     def test_cycle_rejected(self):
         with pytest.raises(LatticeValidationError, match="cycle"):
-            validate_explicit(["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")])
+            ExplicitLattice(["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")])
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(LatticeValidationError, match="duplicate"):
-            validate_explicit(["a", "a"], [])
+            ExplicitLattice(["a", "a"], [])
 
     def test_transitive_input_edges_do_not_become_covers(self):
-        lat = validate_explicit(
+        lat = ExplicitLattice(
             ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
         )
         c = lat.parse_element("c")
@@ -162,7 +212,7 @@ class TestExplicitLattice:
             for a in cube.elements()
             for b in cube.immediate_predecessors(a)
         ]
-        exp = validate_explicit(names, covers)
+        exp = ExplicitLattice(names, covers)
         for a in cube.elements():
             assert exp.immediate_predecessors(a) == cube.immediate_predecessors(a)
             for b in cube.elements():
@@ -182,17 +232,7 @@ class TestExplicitLattice:
                 assert pos[b] < pos[a]
 
     def test_pentagon_with_scrambled_declaration(self):
-        # non-graded order, declaration order far from topological
-        names = ["top", "c", "bot", "a", "b"]
-        covers = [
-            ("bot", "a"),
-            ("a", "c"),
-            ("c", "top"),
-            ("bot", "b"),
-            ("b", "top"),
-            ("bot", "top"),  # transitive, must not become a cover
-        ]
-        lat = validate_explicit(names, covers)
+        lat = ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS)
         top = lat.parse_element("top")
         assert sorted(
             lat.element_name(x) for x in lat.immediate_predecessors(top)
@@ -212,7 +252,7 @@ class TestExplicitLattice:
 
     def test_several_bottom_most_elements_allowed(self):
         # p and q both sit directly above the implicit bottom
-        lat = validate_explicit(["p", "q", "t"], [("p", "t"), ("q", "t")])
+        lat = ExplicitLattice(["p", "q", "t"], [("p", "t"), ("q", "t")])
         assert lat.immediate_predecessors(lat.parse_element("p")) == ()
         assert lat.immediate_predecessors(lat.parse_element("q")) == ()
         assert lat.sigma() == 2
@@ -288,13 +328,22 @@ class TestDenseSweeps:
                 expected = any(mask >> b & 1 for b in lat.immediate_predecessors(x))
                 assert bool(sh >> x & 1) == expected
 
-    def test_explicit_sweeps_match_pointwise(self, diamond):
-        for mask in range(1 << diamond.size):
-            closed = diamond.up_closure(mask)
-            sh = diamond.shadow(mask)
-            pts = mask_elements(mask)
-            for x in diamond.elements():
-                assert bool(closed >> x & 1) == any(diamond.leq(a, x) for a in pts)
-                assert bool(sh >> x & 1) == any(
-                    mask >> b & 1 for b in diamond.immediate_predecessors(x)
-                )
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cube_clear_masks_match_definition(self, n):
+        lat = CubeLattice(n)
+        masks = lat._coordinate_clear_masks()
+        assert len(masks) == n
+        for j, zeros in enumerate(masks):
+            assert zeros == elements_mask(x for x in lat.elements() if not x >> j & 1)
+        assert lat._coordinate_clear_masks() is masks
+
+    def test_explicit_sweeps_match_pointwise(self):
+        for lat in EXPLICIT_SWEEP_LATTICES:
+            preds = {x: brute_immediate_predecessors(lat, x) for x in lat.elements()}
+            for mask in range(1 << lat.size):
+                closed = lat.up_closure(mask)
+                sh = lat.shadow(mask)
+                pts = mask_elements(mask)
+                for x in lat.elements():
+                    assert bool(closed >> x & 1) == any(lat.leq(a, x) for a in pts)
+                    assert bool(sh >> x & 1) == any(mask >> b & 1 for b in preds[x])

@@ -20,6 +20,7 @@ from dmono import (
     random_composed,
 )
 from dmono.errors import DegreeTooSmallError
+from dmono.lattice import elements_mask, mask_elements
 
 from oracles import join_products
 
@@ -186,7 +187,7 @@ class TestLearnerProperties:
             lat = CubeLattice(rng.randint(4, 8))
             want = rng.randint(1, 6)
             picks = rng.sample(range(1, lat.size), min(lat.size - 1, want + 6))
-            mins = lat.min_antichain(picks)[:want]
+            mins = mask_elements(lat.minimal(elements_mask(picks)))[:want]
             target = MonotoneDNF(lat, tuple(mins))
             mq = MembershipOracle.for_function(target)
             eq = EquivalenceOracle(target)
