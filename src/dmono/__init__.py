@@ -36,7 +36,6 @@ from .learner import (
     EquivalenceOracle,
     MembershipOracle,
     QueryStats,
-    SamplingEquivalenceOracle,
     counterexample_bound,
     descend_to_local_min,
     learn,
@@ -56,7 +55,6 @@ __all__ = [
     "MembershipOracle",
     "MonotoneDNF",
     "QueryStats",
-    "SamplingEquivalenceOracle",
     "XorHypothesis",
     "chain_alternations",
     "chain_witness_check",

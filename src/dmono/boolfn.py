@@ -33,14 +33,10 @@ class DenseFunction:
             raise ValueError(
                 f"dense payload must be exactly {lattice.size} characters of 0/1"
             )
-        mask = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(lattice, mask)
+        return cls(lattice, int(bits[::-1], 2))  # character i is bit i
 
     def bits(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.lattice.size))
+        return format(self.mask, f"0{self.lattice.size}b")[::-1]
 
     def evaluate(self, x: int) -> int:
         self.lattice.check_element(x)
@@ -180,14 +176,15 @@ class ComposedTarget:
     __call__ = evaluate
 
     def dense(self) -> DenseFunction:
+        # the elements whose inner-value tuple is idx, OR-ed over outer's ones
+        full = (1 << self.lattice.size) - 1
         gmasks = [g.dense().mask for g in self.inner]
         out = 0
-        for x in self.lattice.elements():
-            idx = 0
+        for idx in mask_elements(self.outer):
+            cell = full
             for i, gm in enumerate(gmasks):
-                idx |= (gm >> x & 1) << i
-            if self.outer >> idx & 1:
-                out |= 1 << x
+                cell &= gm if idx >> i & 1 else full ^ gm
+            out |= cell
         return DenseFunction(self.lattice, out)
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis, strict_decompose
 from .errors import GenerationError
-from .lattice import CubeLattice
+from .lattice import CubeLattice, elements_mask
 
 
 def parity_table(d: int) -> int:
@@ -87,7 +87,8 @@ def prefix_levels(d: int, t: int) -> XorHypothesis:
 
     Level k fires when at least k blocks are active; its minimal elements
     are the joins of one variable from each of k distinct blocks, so it has
-    C(d,k) * t^k minterms.
+    C(d,k) * t^k minterms.  They all have k set bits, so they are pairwise
+    incomparable and the level skips the constructor's antichain check.
     """
     if d < 1 or t < 1:
         raise ValueError("prefix levels need d >= 1 and t >= 1")
@@ -101,7 +102,7 @@ def prefix_levels(d: int, t: int) -> XorHypothesis:
                 for blk, j in zip(combo, choice):
                     x |= 1 << (blk * t + j)
                 minimals.append(x)
-        levels.append(MonotoneDNF(lat, tuple(minimals)))
+        levels.append(MonotoneDNF.from_mask(lat, elements_mask(minimals)))
     return XorHypothesis(lat, tuple(levels))
 
 

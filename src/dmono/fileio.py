@@ -76,7 +76,7 @@ def function_to_doc(f: Representation, meta: dict | None = None) -> dict:
     elif isinstance(f, ComposedTarget):
         doc["repr"] = "composed"
         doc["payload"] = {
-            "F": "".join("1" if f.outer >> k & 1 else "0" for k in range(1 << f.d)),
+            "F": format(f.outer, f"0{1 << f.d}b")[::-1],
             "g": [_mdnf_payload(g) for g in f.inner],
         }
     else:
@@ -126,11 +126,7 @@ def doc_to_function(doc, base_dir: str | Path = ".") -> tuple[Representation, di
             raise FileFormatError(
                 f"outer table must be a bit string of length {1 << len(inner)}"
             )
-        outer = 0
-        for k, ch in enumerate(table):
-            if ch == "1":
-                outer |= 1 << k
-        return ComposedTarget(lattice, outer, inner), meta
+        return ComposedTarget(lattice, int(table[::-1], 2), inner), meta
     raise FileFormatError(f"unknown repr kind {kind!r}")
 
 

@@ -53,8 +53,8 @@ class Lattice:
     def immediate_predecessors(self, a: int) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def topo_order(self) -> Sequence[int]:
-        """Every element after all of its immediate predecessors."""
+    def sigma(self) -> int:
+        """Maximal predecessor sum over descending cover chains from the top."""
         raise NotImplementedError
 
     def up_closure(self, mask: int) -> int:
@@ -92,18 +92,6 @@ class Lattice:
         strictly below it.  The result is always an antichain.
         """
         return mask & ~self.shadow(self.up_closure(mask))
-
-    def sigma(self) -> int:
-        """Maximal predecessor sum over descending cover chains from the top.
-
-        Memoized per element: the best chain below an element depends only
-        on that element, so one sweep in topological order suffices.
-        """
-        best: dict[int, int] = {}
-        for a in self.topo_order():
-            preds = self.immediate_predecessors(a)
-            best[a] = len(preds) + max(best[b] for b in preds) if preds else 0
-        return best[self.top]
 
 
 class CubeLattice(Lattice):
@@ -143,9 +131,6 @@ class CubeLattice(Lattice):
         self.check_element(a)
         # clearing a higher bit yields a smaller word, so ascending output
         return tuple(a & ~(1 << j) for j in reversed(range(self.n)) if a >> j & 1)
-
-    def topo_order(self) -> range:
-        return range(self.size)  # numeric order refines the cube order
 
     def sigma(self) -> int:
         return self.n * (self.n + 1) // 2
@@ -214,7 +199,8 @@ class ExplicitLattice(Lattice):
         self.source_path = source_path
         self._ids = {nm: i for i, nm in enumerate(names)}
 
-        succ: list[set[int]] = [set() for _ in range(self.size)]
+        succ = [0] * self.size  # declared upper neighbours, as bit sets
+        pred = [0] * self.size  # declared lower neighbours, as bit sets
         for lo_name, hi_name in covers:
             lo = self._ids.get(lo_name)
             hi = self._ids.get(hi_name)
@@ -223,29 +209,50 @@ class ExplicitLattice(Lattice):
                 raise LatticeValidationError(f"cover names unknown element {missing!r}")
             if lo == hi:
                 raise LatticeValidationError(f"cover relates {lo_name!r} to itself")
-            succ[lo].add(hi)
+            succ[lo] |= 1 << hi
+            pred[hi] |= 1 << lo
 
-        # reachability over the cover digraph: up-set of each element as a bit set
-        ups = []
-        for a in range(self.size):
-            reach = 1 << a
-            stack = [a]
-            while stack:
-                u = stack.pop()
-                for v in succ[u]:
-                    if not reach >> v & 1:
-                        reach |= 1 << v
-                        stack.append(v)
-            ups.append(reach)
-        for a in range(self.size):
-            for b in mask_elements(ups[a]):
-                if b != a and ups[b] >> a & 1:
-                    raise LatticeValidationError(
-                        f"cycle through elements {names[a]!r} and {names[b]!r}"
-                    )
+        # Kahn sweep, lowest ready id first; it stalls exactly on cycles
+        indeg = [p.bit_count() for p in pred]
+        ready = [a for a in range(self.size) if not indeg[a]]
+        order = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v in mask_elements(succ[u]):
+                indeg[v] -= 1
+                if not indeg[v]:
+                    heapq.heappush(ready, v)
+        if len(order) < self.size:
+            # every left-over element keeps a left-over predecessor, so
+            # walking down through them must come back to a visited element
+            left = elements_mask(a for a in range(self.size) if indeg[a])
+            step: dict[int, int] = {}
+            a = (left & -left).bit_length() - 1
+            while a not in step:
+                below = pred[a] & left
+                step[a] = (below & -below).bit_length() - 1
+                a = step[a]
+            raise LatticeValidationError(
+                f"cycle through elements {names[a]!r} and {names[step[a]]!r}"
+            )
+        self._topo = tuple(order)
+
+        # top-down: an up-set is the element and its successors' up-sets; a
+        # declared successor is a cover unless it lies strictly above another
+        # declared successor, which drops transitive input edges
+        ups = [0] * self.size
+        up_covers = [0] * self.size
+        for a in reversed(order):
+            above = 0
+            for b in mask_elements(succ[a]):
+                above |= ups[b] ^ (1 << b)
+            up_covers[a] = succ[a] & ~above
+            ups[a] = 1 << a | succ[a] | above
         self._ups = ups
+        self._up_covers = up_covers
 
-        maximal = [a for a in range(self.size) if ups[a] == 1 << a]
+        maximal = [a for a in range(self.size) if not succ[a]]
         if len(maximal) != 1:
             a, b = maximal[0], maximal[1]
             raise LatticeValidationError(
@@ -253,25 +260,6 @@ class ExplicitLattice(Lattice):
                 "so the pair has no upper bound"
             )
         self.top = maximal[0]
-
-        # true covers from the closure; input pairs may contain transitive edges
-        below = [0] * self.size
-        for b in range(self.size):
-            for a in mask_elements(ups[b] & ~(1 << b)):
-                below[a] |= 1 << b
-        self._preds = tuple(
-            tuple(
-                b
-                for b in mask_elements(below[a])
-                if ups[b] & below[a] == 1 << b
-            )
-            for a in range(self.size)
-        )
-        up_covers = [0] * self.size
-        for a in range(self.size):
-            for b in self._preds[a]:
-                up_covers[b] |= 1 << a
-        self._up_covers = up_covers
 
         # a pair has a least upper bound exactly when its common up-set is
         # itself the up-set of one element, which is then the join
@@ -286,18 +274,19 @@ class ExplicitLattice(Lattice):
                         f"least upper bound (minimal upper bounds: {minimal_ubs})"
                     )
 
-        indeg = [len(p) for p in self._preds]
-        heap = [a for a in range(self.size) if indeg[a] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            u = heapq.heappop(heap)
-            order.append(u)
-            for v in mask_elements(up_covers[u]):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
-        self._topo = tuple(order)
+        preds: list[list[int]] = [[] for _ in range(self.size)]
+        for a in range(self.size):
+            for c in mask_elements(up_covers[a]):
+                preds[c].append(a)
+        self._preds = tuple(map(tuple, preds))
+
+        # maximal predecessor sum: the best chain below an element depends
+        # only on that element, so one sweep in topological order suffices
+        best = [0] * self.size
+        for a in order:
+            if preds[a]:
+                best[a] = len(preds[a]) + max(best[b] for b in preds[a])
+        self._sigma = best[self.top]
 
     def __eq__(self, other) -> bool:
         return (
@@ -330,7 +319,11 @@ class ExplicitLattice(Lattice):
         return self._preds[a]
 
     def topo_order(self) -> tuple[int, ...]:
+        """Every element after all of its immediate predecessors."""
         return self._topo
+
+    def sigma(self) -> int:
+        return self._sigma
 
     def up_closure(self, mask: int) -> int:
         out = 0

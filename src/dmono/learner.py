@@ -9,7 +9,6 @@ checked against when the target's representation makes them computable.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,29 +54,6 @@ class EquivalenceOracle:
         if not diff:
             return None
         return (diff & -diff).bit_length() - 1
-
-
-class SamplingEquivalenceOracle:
-    """Random-probe equivalence oracle for lattices too large to scan.
-
-    Sound on counterexamples, unsound on YES: after the probe budget finds
-    no disagreement it answers YES anyway.  Demo use only.
-    """
-
-    def __init__(self, target: Representation, probes: int = 10000, seed: int = 0):
-        self.target = target
-        self.lattice = target.lattice
-        self.probes = probes
-        self._rng = random.Random(seed)
-        self.eq_count = 0
-
-    def query(self, hypothesis: Representation) -> int | None:
-        self.eq_count += 1
-        for _ in range(self.probes):
-            x = self._rng.randrange(self.lattice.size)
-            if hypothesis.evaluate(x) != self.target.evaluate(x):
-                return x
-        return None
 
 
 @dataclass

@@ -1,9 +1,21 @@
 import pytest
+from hypothesis import strategies as st
 
 from dmono import CubeLattice, ExplicitLattice
 
 DIAMOND_NAMES = ["bot", "p", "q", "top"]
 DIAMOND_COVERS = [("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")]
+
+# non-graded order, declaration order far from topological
+PENTAGON_NAMES = ["top", "c", "bot", "a", "b"]
+PENTAGON_COVERS = [
+    ("bot", "a"),
+    ("a", "c"),
+    ("c", "top"),
+    ("bot", "b"),
+    ("b", "top"),
+    ("bot", "top"),  # transitive, must not become a cover
+]
 
 
 @pytest.fixture
@@ -32,3 +44,46 @@ def lattice_file_text(names, covers):
     lines += [f"elem {nm}" for nm in names]
     lines += [f"cover {lo} {hi}" for lo, hi in covers]
     return "\n".join(lines) + "\n"
+
+
+def set_name(s):
+    return f"s{s:x}"
+
+
+def inclusion_covers(sets):
+    """Hasse diagram of a set family under inclusion, as (lower, upper) index pairs."""
+    below = {b: [a for a in sets if a != b and a & b == a] for b in sets}
+    return [
+        (sets.index(a), sets.index(b))
+        for b in sets
+        for a in below[b]
+        if not any(a != c and a & c == a for c in below[b])
+    ]
+
+
+@st.composite
+def moore_families(draw, max_ground=4, max_draws=6):
+    """A random intersection-closed family of subsets, full set included.
+
+    Returns ``(sets, names, covers)``: the member sets in a shuffled
+    declaration order, their names, and cover lines by name that hold the
+    inclusion covers plus some transitive pairs, in shuffled order.
+    """
+    ground = draw(st.integers(1, max_ground))
+    full = (1 << ground) - 1
+    family = {full}
+    for r in draw(st.lists(st.integers(0, full), max_size=max_draws)):
+        family |= {r & s for s in family}
+    sets = draw(st.permutations(sorted(family)))
+    covers = inclusion_covers(sets)
+    transitive = [
+        (i, j)
+        for i, a in enumerate(sets)
+        for j, b in enumerate(sets)
+        if a != b and a & b == a and (i, j) not in covers
+    ]
+    if transitive:
+        covers += draw(st.lists(st.sampled_from(transitive), max_size=3))
+    lines = draw(st.permutations(covers))
+    names = [set_name(s) for s in sets]
+    return sets, names, [(names[i], names[j]) for i, j in lines]

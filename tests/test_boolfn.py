@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmono import (
@@ -25,6 +25,13 @@ from dmono import (
 from dmono.errors import InternalError, InvalidChainError
 from dmono.lattice import elements_mask, mask_elements
 
+from conftest import (
+    DIAMOND_COVERS,
+    DIAMOND_NAMES,
+    PENTAGON_COVERS,
+    PENTAGON_NAMES,
+    moore_families,
+)
 from oracles import (
     brute_closure_value,
     brute_global_min,
@@ -76,6 +83,45 @@ class TestEvaluate:
         f = DenseFunction.from_bits(cube2, "0110")
         assert f.bits() == "0110"
         assert [f.evaluate(x) for x in cube2.elements()] == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("bits", ["0000", "1111", "1000", "0001", "0011"])
+    def test_bits_roundtrip_edge_tables(self, cube2, bits):
+        f = DenseFunction.from_bits(cube2, bits)
+        assert [f.evaluate(x) for x in cube2.elements()] == [int(ch) for ch in bits]
+        assert f.bits() == bits
+
+    @pytest.mark.parametrize("bits", ["011", "01100", "01_1", " 011", "0121"])
+    def test_from_bits_rejects_malformed_tables(self, cube2, bits):
+        with pytest.raises(ValueError, match="exactly 4 characters of 0/1"):
+            DenseFunction.from_bits(cube2, bits)
+
+
+DENSE_LATTICES = [
+    CubeLattice(1),
+    CubeLattice(3),
+    CubeLattice(5),
+    ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS),
+    ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS),
+]
+
+
+class TestComposedDense:
+    @pytest.mark.parametrize("origin", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_pointwise_evaluate(self, origin, data):
+        lat = data.draw(
+            st.sampled_from(DENSE_LATTICES)
+            | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
+        )
+        d = data.draw(st.integers(1, 3))
+        inner = tuple(
+            MonotoneDNF.from_mask(lat, lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1))))
+            for _ in range(d)
+        )
+        outer = data.draw(st.integers(0, (1 << (1 << d)) - 1)) & ~1 | origin
+        f = ComposedTarget(lat, outer, inner)
+        assert f.dense().mask == elements_mask(x for x in lat.elements() if f.evaluate(x))
 
 
 class TestValidation:

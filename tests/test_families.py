@@ -16,7 +16,7 @@ from dmono import (
     takimoto_family,
     tightness_family,
 )
-from dmono.boolfn import XorHypothesis
+from dmono.boolfn import MonotoneDNF, XorHypothesis
 from dmono.errors import GenerationError
 
 
@@ -57,6 +57,22 @@ class TestPrefixLevels:
     def test_level_sizes_follow_binomials(self):
         assert [lv.size for lv in prefix_levels(2, 2).levels] == [4, 4]
         assert [lv.size for lv in prefix_levels(3, 1).levels] == [3, 3, 1]
+
+    @pytest.mark.parametrize("d,t", list(itertools.product((1, 2, 3), repeat=2)))
+    def test_levels_equal_validated_constructor(self, d, t):
+        # level k: the words with k set bits, at most one per t-wide block
+        lat = CubeLattice(d * t)
+        block = (1 << t) - 1
+        levels = prefix_levels(d, t).levels
+        assert len(levels) == d
+        for k, level in enumerate(levels, start=1):
+            words = tuple(
+                x
+                for x in lat.elements()
+                if x.bit_count() == k
+                and all((x >> (b * t) & block).bit_count() <= 1 for b in range(d))
+            )
+            assert level == MonotoneDNF(lat, words)
 
     def test_satisfies_nested_disjoint_shape(self):
         for d, t in [(2, 2), (3, 1), (3, 2)]:

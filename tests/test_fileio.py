@@ -53,6 +53,16 @@ class TestRoundTrips:
         assert loaded == t
         assert meta == {"family": "tightness", "d": 2, "t": 2}
 
+    @pytest.mark.parametrize("table", ["0000", "1111", "1000", "0001", "0110"])
+    def test_composed_outer_table(self, table):
+        inner = (MonotoneDNF(CubeLattice(2), (1,)), MonotoneDNF(CubeLattice(2), (2,)))
+        outer = sum(1 << k for k, ch in enumerate(table) if ch == "1")
+        t = ComposedTarget(CubeLattice(2), outer, inner)
+        text = dumps_function(t)
+        assert json.loads(text)["payload"]["F"] == table
+        loaded, _ = loads_function(text)
+        assert loaded == t
+
     def test_explicit_lattice_reference(self, tmp_path):
         lat_path = tmp_path / "diamond.lat"
         lat_path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
@@ -133,6 +143,13 @@ class TestErrors:
 
     def test_outer_table_length(self):
         doc = '{"lattice": {"cube": 2}, "repr": "composed", "payload": {"F": "01", "g": [["01"], ["10"]]}}'
+        with pytest.raises(FileFormatError, match="length 4"):
+            loads_function(doc)
+
+    @pytest.mark.parametrize("table", ["01101", "01_1", " 011", "0121"])
+    def test_malformed_outer_table(self, table):
+        payload = {"F": table, "g": [["01"], ["10"]]}
+        doc = json.dumps({"lattice": {"cube": 2}, "repr": "composed", "payload": payload})
         with pytest.raises(FileFormatError, match="length 4"):
             loads_function(doc)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,16 @@ from dmono import CubeLattice, ExplicitLattice, load_lattice, parse_lattice
 from dmono.errors import InvalidElementError, LatticeValidationError
 from dmono.lattice import elements_mask, mask_elements
 
-from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text
+from conftest import (
+    DIAMOND_COVERS,
+    DIAMOND_NAMES,
+    PENTAGON_COVERS,
+    PENTAGON_NAMES,
+    inclusion_covers,
+    lattice_file_text,
+    moore_families,
+    set_name,
+)
 from oracles import (
     brute_global_min,
     brute_immediate_predecessors,
@@ -17,16 +27,6 @@ from oracles import (
 )
 
 
-# non-graded order, declaration order far from topological
-PENTAGON_NAMES = ["top", "c", "bot", "a", "b"]
-PENTAGON_COVERS = [
-    ("bot", "a"),
-    ("a", "c"),
-    ("c", "top"),
-    ("bot", "b"),
-    ("b", "top"),
-    ("bot", "top"),  # transitive, must not become a cover
-]
 CHAIN4_NAMES = ["a", "b", "c", "d"]
 
 
@@ -256,6 +256,87 @@ class TestExplicitLattice:
         assert lat.immediate_predecessors(lat.parse_element("p")) == ()
         assert lat.immediate_predecessors(lat.parse_element("q")) == ()
         assert lat.sigma() == 2
+
+
+def _quoted(message):
+    return re.findall(r"'(\w+)'", message)
+
+
+class TestMooreFamilies:
+    @settings(max_examples=80, deadline=None)
+    @given(moore_families())
+    def test_queries_match_inclusion_order(self, family):
+        sets, names, covers = family
+        lat = ExplicitLattice(names, covers)
+        for a in lat.elements():
+            for b in lat.elements():
+                assert lat.leq(a, b) == (sets[a] & sets[b] == sets[a])
+                assert lat.join(a, b) == brute_join(lat, a, b)
+            assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
+        order = lat.topo_order()
+        assert sorted(order) == list(lat.elements())
+        pos = {x: i for i, x in enumerate(order)}
+        for a in lat.elements():
+            assert all(pos[b] < pos[a] for b in lat.immediate_predecessors(a))
+        assert sets[lat.top] == max(sets)
+        if lat.size <= 10:
+            assert lat.sigma() == sigma_downset_recursion(lat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.data())
+    def test_cycle_error_names_two_cycle_elements(self, cycle_len, tail_len, data):
+        # a cycle with one element below it and a chain above it
+        cycle = [f"c{i}" for i in range(cycle_len)]
+        tail = [f"t{i}" for i in range(tail_len)]
+        covers = list(zip(cycle, cycle[1:] + cycle[:1])) + list(zip(tail, tail[1:]))
+        covers.append((data.draw(st.sampled_from(cycle)), tail[0]))
+        covers.append(("b", data.draw(st.sampled_from(cycle))))
+        names = data.draw(st.permutations(["b"] + cycle + tail))
+        with pytest.raises(LatticeValidationError, match="cycle") as exc:
+            ExplicitLattice(names, data.draw(st.permutations(covers)))
+        named = _quoted(str(exc.value))
+        assert len(set(named)) == 2 and set(named) <= set(cycle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(moore_families(), st.data())
+    def test_second_maximal_element_rejected(self, family, data):
+        sets, names, covers = family
+        lower = [nm for s, nm in zip(sets, names) if s != max(sets)]
+        extra = data.draw(st.lists(st.sampled_from(lower), max_size=1)) if lower else []
+        at = data.draw(st.integers(0, len(names)))
+        names = names[:at] + ["extra"] + names[at:]
+        with pytest.raises(LatticeValidationError, match="both maximal") as exc:
+            ExplicitLattice(names, covers + [(nm, "extra") for nm in extra])
+        assert _quoted(str(exc.value)) == sorted([set_name(max(sets)), "extra"], key=names.index)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.integers(0, 7), max_size=5), st.data())
+    def test_pair_without_least_upper_bound_rejected(self, ground, draws, data):
+        # any subsets of the low bits, plus {x} and {y} whose only minimal
+        # upper bounds are {x, y, u} and {x, y, v}
+        low = (1 << ground) - 1
+        x, y, u, v = (1 << ground + i for i in range(4))
+        family = {r & low for r in draws} | {x, y, x | y | u, x | y | v, low | x | y | u | v}
+        sets = data.draw(st.permutations(sorted(family)))
+        names = [set_name(s) for s in sets]
+
+        def minimal_upper_bounds(a, b):
+            ubs = [s for s in sets if s & (a | b) == a | b]
+            return {s for s in ubs if not any(t != s and t & s == t for t in ubs)}
+
+        failing = [
+            (i, j)
+            for i in range(len(sets))
+            for j in range(i + 1, len(sets))
+            if len(minimal_upper_bounds(sets[i], sets[j])) > 1
+        ]
+        i, j = failing[0]
+        covers = [(names[a], names[b]) for a, b in inclusion_covers(sets)]
+        with pytest.raises(LatticeValidationError, match="no unique least upper bound") as exc:
+            ExplicitLattice(names, covers)
+        named = _quoted(str(exc.value))
+        assert named[:2] == [names[i], names[j]]
+        assert sorted(named[2:]) == sorted(set_name(s) for s in minimal_upper_bounds(sets[i], sets[j]))
 
 
 class TestLatticeFiles:

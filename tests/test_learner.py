@@ -10,7 +10,6 @@ from dmono import (
     LabeledSample,
     MembershipOracle,
     MonotoneDNF,
-    SamplingEquivalenceOracle,
     XorHypothesis,
     consistent,
     counterexample_bound,
@@ -224,19 +223,3 @@ class TestBoundHelper:
         assert counterexample_bound(lifted) is None
         assert counterexample_bound(DenseFunction(cube2, 5)) is None
         assert counterexample_bound(None) is None
-
-
-class TestSamplingOracle:
-    def test_counterexamples_are_real(self):
-        lat = CubeLattice(4)
-        target = MonotoneDNF(lat, (0b0001,))
-        eq = SamplingEquivalenceOracle(target, probes=200, seed=5)
-        cex = eq.query(zero_hypothesis(lat))
-        assert cex is not None
-        assert target.evaluate(cex) == 1
-
-    def test_yes_on_equal_functions(self):
-        lat = CubeLattice(4)
-        target = MonotoneDNF(lat, (0b0001,))
-        eq = SamplingEquivalenceOracle(target, probes=50, seed=5)
-        assert eq.query(XorHypothesis(lat, (target,))) is None
