@@ -9,7 +9,7 @@ handle it by rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import InternalError, InvalidChainError
@@ -104,13 +104,42 @@ class XorHypothesis:
     """Parity of an ordered list of monotone levels; no levels means 0."""
 
     lattice: Lattice
-    levels: tuple[MonotoneDNF, ...] = ()
+    # a factory, not a class attribute, so that ``__getattr__`` sees a
+    # ``from_masks`` hypothesis whose levels are not wrapped yet
+    levels: tuple[MonotoneDNF, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         for lv in self.levels:
             if lv.lattice != self.lattice:
                 raise ValueError("level defined over a different lattice")
+
+    @classmethod
+    def from_masks(
+        cls, lattice: Lattice, level_masks: Sequence[int], table: int
+    ) -> "XorHypothesis":
+        """Trusted constructor from dense antichains and their truth table.
+
+        ``table`` must be the XOR of the levels' up-closures, as
+        ``consistent_masks`` returns it; ``dense()`` reads it instead of
+        recomputing the closures.  The levels are wrapped as
+        ``MonotoneDNF`` when first read, so a learner that only queries
+        the table never lists their minimal elements.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "lattice", lattice)
+        object.__setattr__(h, "_level_masks", tuple(level_masks))
+        object.__setattr__(h, "_dense", DenseFunction(lattice, table))
+        return h
+
+    def __getattr__(self, name: str):
+        # reached only while a ``from_masks`` hypothesis has no levels yet
+        masks = self.__dict__.get("_level_masks")
+        if name != "levels" or masks is None:
+            raise AttributeError(name)
+        levels = tuple(MonotoneDNF.from_mask(self.lattice, m) for m in masks)
+        object.__setattr__(self, "levels", levels)
+        return levels
 
     @property
     def size(self) -> int:
@@ -125,6 +154,9 @@ class XorHypothesis:
     __call__ = evaluate
 
     def dense(self) -> DenseFunction:
+        known = self.__dict__.get("_dense")
+        if known is not None:
+            return known
         m = 0
         for lv in self.levels:
             m ^= lv.dense().mask

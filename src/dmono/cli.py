@@ -33,7 +33,10 @@ from .families import (
     chain_witness_check,
     prefix_levels,
     random_composed,
+    random_dimension,
+    takimoto_dimension,
     takimoto_family,
+    tightness_dimension,
     tightness_family,
 )
 from .fileio import function_to_doc, load_function
@@ -77,8 +80,10 @@ def _resolved_max_n(args) -> int:
 
 def _check_cap(lattice: Lattice, max_n: int) -> None:
     if lattice.size > (1 << max_n):
+        # 2^n in decimal can pass the interpreter's digit limit for int-to-str
+        count = f"2^{lattice.n}" if isinstance(lattice, CubeLattice) else lattice.size
         raise SizeCapExceededError(
-            f"{lattice.describe()} has {lattice.size} elements; exhaustive work is "
+            f"{lattice.describe()} has {count} elements; exhaustive work is "
             f"capped at 2^{max_n} (raise with --max-n or DMONO_MAX_N)"
         )
 
@@ -211,6 +216,7 @@ def cmd_degree(args) -> int:
 
 def cmd_sigma(args) -> int:
     lat = _load_lattice_spec(args.lattice)
+    _check_cap(lat, args.max_n)
     value = str(lat.sigma())
     if args.out is not None:
         with open(args.out, "a") as fh:
@@ -225,11 +231,13 @@ def cmd_family(args) -> int:
     if args.family == "tightness":
         if args.t is None:
             raise DmonoError("tightness needs -t")
+        _check_cap(CubeLattice(tightness_dimension(args.d, args.t)), args.max_n)
         target = tightness_family(args.d, args.t)
         meta = {"family": "tightness", "d": args.d, "t": args.t}
     elif args.family == "takimoto":
         if args.t is None:
             raise DmonoError("takimoto needs -t")
+        _check_cap(CubeLattice(takimoto_dimension(args.d, args.t)), args.max_n)
         target = takimoto_family(args.d, args.t, uneven=args.uneven)
         meta = {"family": "takimoto", "d": args.d, "t": args.t}
         if args.uneven:
@@ -238,6 +246,7 @@ def cmd_family(args) -> int:
         if args.sizes is None or args.n is None:
             raise DmonoError("random needs --sizes and -n")
         sizes = [int(tok) for tok in args.sizes.split(",")]
+        _check_cap(CubeLattice(random_dimension(args.d, sizes, args.n)), args.max_n)
         target = random_composed(args.d, sizes, args.n, seed)
         meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": seed}
     doc_text = json.dumps(function_to_doc(target, meta), indent=2) + "\n"

@@ -34,20 +34,37 @@ def _block_layout(sizes: Sequence[int]) -> list[list[int]]:
     return blocks
 
 
+def tightness_dimension(d: int, t: int) -> int:
+    """Cube dimension of ``tightness_family(d, t)``, after checking d and t."""
+    if d < 1 or t < 1:
+        raise ValueError("tightness family needs d >= 1 and t >= 1")
+    return d * t
+
+
 def tightness_family(d: int, t: int) -> ComposedTarget:
     """XOR of d disjoint t-wide variable blocks on the cube of n = d*t.
 
     The strict decomposition of this target blows up to exactly
     (t+1)^d - 1 minterms while the composed representation has d*t.
     """
-    if d < 1 or t < 1:
-        raise ValueError("tightness family needs d >= 1 and t >= 1")
-    lat = CubeLattice(d * t)
+    lat = CubeLattice(tightness_dimension(d, t))
     blocks = _block_layout([t] * d)
     inner = tuple(
         MonotoneDNF(lat, tuple(1 << b for b in blk)) for blk in blocks
     )
     return ComposedTarget(lat, parity_table(d), inner)
+
+
+def takimoto_dimension(d: int, t: int) -> int:
+    """Cube dimension of ``takimoto_family(d, t)``, after checking d and t.
+
+    The uneven variant lives on the same cube.
+    """
+    if d < 2:
+        raise ValueError("the nested family needs d >= 2")
+    if t < 1:
+        raise ValueError("block width must be at least 1")
+    return d * (d + 1) * t // 2
 
 
 def takimoto_family(d: int, t: int, uneven: bool = False) -> ComposedTarget:
@@ -60,11 +77,7 @@ def takimoto_family(d: int, t: int, uneven: bool = False) -> ComposedTarget:
     max(1, n // (i*d)) variables, a variant with a slightly stronger
     blowup; the equal-block construction is the default.
     """
-    if d < 2:
-        raise ValueError("the nested family needs d >= 2")
-    if t < 1:
-        raise ValueError("block width must be at least 1")
-    n = d * (d + 1) * t // 2
+    n = takimoto_dimension(d, t)
     lat = CubeLattice(n)
     if uneven:
         sizes = [max(1, n // ((i + 1) * d)) for i in range(d)]
@@ -154,6 +167,15 @@ def chain_witness_check(
     return True
 
 
+def random_dimension(d: int, sizes: Sequence[int], n: int) -> int:
+    """Cube dimension of ``random_composed(d, sizes, n, seed)``, after checks."""
+    if len(sizes) != d:
+        raise ValueError("need one size per inner function")
+    if n < 1:
+        raise ValueError("cube dimension must be at least 1")
+    return n
+
+
 def random_composed(
     d: int, sizes: Sequence[int], n: int, seed: int
 ) -> ComposedTarget:
@@ -163,12 +185,8 @@ def random_composed(
     produced by rejection: sample that many distinct nonzero points and
     retry until no two of them are comparable.
     """
-    if len(sizes) != d:
-        raise ValueError("need one size per inner function")
-    if n < 1:
-        raise ValueError("cube dimension must be at least 1")
+    lat = CubeLattice(random_dimension(d, sizes, n))
     rng = random.Random(seed)
-    lat = CubeLattice(n)
     inner = tuple(_random_antichain(rng, lat, s) for s in sizes)
     outer = rng.getrandbits(1 << d) & ~1
     return ComposedTarget(lat, outer, inner)

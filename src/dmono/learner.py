@@ -16,7 +16,7 @@ from typing import Callable
 from .boolfn import ComposedTarget, MonotoneDNF, Representation, XorHypothesis
 from .consistent import LabeledSample, consistent
 from .errors import DegreeTooSmallError, InconsistentSampleError, InternalError
-from .lattice import Lattice
+from .lattice import Lattice, mask_elements
 
 
 class MembershipOracle:
@@ -174,12 +174,14 @@ def learn(
     the target's value there (the oracle guarantees disagreement, so no
     membership query is spent), descend to a local minimal disagreement,
     file that point under its label, and rebuild the hypothesis with
-    ``consistent``.  Membership answers are memoized per run, so the raw
+    ``consistent``.  The sample is kept as two dense masks that enter
+    ``consistent`` unvalidated, and each query reads the truth table the
+    rebuild returns.  Membership answers are memoized per run, so the raw
     inspection count of a descent can exceed the real queries it costs.
 
     Raises DegreeTooSmallError when the sample proves the target is not
-    d-monotone, and InternalError if the loop outlives the element count,
-    which a correct run cannot.
+    d-monotone, and InternalError if a descent settles on a point already
+    in the sample, which a correct run cannot.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -189,19 +191,18 @@ def learn(
         stats.eq_bound = bound
         stats.mq_bound = stats.sigma * bound
 
-    x0: set[int] = set()
-    x1: set[int] = set()
-    h = consistent(d, LabeledSample(lattice, frozenset(), frozenset()))
+    s0 = s1 = 0  # negative and positive sample points, one bit each
+    h = consistent(d, LabeledSample.from_masks(lattice, 0, 0))
     cache: dict[int, int] = {}
 
-    for _ in range(lattice.size + 1):
+    while True:
         hd = h.dense()
         cex = eq.query(hd)
         stats.eq_used = eq.eq_count
         stats.mq_used = mq.mq_count
         if cex is None:
-            stats.x0 = tuple(sorted(x0))
-            stats.x1 = tuple(sorted(x1))
+            stats.x0 = tuple(mask_elements(s0))
+            stats.x1 = tuple(mask_elements(s1))
             return h, stats
         stats.counterexamples += 1
         inferred = 1 - (hd.mask >> cex & 1)
@@ -218,15 +219,22 @@ def learn(
                 "inspections": result.inspections,
             }
         )
-        (x1 if result.value else x0).add(result.element)
+        bit = 1 << result.element
+        if (s0 | s1) & bit:
+            # every hypothesis agrees with the sample, so this is a bug
+            raise InternalError(
+                f"descent settled on {lattice.element_name(result.element)}, "
+                "which is already in the sample"
+            )
+        if result.value:
+            s1 |= bit
+        else:
+            s0 |= bit
         started = time.perf_counter()
         try:
-            h = consistent(d, LabeledSample(lattice, frozenset(x0), frozenset(x1)))
+            h = consistent(d, LabeledSample.from_masks(lattice, s0, s1))
         except InconsistentSampleError as exc:
             raise DegreeTooSmallError(
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point
             ) from exc
         stats.rebuild_seconds += time.perf_counter() - started
-    raise InternalError(
-        "learning loop exceeded the lattice size; an accepted point repeated"
-    )

@@ -3,10 +3,28 @@
 Everything here is deliberately definitional: order scans, exhaustive
 chain enumeration, and the literal down-set recursion for the maximal
 predecessor sum.  None of it shares code with the package's production
-paths, so agreement is meaningful.
+paths, so agreement is meaningful; the one exception is
+``reference_learn``, which reruns the learner's loop on point sets and
+validated samples, so it shares the rebuild rounds and the descent but
+none of the loop's mask bookkeeping.
 """
 
 from itertools import permutations, product
+
+from dmono import (
+    LabeledSample,
+    QueryStats,
+    XorHypothesis,
+    consistent,
+    counterexample_bound,
+    descend_to_local_min,
+)
+from dmono.errors import DegreeTooSmallError, InconsistentSampleError
+
+
+def brute_mask_elements(mask):
+    """Set bit positions of a mask, one bit test per position."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def brute_lt(lat, a, b):
@@ -90,6 +108,24 @@ def maximal_chains_cube(n):
     return chains
 
 
+def maximal_chains(lat):
+    """All maximal chains, lowest element first, climbing definitional covers.
+
+    A chain starts at an element with no predecessor (it covers the
+    implicit bottom) and ends at the top.
+    """
+    covers = {a: brute_immediate_predecessors(lat, a) for a in lat.elements()}
+    upper = {a: [b for b in lat.elements() if a in covers[b]] for a in lat.elements()}
+
+    def climb(chain):
+        ups = upper[chain[-1]]
+        if not ups:
+            return [chain]
+        return [c for b in ups for c in climb(chain + [b])]
+
+    return [c for a in lat.elements() if not covers[a] for c in climb([a])]
+
+
 def max_chain_alternations(lat, value, chains):
     """Worst value-change count along the given chains, with a leading 0."""
     best = 0
@@ -122,3 +158,51 @@ def join_products(lat, min_sets):
             j = lat.join(j, a)
         out.add(j)
     return out
+
+
+def reference_learn(d, lattice, mq, eq):
+    """The learner's loop on Python point sets, rebuilt by the public ``consistent``.
+
+    Every round validates the whole sample into a ``LabeledSample`` and
+    recomputes the hypothesis's table from its levels rather than reading
+    the one ``consistent`` returns.  Returns the hypothesis and a
+    ``QueryStats`` filled as ``learn`` fills it.
+    """
+    stats = QueryStats(sigma=lattice.sigma())
+    bound = counterexample_bound(getattr(eq, "target", None))
+    if bound is not None:
+        stats.eq_bound = bound
+        stats.mq_bound = stats.sigma * bound
+    x0, x1 = set(), set()
+    h = consistent(d, LabeledSample(lattice, frozenset(), frozenset()))
+    cache = {}
+    for _ in range(lattice.size + 1):
+        hd = XorHypothesis(lattice, h.levels).dense()
+        cex = eq.query(hd)
+        stats.eq_used = eq.eq_count
+        stats.mq_used = mq.mq_count
+        if cex is None:
+            stats.x0 = tuple(sorted(x0))
+            stats.x1 = tuple(sorted(x1))
+            return h, stats
+        stats.counterexamples += 1
+        inferred = 1 - hd.evaluate(cex)
+        result = descend_to_local_min(lattice, cex, hd, mq, value=inferred, _cache=cache)
+        stats.max_descent_inspections = max(stats.max_descent_inspections, result.inspections)
+        stats.trace.append(
+            {
+                "counterexample": cex,
+                "settled": result.element,
+                "label": result.value,
+                "steps": result.steps,
+                "inspections": result.inspections,
+            }
+        )
+        (x1 if result.value else x0).add(result.element)
+        try:
+            h = consistent(d, LabeledSample(lattice, frozenset(x0), frozenset(x1)))
+        except InconsistentSampleError as exc:
+            raise DegreeTooSmallError(
+                f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point
+            ) from exc
+    raise AssertionError("learning loop exceeded the lattice size")

@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import product
 
@@ -161,6 +162,40 @@ class TestFromMask:
                 assert MonotoneDNF.from_mask(lat, mins) == MonotoneDNF(
                     lat, tuple(mask_elements(mins))
                 )
+
+    @given(st.lists(st.sets(st.integers(0, 63)), max_size=3))
+    def test_xor_from_masks_reads_the_given_table(self, level_points):
+        lat = CubeLattice(6)
+        masks = [lat.minimal(elements_mask(p)) for p in level_points]
+        table = 0
+        for m in masks:
+            table ^= lat.up_closure(m)
+        trusted = XorHypothesis.from_masks(lat, masks, table)
+        plain = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in masks))
+        assert trusted.dense() == plain.dense() == DenseFunction(lat, table)
+        # levels are wrapped on first read, and read the same afterwards
+        assert trusted.levels == plain.levels
+        assert trusted == plain and repr(trusted) == repr(plain)
+        assert copy.deepcopy(trusted) == plain
+
+    def test_xor_from_masks_dense_computes_no_closure(self, monkeypatch):
+        lat = CubeLattice(3)
+        # levels {001} and {011}: closures 10101010 and 10001000
+        h = XorHypothesis.from_masks(lat, [0b00000010, 0b00001000], 0b00100010)
+
+        def no_closure(mask):
+            raise AssertionError("dense() recomputed a closure")
+
+        monkeypatch.setattr(lat, "up_closure", no_closure)
+        assert h.dense().mask == 0b00100010
+
+    def test_xor_attribute_lookup_is_unchanged(self, cube2):
+        assert XorHypothesis(cube2).levels == ()
+        lazy = XorHypothesis.from_masks(cube2, [0b0010], 0b1010)
+        with pytest.raises(AttributeError):
+            lazy.minimals
+        assert not hasattr(XorHypothesis(cube2), "minimals")
+        assert lazy.size == 1 and lazy.evaluate(0b11) == 1
 
 
 class TestMinimalElements:

@@ -293,6 +293,64 @@ class TestSizeCap:
         assert out == ""
         assert "--max-n" in err
 
+    def test_sigma_is_capped(self, capsys, tmp_path):
+        path = tmp_path / "chain5.lat"
+        names = ["a", "b", "c", "d", "e"]
+        path.write_text(lattice_file_text(names, list(zip(names, names[1:]))))
+        for spec, max_n in (("cube:5", "4"), (str(path), "2")):
+            code, out, err = run_cli(capsys, "sigma", spec, "--max-n", max_n)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("dmono: ") and "--max-n" in err
+        assert run_cli(capsys, "sigma", str(path), "--max-n", "3")[:2] == (0, "4\n")
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (("tightness", "-d", "2", "-t", "3"), 6),
+            (("takimoto", "-d", "2", "-t", "1"), 3),
+            (("takimoto", "-d", "3", "-t", "1", "--uneven"), 6),
+            (("random", "-d", "2", "--sizes", "1,1", "-n", "7"), 7),
+        ],
+        ids=["tightness", "takimoto", "takimoto-uneven", "random"],
+    )
+    def test_family_is_capped_on_cube_dimension(self, capsys, tmp_path, argv, n):
+        out_path = tmp_path / "f.json"
+        code, out, err = run_cli(
+            capsys, "family", *argv, "--max-n", str(n - 1), "--out", str(out_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"dmono: cube:{n} has 2^{n} elements; exhaustive work is capped at "
+            f"2^{n - 1} (raise with --max-n or DMONO_MAX_N)\n"
+        )
+        assert not out_path.exists()
+        code, _, _ = run_cli(capsys, "family", *argv, "--max-n", str(n), "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["lattice"] == {"cube": n}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("tightness", "-d", "0", "-t", "30"), "tightness family needs d >= 1 and t >= 1"),
+            (("takimoto", "-d", "1", "-t", "30"), "the nested family needs d >= 2"),
+            (("random", "-d", "2", "--sizes", "1", "-n", "30"), "need one size per inner function"),
+        ],
+        ids=["tightness", "takimoto", "random"],
+    )
+    def test_family_arguments_are_checked_before_the_cap(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "family", *argv, "--max-n", "4")
+        assert (code, out, err) == (1, "", f"dmono: {message}\n")
+
+    def test_huge_cube_is_capped_by_dimension(self, capsys):
+        # 2^20000 has more decimal digits than the interpreter converts to str
+        for argv in (("sigma", "cube:20000"), ("consistent", "--lattice", "cube:20000", "-d", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("dmono: cube:20000 has 2^20000 elements; ")
+
     def test_malformed_env_value_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("DMONO_MAX_N", "abc")
         code, out, err = run_cli(capsys, "sigma", "cube:3")

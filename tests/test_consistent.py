@@ -1,21 +1,46 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmono import (
     CubeLattice,
+    ExplicitLattice,
     LabeledSample,
+    MembershipOracle,
     MonotoneDNF,
+    XorHypothesis,
     consistent,
+    learn,
     monotone_degree,
     random_composed,
     strict_decompose,
 )
-from dmono.errors import InconsistentSampleError, InvalidSampleError
+from dmono.consistent import consistent_masks
+from dmono.errors import (
+    InconsistentSampleError,
+    InternalError,
+    InvalidElementError,
+    InvalidSampleError,
+)
+from dmono.lattice import elements_mask, mask_elements
+
+from conftest import PENTAGON_COVERS, PENTAGON_NAMES, moore_families
 
 
 def sample_of(lat, x0, x1):
     return LabeledSample(lat, frozenset(x0), frozenset(x1))
+
+
+class TestSample:
+    @given(st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
+    def test_points_round_trip_through_masks(self, x0, x1):
+        x0 -= x1
+        lat = CubeLattice(4)
+        sample = sample_of(lat, x0, x1)
+        assert (sample.x0, sample.x1, sample.points) == (x0, x1, x0 | x1)
+        assert sample == LabeledSample.from_masks(lat, elements_mask(x0), elements_mask(x1))
 
 
 class TestWorkedExamples:
@@ -40,6 +65,16 @@ class TestErrors:
         with pytest.raises(InvalidSampleError):
             sample_of(cube2, {0b01}, {0b01})
 
+    def test_overlap_names_the_lowest_shared_point(self, cube3):
+        with pytest.raises(InvalidSampleError, match="point 011 is labeled both"):
+            sample_of(cube3, {0b101, 0b011, 0b001}, {0b111, 0b101, 0b011})
+
+    def test_out_of_lattice_point_rejected(self, cube2):
+        with pytest.raises(InvalidElementError):
+            sample_of(cube2, (), {0b100})
+        with pytest.raises(InvalidElementError):
+            sample_of(cube2, {-1}, ())
+
     def test_degree_must_be_positive(self, cube2):
         with pytest.raises(ValueError):
             consistent(0, sample_of(cube2, (), ()))
@@ -50,6 +85,12 @@ class TestErrors:
             consistent(1, sample_of(cube2, {0b11}, {0b01, 0b10}))
         assert exc.value.point == 0b11
         assert "11" in str(exc.value)
+
+    def test_violation_names_the_lowest_surviving_point(self, cube3):
+        # both negatives lie above the positive 001; the error names 011
+        with pytest.raises(InconsistentSampleError) as exc:
+            consistent(1, sample_of(cube3, {0b011, 0b101}, {0b001}))
+        assert exc.value.point == 0b011
 
 
 class TestProperties:
@@ -116,3 +157,58 @@ class TestProperties:
                 if s == 0:
                     seen_zero = True
                 assert not (seen_zero and s > 0)
+
+
+KERNEL_LATTICES = st.sampled_from(
+    [CubeLattice(2), CubeLattice(4), ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS)]
+) | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_public_consistent(self, data):
+        lat = data.draw(KERNEL_LATTICES)
+        d = data.draw(st.integers(1, 3))
+        points = data.draw(st.integers(0, (1 << lat.size) - 1))
+        s1 = data.draw(st.integers(0, (1 << lat.size) - 1)) & points
+        s0 = points & ~s1
+        sample = LabeledSample(lat, frozenset(mask_elements(s0)), frozenset(mask_elements(s1)))
+        try:
+            levels, table = consistent_masks(lat, d, s0, s1)
+        except InconsistentSampleError as exc:
+            with pytest.raises(InconsistentSampleError) as public:
+                consistent(d, sample)
+            assert public.value.point == exc.point
+            assert str(public.value) == str(exc)
+            assert (s0 | s1) >> exc.point & 1
+            return
+        h = consistent(d, sample)
+        assert [lv.minimals for lv in h.levels] == [tuple(mask_elements(m)) for m in levels]
+        assert h.dense().mask == table
+        # the table is the XOR of the wrapped levels' up-closures
+        wrapped = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in levels))
+        assert table == wrapped.dense().mask
+        assert table & s1 == s1 and table & s0 == 0
+
+
+class ReplayingOracle:
+    """Equivalence oracle answering from a fixed script of points, then YES."""
+
+    def __init__(self, points):
+        self._points = list(points)
+        self.eq_count = 0
+
+    def query(self, hypothesis):
+        self.eq_count += 1
+        return self._points.pop(0) if self._points else None
+
+
+class TestLearnerInvariant:
+    def test_repeated_point_is_an_internal_error(self, cube2):
+        # f = x1: the first 01 settles at 01 as a positive; offering 01
+        # again makes the descent settle there a second time
+        target = MonotoneDNF(cube2, (0b01,))
+        mq = MembershipOracle.for_function(target)
+        with pytest.raises(InternalError, match="01.*already in the sample"):
+            learn(1, cube2, mq, ReplayingOracle([0b01, 0b01]))

@@ -23,6 +23,7 @@ from oracles import (
     brute_global_min,
     brute_immediate_predecessors,
     brute_join,
+    brute_mask_elements,
     sigma_downset_recursion,
 )
 
@@ -384,6 +385,19 @@ class TestMaskHelpers:
 
     def test_ascending(self):
         assert mask_elements(0b101001) == [0, 3, 5]
+
+    @settings(max_examples=200)
+    @given(
+        st.just(0)
+        | st.integers(0, (1 << 12) - 1).map(lambda i: 1 << i)
+        | st.sets(st.integers(0, (1 << 12) - 1), max_size=24).map(
+            lambda bits: sum(1 << i for i in bits)
+        )
+        | st.binary(max_size=(1 << 12) // 8).map(lambda b: int.from_bytes(b, "little"))
+    )
+    def test_matches_bitwise_reference(self, mask):
+        # zero, single high bits, sparse and dense masks up to 2^12 bits wide
+        assert mask_elements(mask) == brute_mask_elements(mask)
 
 
 class TestDenseSweeps:

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmono import (
     ComposedTarget,
     CubeLattice,
     DenseFunction,
     EquivalenceOracle,
+    ExplicitLattice,
     LabeledSample,
     MembershipOracle,
     MonotoneDNF,
@@ -15,13 +18,23 @@ from dmono import (
     counterexample_bound,
     descend_to_local_min,
     learn,
+    monotone_degree,
     parity_table,
     random_composed,
+    strict_decompose,
+    takimoto_family,
+    tightness_family,
 )
 from dmono.errors import DegreeTooSmallError
 from dmono.lattice import elements_mask, mask_elements
 
-from oracles import join_products
+from conftest import moore_families
+from oracles import (
+    join_products,
+    max_chain_alternations,
+    maximal_chains,
+    reference_learn,
+)
 
 
 def parity_target(lat):
@@ -204,6 +217,98 @@ class TestLearnerProperties:
             _, stats = learn(target.d, target.lattice, mq, eq)
             raw_total = sum(entry["inspections"] for entry in stats.trace)
             assert stats.mq_used <= raw_total
+
+
+def run_both(d, target):
+    """``learn`` and ``reference_learn`` on fresh oracles: each one's (h, stats) or error."""
+    runs = []
+    for run in (learn, reference_learn):
+        mq = MembershipOracle.for_function(target)
+        eq = EquivalenceOracle(target)
+        try:
+            runs.append(run(d, target.lattice, mq, eq))
+        except DegreeTooSmallError as exc:
+            runs.append((str(exc), exc.degree, exc.point))
+    return runs
+
+
+def assert_same_run(d, target):
+    got, want = run_both(d, target)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    (h, stats), (ref_h, ref_stats) = got, want
+    assert [lv.minimals for lv in h.levels] == [lv.minimals for lv in ref_h.levels]
+    for field in (
+        "x0",
+        "x1",
+        "eq_used",
+        "mq_used",
+        "counterexamples",
+        "max_descent_inspections",
+        "eq_bound",
+        "mq_bound",
+        "sigma",
+        "trace",
+    ):
+        assert getattr(stats, field) == getattr(ref_stats, field), field
+
+
+class TestAgainstReferenceLoop:
+    """The mask-native loop against the point-set loop with a validated rebuild."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            tightness_family(2, 1),
+            tightness_family(2, 3),
+            tightness_family(3, 2),
+            takimoto_family(2, 1),
+            takimoto_family(2, 2),
+            takimoto_family(3, 1, uneven=True),
+        ],
+        ids=["tight2x1", "tight2x3", "tight3x2", "taki2x1", "taki2x2", "taki3x1u"],
+    )
+    def test_family_targets(self, target):
+        assert_same_run(target.d, target)
+        assert_same_run(target.d - 1, target)  # degree too small on both
+
+    def test_seeded_random_composed(self):
+        rng = random.Random(36)
+        for _ in range(30):
+            target = random_target(rng)
+            assert_same_run(target.d, target)
+            if target.d > 1:
+                assert_same_run(target.d - 1, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_composed_targets_on_moore_families(self, data):
+        _, names, covers = data.draw(moore_families(max_ground=5, max_draws=8))
+        lat = ExplicitLattice(names, covers)
+        d = data.draw(st.integers(1, 3))
+        inner = tuple(
+            MonotoneDNF.from_mask(lat, lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1))))
+            for _ in range(d)
+        )
+        outer = data.draw(st.integers(0, (1 << (1 << d)) - 1))
+        target = ComposedTarget(lat, outer, inner)
+
+        degree = monotone_degree(target)
+        assert_same_run(max(degree, 1), target)
+        if degree > 1:
+            assert_same_run(degree - 1, target)
+        mq, eq = MembershipOracle.for_function(target), EquivalenceOracle(target)
+        h, stats = learn(max(degree, 1), lat, mq, eq)
+        assert h.dense().mask == target.dense().mask
+        assert stats.max_descent_inspections <= lat.sigma()
+
+        # the decomposition reproduces the target, and its level count is
+        # the worst alternation count over the maximal chains
+        xor = strict_decompose(target)
+        assert xor.dense().mask == target.dense().mask
+        assert len(xor.levels) == max_chain_alternations(lat, target.evaluate, maximal_chains(lat))
+        assert degree <= d + (outer & 1)
 
 
 class TestBoundHelper:
