@@ -269,7 +269,7 @@ def strict_decompose(f: Representation, cap: int | None = None) -> XorHypothesis
             raise InternalError(f"decomposition did not terminate within {cap} levels")
         # the minimal elements of cur, keeping the closure for the next residue
         reach = lat.up_closure(cur)
-        levels.append(MonotoneDNF.from_mask(lat, cur & ~lat.shadow(reach)))
+        levels.append(MonotoneDNF.from_mask(lat, lat.minimal(cur, reach)))
         cur ^= reach
     return XorHypothesis(lat, tuple(levels))
 

@@ -29,11 +29,11 @@ from .errors import (
     SizeCapExceededError,
 )
 from .families import (
-    _blocks_of,
     chain_witness_check,
     prefix_levels,
     random_composed,
     random_dimension,
+    takimoto_blocks,
     takimoto_dimension,
     takimoto_family,
     tightness_dimension,
@@ -78,23 +78,45 @@ def _resolved_max_n(args) -> int:
     return DEFAULT_MAX_N
 
 
-def _check_cap(lattice: Lattice, max_n: int) -> None:
-    if lattice.size > (1 << max_n):
+def _check_cap(lattice: Lattice | int, max_n: int) -> None:
+    """Refuse (exit 3) a lattice of more than 2^max_n elements.
+
+    An int is a cube dimension: a cube is checked by its dimension, so
+    that one too large to build is refused before it is built.
+    """
+    cap = 1 << max_n  # raises ValueError (exit 1) on a negative max_n
+    if isinstance(lattice, CubeLattice):
+        lattice = lattice.n
+    if isinstance(lattice, int):
+        if lattice <= max_n:
+            return
         # 2^n in decimal can pass the interpreter's digit limit for int-to-str
-        count = f"2^{lattice.n}" if isinstance(lattice, CubeLattice) else lattice.size
-        raise SizeCapExceededError(
-            f"{lattice.describe()} has {count} elements; exhaustive work is "
-            f"capped at 2^{max_n} (raise with --max-n or DMONO_MAX_N)"
-        )
+        what, count = f"cube:{lattice}", f"2^{lattice}"
+    elif lattice.size <= cap:
+        return
+    else:
+        what, count = lattice.describe(), lattice.size
+    raise SizeCapExceededError(
+        f"{what} has {count} elements; exhaustive work is "
+        f"capped at 2^{max_n} (raise with --max-n or DMONO_MAX_N)"
+    )
 
 
-def _load_lattice_spec(spec: str) -> Lattice:
+def _load_lattice_spec(spec: str, max_n: int) -> Lattice:
+    """The lattice of a ``cube:N`` spec or a lattice file, within the cap."""
     if spec.startswith("cube:"):
         try:
-            return CubeLattice(int(spec.split(":", 1)[1]))
+            n = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise DmonoError(f"bad cube spec {spec!r}: {exc}") from None
-    return load_lattice(spec)
+        _check_cap(n, max_n)
+        try:
+            return CubeLattice(n)
+        except ValueError as exc:
+            raise DmonoError(f"bad cube spec {spec!r}: {exc}") from None
+    lattice = load_lattice(spec)
+    _check_cap(lattice, max_n)
+    return lattice
 
 
 def _emit(record: dict, args) -> None:
@@ -159,8 +181,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_consistent(args) -> int:
-    lat = _load_lattice_spec(args.lattice)
-    _check_cap(lat, args.max_n)
+    lat = _load_lattice_spec(args.lattice, args.max_n)
     x0 = frozenset(lat.parse_element(nm) for nm in args.x0 or [])
     x1 = frozenset(lat.parse_element(nm) for nm in args.x1 or [])
     hypothesis = consistent(args.d, LabeledSample(lat, x0, x1))
@@ -215,8 +236,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    lat = _load_lattice_spec(args.lattice)
-    _check_cap(lat, args.max_n)
+    lat = _load_lattice_spec(args.lattice, args.max_n)
     value = str(lat.sigma())
     if args.out is not None:
         with open(args.out, "a") as fh:
@@ -231,13 +251,13 @@ def cmd_family(args) -> int:
     if args.family == "tightness":
         if args.t is None:
             raise DmonoError("tightness needs -t")
-        _check_cap(CubeLattice(tightness_dimension(args.d, args.t)), args.max_n)
+        _check_cap(tightness_dimension(args.d, args.t), args.max_n)
         target = tightness_family(args.d, args.t)
         meta = {"family": "tightness", "d": args.d, "t": args.t}
     elif args.family == "takimoto":
         if args.t is None:
             raise DmonoError("takimoto needs -t")
-        _check_cap(CubeLattice(takimoto_dimension(args.d, args.t)), args.max_n)
+        _check_cap(takimoto_dimension(args.d, args.t), args.max_n)
         target = takimoto_family(args.d, args.t, uneven=args.uneven)
         meta = {"family": "takimoto", "d": args.d, "t": args.t}
         if args.uneven:
@@ -246,7 +266,7 @@ def cmd_family(args) -> int:
         if args.sizes is None or args.n is None:
             raise DmonoError("random needs --sizes and -n")
         sizes = [int(tok) for tok in args.sizes.split(",")]
-        _check_cap(CubeLattice(random_dimension(args.d, sizes, args.n)), args.max_n)
+        _check_cap(random_dimension(args.d, sizes, args.n), args.max_n)
         target = random_composed(args.d, sizes, args.n, seed)
         meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": seed}
     doc_text = json.dumps(function_to_doc(target, meta), indent=2) + "\n"
@@ -313,7 +333,7 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
             )
         )
     elif family == "takimoto":
-        blocks = _blocks_of(target)
+        blocks = takimoto_blocks(target)
         count = 1
         for blk in blocks:
             count *= len(blk)

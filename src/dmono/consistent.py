@@ -75,7 +75,7 @@ def consistent_masks(lattice: Lattice, d: int, s0: int, s1: int) -> tuple[list[i
     table = 0
     for _ in range(d):
         up = lattice.up_closure(s1)
-        levels.append(s1 & ~lattice.shadow(up))
+        levels.append(lattice.minimal(s1, up))
         table ^= up
         s0, s1 = s1 | (s0 & ~up), s0 & up
     if s1:

@@ -119,8 +119,13 @@ def prefix_levels(d: int, t: int) -> XorHypothesis:
     return XorHypothesis(lat, tuple(levels))
 
 
-def _blocks_of(target: ComposedTarget) -> list[list[int]]:
-    """Recover per-block bit positions from nested single-variable minterms."""
+def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:
+    """Per-block bit positions of a nested (takimoto) target.
+
+    Block i holds the variables of g_i that g_{i+1} lacks; raises
+    ValueError when the inner minterms are not single variables or the
+    inner functions are not strictly nested.
+    """
     per = []
     for g in target.inner:
         bits = set()
@@ -151,7 +156,7 @@ def chain_witness_check(
     element of the k-th strict-decomposition level.  ``levels`` accepts a
     precomputed decomposition of the target.
     """
-    blocks = _blocks_of(target)
+    blocks = takimoto_blocks(target)
     if len(indices) != len(blocks):
         raise ValueError(f"need exactly {len(blocks)} column indices")
     for j, blk in zip(indices, blocks):

@@ -94,14 +94,17 @@ class Lattice:
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
 
-    def minimal(self, mask: int) -> int:
+    def minimal(self, mask: int, up: int | None = None) -> int:
         """Minimal elements of a dense subset, as a dense subset.
 
         An element of ``mask`` is minimal when no immediate predecessor
         lies in the up-closure of ``mask``, i.e. nothing of ``mask`` sits
-        strictly below it.  The result is always an antichain.
+        strictly below it.  ``up`` is that up-closure when the caller
+        already has it.  The result is always an antichain.
         """
-        return mask & ~self.shadow(self.up_closure(mask))
+        if up is None:
+            up = self.up_closure(mask)
+        return mask & ~self.shadow(up)
 
 
 class CubeLattice(Lattice):
@@ -187,7 +190,7 @@ class ExplicitLattice(Lattice):
     Validation establishes antisymmetry (no cycles), a unique top element
     and a unique least upper bound for every pair; after that the instance
     is immutable and every query reads per-element bit sets: the up-set and
-    the upper covers of each element.
+    the upper and lower covers of each element.
     """
 
     def __init__(
@@ -271,6 +274,15 @@ class ExplicitLattice(Lattice):
             )
         self.top = maximal[0]
 
+        preds: list[list[int]] = [[] for _ in range(self.size)]
+        down = [0] * self.size  # lower covers, as bit sets
+        for a in range(self.size):
+            for c in mask_elements(up_covers[a]):
+                preds[c].append(a)
+                down[c] |= 1 << a
+        self._preds = tuple(map(tuple, preds))
+        self._down = down
+
         # a pair has a least upper bound exactly when its common up-set is
         # itself the up-set of one element, which is then the join
         self._by_up = {up: a for a, up in enumerate(ups)}
@@ -283,12 +295,6 @@ class ExplicitLattice(Lattice):
                         f"elements {names[a]!r} and {names[b]!r} have no unique "
                         f"least upper bound (minimal upper bounds: {minimal_ubs})"
                     )
-
-        preds: list[list[int]] = [[] for _ in range(self.size)]
-        for a in range(self.size):
-            for c in mask_elements(up_covers[a]):
-                preds[c].append(a)
-        self._preds = tuple(map(tuple, preds))
 
         # maximal predecessor sum: the best chain below an element depends
         # only on that element, so one sweep in topological order suffices
@@ -346,6 +352,18 @@ class ExplicitLattice(Lattice):
         out = 0
         for a in mask_elements(mask):
             out |= self._up_covers[a]
+        return out
+
+    def minimal(self, mask: int, up: int | None = None) -> int:
+        # test only the mask's own points: one of them is minimal exactly
+        # when none of its lower covers lies in the up-closure
+        if up is None:
+            up = self.up_closure(mask)
+        down = self._down
+        out = 0
+        for a in mask_elements(mask):
+            if not down[a] & up:
+                out |= 1 << a
         return out
 
     def element_name(self, a: int) -> str:

@@ -28,7 +28,8 @@ class MembershipOracle:
 
     @classmethod
     def for_function(cls, f: Representation) -> "MembershipOracle":
-        return cls(f.evaluate)
+        """Answer from f's truth table: one bit read per query, ids still checked."""
+        return cls(f.dense().evaluate)
 
     def query(self, x: int) -> int:
         self.mq_count += 1

@@ -39,6 +39,12 @@ def chain4():
     return ExplicitLattice(names, [("a", "b"), ("b", "c"), ("c", "d")])
 
 
+def top_down_chain(n):
+    """An n-element chain whose ids run from the top down."""
+    names = [f"c{i}" for i in reversed(range(n))]
+    return ExplicitLattice(names, [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+
+
 def lattice_file_text(names, covers):
     lines = ["lattice v1"]
     lines += [f"elem {nm}" for nm in names]

@@ -82,6 +82,39 @@ def brute_global_min(lat, value):
     )
 
 
+def brute_up_set(lat, points):
+    """Every element above some point, by order scan."""
+    return {x for x in lat.elements() if any(lat.leq(a, x) for a in points)}
+
+
+def brute_consistent_rounds(lat, d, x0, x1):
+    """The d rounds of ``consistent`` on point sets, with order scans.
+
+    Returns ``(levels, table, violated)``: each level's minimal points as a
+    sorted list, the set of elements where the XOR of the rounds'
+    up-closures is 1, and the lowest positive left after d rounds (None
+    when the sample fits).
+    """
+    neg, pos = set(x0), set(x1)
+    levels, table = [], set()
+    for _ in range(d):
+        levels.append(brute_global_min(lat, lambda x: x in pos))
+        up = brute_up_set(lat, pos)
+        table ^= up
+        neg, pos = pos | (neg - up), neg & up
+    return levels, table, min(pos, default=None)
+
+
+def brute_strict_levels(lat, value):
+    """Minimal points of each residue of the strict decomposition."""
+    cur = {x for x in lat.elements() if value(x)}
+    levels = []
+    while cur:
+        levels.append(brute_global_min(lat, lambda x: x in cur))
+        cur ^= brute_up_set(lat, cur)
+    return levels
+
+
 def brute_local_min(lat, value):
     return sorted(
         a

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -350,6 +351,27 @@ class TestSizeCap:
             assert code == 3
             assert out == ""
             assert err.startswith("dmono: cube:20000 has 2^20000 elements; ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sigma", "cube:50000000"),
+            ("consistent", "--lattice", "cube:50000000", "-d", "1"),
+            ("family", "tightness", "-d", "2", "-t", "25000000"),
+        ],
+        ids=["sigma", "consistent", "family"],
+    )
+    def test_cap_refuses_a_cube_before_building_it(self, capsys, argv):
+        # a built cube:50000000 holds two 50-million-bit ints (about 13 MB)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv, "--max-n", "22")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("dmono: cube:50000000 has 2^50000000 elements; ")
+        assert peak < 1 << 20
 
     def test_malformed_env_value_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("DMONO_MAX_N", "abc")

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from dmono import (
     CubeLattice,
+    DenseFunction,
     ExplicitLattice,
     LabeledSample,
     MembershipOracle,
@@ -26,7 +28,8 @@ from dmono.errors import (
 )
 from dmono.lattice import elements_mask, mask_elements
 
-from conftest import PENTAGON_COVERS, PENTAGON_NAMES, moore_families
+from conftest import PENTAGON_COVERS, PENTAGON_NAMES, moore_families, top_down_chain
+from oracles import brute_consistent_rounds, brute_strict_levels
 
 
 def sample_of(lat, x0, x1):
@@ -159,9 +162,16 @@ class TestProperties:
                 assert not (seen_zero and s > 0)
 
 
-KERNEL_LATTICES = st.sampled_from(
-    [CubeLattice(2), CubeLattice(4), ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS)]
+EXPLICIT_KERNEL_LATTICES = st.sampled_from(
+    [ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS), top_down_chain(5)]
 ) | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
+KERNEL_LATTICES = st.sampled_from([CubeLattice(2), CubeLattice(4)]) | EXPLICIT_KERNEL_LATTICES
+
+
+def draw_sample_masks(data, lat):
+    points = data.draw(st.integers(0, (1 << lat.size) - 1))
+    s1 = data.draw(st.integers(0, (1 << lat.size) - 1)) & points
+    return points & ~s1, s1
 
 
 class TestKernel:
@@ -170,9 +180,7 @@ class TestKernel:
     def test_agrees_with_public_consistent(self, data):
         lat = data.draw(KERNEL_LATTICES)
         d = data.draw(st.integers(1, 3))
-        points = data.draw(st.integers(0, (1 << lat.size) - 1))
-        s1 = data.draw(st.integers(0, (1 << lat.size) - 1)) & points
-        s0 = points & ~s1
+        s0, s1 = draw_sample_masks(data, lat)
         sample = LabeledSample(lat, frozenset(mask_elements(s0)), frozenset(mask_elements(s1)))
         try:
             levels, table = consistent_masks(lat, d, s0, s1)
@@ -190,6 +198,41 @@ class TestKernel:
         wrapped = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in levels))
         assert table == wrapped.dense().mask
         assert table & s1 == s1 and table & s0 == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rounds_match_brute_rounds(self, data):
+        lat = data.draw(KERNEL_LATTICES)
+        d = data.draw(st.integers(1, 3))
+        s0, s1 = draw_sample_masks(data, lat)
+        assert_kernel_matches_brute(lat, d, s0, s1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_explicit_kernels_never_take_the_shadow(self, data):
+        # on explicit lattices the level masks come from the lower-cover
+        # test on the mask's own points, never from the dense shadow
+        lat = data.draw(EXPLICIT_KERNEL_LATTICES)
+        d = data.draw(st.integers(1, 3))
+        s0, s1 = draw_sample_masks(data, lat)
+        f = DenseFunction(lat, data.draw(st.integers(0, (1 << lat.size) - 1)))
+        with mock.patch.object(ExplicitLattice, "shadow", side_effect=AssertionError("shadow")):
+            assert_kernel_matches_brute(lat, d, s0, s1)
+            levels = [list(lv.minimals) for lv in strict_decompose(f).levels]
+        assert levels == brute_strict_levels(lat, f.evaluate)
+
+
+def assert_kernel_matches_brute(lat, d, s0, s1):
+    x0, x1 = mask_elements(s0), mask_elements(s1)
+    levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
+    if violated is not None:
+        with pytest.raises(InconsistentSampleError) as exc:
+            consistent_masks(lat, d, s0, s1)
+        assert exc.value.point == violated
+        return
+    got_levels, got_table = consistent_masks(lat, d, s0, s1)
+    assert [mask_elements(m) for m in got_levels] == levels
+    assert set(mask_elements(got_table)) == table
 
 
 class ReplayingOracle:

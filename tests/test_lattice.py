@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmono import CubeLattice, ExplicitLattice, load_lattice, parse_lattice
+from dmono import CubeLattice, ExplicitLattice, Lattice, load_lattice, parse_lattice
 from dmono.errors import InvalidElementError, LatticeValidationError
 from dmono.lattice import elements_mask, mask_elements
 
@@ -18,6 +18,7 @@ from conftest import (
     lattice_file_text,
     moore_families,
     set_name,
+    top_down_chain,
 )
 from oracles import (
     brute_global_min,
@@ -48,6 +49,8 @@ KERNEL_LATTICES = {
     "diamond": ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS),
     "chain4": ExplicitLattice(CHAIN4_NAMES, list(zip(CHAIN4_NAMES, CHAIN4_NAMES[1:]))),
     "pentagon": ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS),
+    "chain5-top-down": top_down_chain(5),
+    "cube3-top-down": _reversed_cube(3),
 }
 EXPLICIT_SWEEP_LATTICES = [
     KERNEL_LATTICES["diamond"],
@@ -139,6 +142,21 @@ class TestSigma:
         assert sigma_downset_recursion(diamond) == 3
 
 
+def assert_minimal_matches_brute(lat, mask):
+    """``minimal``, with and without the closure, against the order scan.
+
+    On explicit lattices the lower-cover override must also agree with the
+    base class's dense formula ``mask & ~shadow(up)``.
+    """
+    expected = brute_global_min(lat, lambda x: mask >> x & 1)
+    up = lat.up_closure(mask)
+    assert mask_elements(lat.minimal(mask)) == expected
+    assert mask_elements(lat.minimal(mask, up)) == expected
+    if isinstance(lat, ExplicitLattice):
+        assert lat.minimal(mask) == Lattice.minimal(lat, mask)
+        assert lat.minimal(mask, up) == Lattice.minimal(lat, mask, up)
+
+
 class TestMinimal:
     def test_examples(self, cube2):
         assert cube2.minimal(elements_mask({0b01, 0b10, 0b11})) == elements_mask({0b01, 0b10})
@@ -162,9 +180,27 @@ class TestMinimal:
     def test_matches_brute_global_min(self, name, data):
         lat = KERNEL_LATTICES[name]
         mask = data.draw(st.integers(0, (1 << lat.size) - 1))
-        assert mask_elements(lat.minimal(mask)) == brute_global_min(
-            lat, lambda x: mask >> x & 1
-        )
+        assert_minimal_matches_brute(lat, mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=moore_families(max_ground=5, max_draws=8), data=st.data())
+    def test_matches_brute_global_min_on_moore_families(self, family, data):
+        _, names, covers = family
+        lat = ExplicitLattice(names, covers)
+        assert_minimal_matches_brute(lat, data.draw(st.integers(0, (1 << lat.size) - 1)))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
+    def test_given_closure_is_not_recomputed(self, name, monkeypatch):
+        lat = KERNEL_LATTICES[name]
+        masks = [1 << lat.top, (1 << lat.size) - 1, elements_mask(range(0, lat.size, 3))]
+        expected = [lat.minimal(m) for m in masks]
+        ups = [lat.up_closure(m) for m in masks]
+
+        def refuse(mask):
+            raise AssertionError("up_closure called although the closure was given")
+
+        monkeypatch.setattr(lat, "up_closure", refuse)
+        assert [lat.minimal(m, up) for m, up in zip(masks, ups)] == expected
 
 
 class TestExplicitLattice:

@@ -25,7 +25,7 @@ from dmono import (
     takimoto_family,
     tightness_family,
 )
-from dmono.errors import DegreeTooSmallError
+from dmono.errors import DegreeTooSmallError, InvalidElementError
 from dmono.lattice import elements_mask, mask_elements
 
 from conftest import moore_families
@@ -43,6 +43,57 @@ def parity_target(lat):
 
 def zero_hypothesis(lat):
     return XorHypothesis(lat, ())
+
+
+LATTICES = st.sampled_from([CubeLattice(4)]) | moore_families(max_ground=5, max_draws=8).map(
+    lambda fam: ExplicitLattice(fam[1], fam[2])
+)
+
+
+def draw_representations(data, lat):
+    """One function of each of the four representations over ``lat``."""
+    mask = st.integers(0, (1 << lat.size) - 1)
+    g1, g2 = (MonotoneDNF.from_mask(lat, lat.minimal(data.draw(mask))) for _ in range(2))
+    return [
+        DenseFunction(lat, data.draw(mask)),
+        g1,
+        XorHypothesis(lat, (g1, g2)),
+        ComposedTarget(lat, data.draw(st.integers(0, 15)), (g1, g2)),
+    ]
+
+
+class TestMembershipOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_answers_match_pointwise_evaluation(self, data):
+        lat = data.draw(LATTICES)
+        for f in draw_representations(data, lat):
+            mq = MembershipOracle.for_function(f)
+            assert [mq.query(x) for x in lat.elements()] == [f.evaluate(x) for x in lat.elements()]
+            assert mq.mq_count == lat.size
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_out_of_lattice_ids_rejected(self, data):
+        lat = data.draw(LATTICES)
+        for f in draw_representations(data, lat):
+            mq = MembershipOracle.for_function(f)
+            for x in (-1, lat.size):
+                with pytest.raises(InvalidElementError):
+                    mq.query(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_learning_costs_the_same_queries(self, data):
+        # the truth-table oracle against one evaluating the target point by point
+        lat = data.draw(LATTICES)
+        target = draw_representations(data, lat)[3]
+        d = max(monotone_degree(target), 1)
+        runs = []
+        for mq in (MembershipOracle.for_function(target), MembershipOracle(target.evaluate)):
+            _, stats = learn(d, lat, mq, EquivalenceOracle(target))
+            runs.append((stats.mq_used, stats.eq_used, stats.counterexamples, stats.trace))
+        assert runs[0] == runs[1]
 
 
 class TestDescend:
