@@ -53,9 +53,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="randomness seed")
-    parser.add_argument("--trace", action="store_true", help="include per-counterexample trace")
+def _add_flags(parser: argparse.ArgumentParser, seed=False, trace=False, out=True) -> None:
+    """``--max-n`` on every subcommand; the other flags where the command reads them."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="randomness seed")
+    if trace:
+        parser.add_argument("--trace", action="store_true", help="include per-counterexample trace")
     parser.add_argument(
         "--max-n",
         type=int,
@@ -63,7 +66,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help=f"refuse exhaustive work beyond this cube size (default {DEFAULT_MAX_N}, "
         "env DMONO_MAX_N)",
     )
-    parser.add_argument("--out", type=Path, default=None, help="output path")
+    if out:
+        parser.add_argument("--out", type=Path, default=None, help="output path")
 
 
 def _resolved_max_n(args) -> int:
@@ -78,26 +82,22 @@ def _resolved_max_n(args) -> int:
     return DEFAULT_MAX_N
 
 
-def _check_cap(lattice: Lattice | int, max_n: int) -> None:
+def _check_cap(lattice: Lattice, max_n: int) -> None:
     """Refuse (exit 3) a lattice of more than 2^max_n elements.
 
-    An int is a cube dimension: a cube is checked by its dimension, so
-    that one too large to build is refused before it is built.
+    A cube is checked by its dimension and never reads its size, so one
+    too large to work on is refused before anything of its size exists.
     """
     cap = 1 << max_n  # raises ValueError (exit 1) on a negative max_n
     if isinstance(lattice, CubeLattice):
-        lattice = lattice.n
-    if isinstance(lattice, int):
-        if lattice <= max_n:
-            return
         # 2^n in decimal can pass the interpreter's digit limit for int-to-str
-        what, count = f"cube:{lattice}", f"2^{lattice}"
-    elif lattice.size <= cap:
-        return
+        fits, count = lattice.n <= max_n, f"2^{lattice.n}"
     else:
-        what, count = lattice.describe(), lattice.size
+        fits, count = lattice.size <= cap, lattice.size
+    if fits:
+        return
     raise SizeCapExceededError(
-        f"{what} has {count} elements; exhaustive work is "
+        f"{lattice.describe()} has {count} elements; exhaustive work is "
         f"capped at 2^{max_n} (raise with --max-n or DMONO_MAX_N)"
     )
 
@@ -106,20 +106,17 @@ def _load_lattice_spec(spec: str, max_n: int) -> Lattice:
     """The lattice of a ``cube:N`` spec or a lattice file, within the cap."""
     if spec.startswith("cube:"):
         try:
-            n = int(spec.split(":", 1)[1])
+            lattice = CubeLattice(int(spec.split(":", 1)[1]))
         except ValueError as exc:
             raise DmonoError(f"bad cube spec {spec!r}: {exc}") from None
-        _check_cap(n, max_n)
-        try:
-            return CubeLattice(n)
-        except ValueError as exc:
-            raise DmonoError(f"bad cube spec {spec!r}: {exc}") from None
-    lattice = load_lattice(spec)
+    else:
+        lattice = load_lattice(spec)
     _check_cap(lattice, max_n)
     return lattice
 
 
-def _emit(record: dict, args) -> None:
+def _emit(record: dict | int, args) -> None:
+    # an int (sigma) is written as its JSON number, i.e. its decimal digits
     line = json.dumps(record, separators=(",", ":"))
     if args.out is not None:
         with open(args.out, "a") as fh:
@@ -139,8 +136,8 @@ def cmd_learn(args) -> int:
     effective_d = args.d
     if isinstance(target, ComposedTarget) and target.outer_at_origin:
         effective_d = args.d + 1
-    mq = MembershipOracle.for_function(target)
     eq = EquivalenceOracle(target)
+    mq = MembershipOracle.for_function(eq.table)
     started = time.perf_counter()
     hypothesis, stats = learn(effective_d, lat, mq, eq)
     wall = time.perf_counter() - started
@@ -236,28 +233,19 @@ def cmd_degree(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    lat = _load_lattice_spec(args.lattice, args.max_n)
-    value = str(lat.sigma())
-    if args.out is not None:
-        with open(args.out, "a") as fh:
-            fh.write(value + "\n")
-    else:
-        print(value)
+    _emit(_load_lattice_spec(args.lattice, args.max_n).sigma(), args)
     return 0
 
 
 def cmd_family(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    if args.family != "random" and args.t is None:
+        raise DmonoError(f"{args.family} needs -t")
     if args.family == "tightness":
-        if args.t is None:
-            raise DmonoError("tightness needs -t")
-        _check_cap(tightness_dimension(args.d, args.t), args.max_n)
+        _check_cap(CubeLattice(tightness_dimension(args.d, args.t)), args.max_n)
         target = tightness_family(args.d, args.t)
         meta = {"family": "tightness", "d": args.d, "t": args.t}
     elif args.family == "takimoto":
-        if args.t is None:
-            raise DmonoError("takimoto needs -t")
-        _check_cap(takimoto_dimension(args.d, args.t), args.max_n)
+        _check_cap(CubeLattice(takimoto_dimension(args.d, args.t)), args.max_n)
         target = takimoto_family(args.d, args.t, uneven=args.uneven)
         meta = {"family": "takimoto", "d": args.d, "t": args.t}
         if args.uneven:
@@ -266,9 +254,9 @@ def cmd_family(args) -> int:
         if args.sizes is None or args.n is None:
             raise DmonoError("random needs --sizes and -n")
         sizes = [int(tok) for tok in args.sizes.split(",")]
-        _check_cap(random_dimension(args.d, sizes, args.n), args.max_n)
-        target = random_composed(args.d, sizes, args.n, seed)
-        meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": seed}
+        _check_cap(CubeLattice(random_dimension(args.d, sizes, args.n)), args.max_n)
+        target = random_composed(args.d, sizes, args.n, args.seed)
+        meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": args.seed}
     doc_text = json.dumps(function_to_doc(target, meta), indent=2) + "\n"
     if args.out is not None:
         Path(args.out).write_text(doc_text)
@@ -383,7 +371,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("learn", parents=[], help="exactly learn a target from a file")
     p.add_argument("target", type=Path)
     p.add_argument("-d", type=int, required=True, help="monotonicity degree to learn at")
-    _add_common(p)
+    _add_flags(p, seed=True, trace=True)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("consistent", help="build a hypothesis fitting labeled points")
@@ -391,22 +379,22 @@ def build_parser() -> _Parser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--x0", action="append", metavar="ELEM", help="negative point (repeatable)")
     p.add_argument("--x1", action="append", metavar="ELEM", help="positive point (repeatable)")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_consistent)
 
     p = sub.add_parser("decompose", help="strict monotone decomposition of a target")
     p.add_argument("target", type=Path)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("degree", help="monotonicity degree of a target")
     p.add_argument("target", type=Path)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("sigma", help="maximal predecessor sum of a lattice")
     p.add_argument("lattice", help="cube:N or a lattice file")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("family", help="generate a structured or random target")
@@ -416,13 +404,13 @@ def build_parser() -> _Parser:
     p.add_argument("-n", type=int, default=None, help="cube dimension (random)")
     p.add_argument("--sizes", default=None, help="comma list of inner sizes (random)")
     p.add_argument("--uneven", action="store_true", help="decreasing block widths (takimoto)")
-    _add_common(p)
-    p.set_defaults(func=cmd_family)
+    _add_flags(p, seed=True)
+    p.set_defaults(func=cmd_family, seed=0)
 
     p = sub.add_parser("verify", help="re-run the property and bound suite on targets")
     p.add_argument("paths", nargs="+", help="target files or directories")
     p.add_argument("--against", type=Path, default=None, help="compare pointwise to this target")
-    _add_common(p)
+    _add_flags(p, out=False)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,6 +13,7 @@ element id, which keeps closure sweeps cheap even at 2^12 elements.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -114,9 +115,16 @@ class CubeLattice(Lattice):
         if n < 1:
             raise ValueError("cube dimension must be at least 1")
         self.n = n
-        self.size = 1 << n
-        self.top = self.size - 1
         self._clear_masks: list[int] | None = None
+
+    # computed on first use, so that building even a huge cube is O(1)
+    @cached_property
+    def size(self) -> int:
+        return 1 << self.n
+
+    @cached_property
+    def top(self) -> int:
+        return self.size - 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CubeLattice) and other.n == self.n

@@ -40,18 +40,19 @@ class EquivalenceOracle:
     """Exhaustive equivalence oracle: canonical-order scan against the target.
 
     Answers None for YES, otherwise the first element (ascending id) where
-    hypothesis and target disagree.
+    hypothesis and target disagree.  ``table`` is the target's truth table,
+    which a membership oracle can share.
     """
 
     def __init__(self, target: Representation):
         self.target = target
         self.lattice = target.lattice
-        self._mask = target.dense().mask
+        self.table = target.dense()
         self.eq_count = 0
 
     def query(self, hypothesis: Representation) -> int | None:
         self.eq_count += 1
-        diff = hypothesis.dense().mask ^ self._mask
+        diff = hypothesis.dense().mask ^ self.table.mask
         if not diff:
             return None
         return (diff & -diff).bit_length() - 1

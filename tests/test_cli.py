@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import tracemalloc
 import pytest
 
 from dmono import DenseFunction, CubeLattice, save_function, tightness_family
-from dmono.cli import main
+from dmono.cli import build_parser, main
 
 from conftest import lattice_file_text
 
@@ -51,6 +52,12 @@ class TestSigma:
         code, out, err = run_cli(capsys, "sigma", str(path))
         assert code == 1
         assert "'a'" in err and "'b'" in err
+
+    def test_out_appends_the_number(self, capsys, tmp_path):
+        out_path = tmp_path / "sigma.txt"
+        for spec in ("cube:3", "cube:4"):
+            assert run_cli(capsys, "sigma", spec, "--out", str(out_path)) == (0, "", "")
+        assert out_path.read_text() == "6\n10\n"
 
 
 class TestFamilyAndDecompose:
@@ -158,6 +165,15 @@ class TestLearn:
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["d"] == 3
+
+    def test_target_table_is_built_once(self, capsys, parity_file, monkeypatch):
+        from dmono import ComposedTarget
+
+        calls = []
+        dense = ComposedTarget.dense
+        monkeypatch.setattr(ComposedTarget, "dense", lambda f: calls.append(f) or dense(f))
+        assert run_cli(capsys, "learn", str(parity_file), "-d", "2")[0] == 0
+        assert len(calls) == 1
 
     def test_missing_target_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "learn", str(tmp_path / "none.json"), "-d", "1")
@@ -358,11 +374,21 @@ class TestSizeCap:
             ("sigma", "cube:50000000"),
             ("consistent", "--lattice", "cube:50000000", "-d", "1"),
             ("family", "tightness", "-d", "2", "-t", "25000000"),
+            ("learn", "FILE", "-d", "1"),
+            ("decompose", "FILE"),
+            ("degree", "FILE"),
+            ("verify", "FILE"),
         ],
-        ids=["sigma", "consistent", "family"],
+        ids=["sigma", "consistent", "family", "learn", "decompose", "degree", "verify"],
     )
-    def test_cap_refuses_a_cube_before_building_it(self, capsys, argv):
-        # a built cube:50000000 holds two 50-million-bit ints (about 13 MB)
+    def test_cap_refuses_a_cube_before_building_it(self, capsys, tmp_path, argv):
+        # the size and top of cube:50000000 are two 50-million-bit ints
+        # (about 13 MB); FILE is a function file over that cube
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"lattice": {"cube": 50000000}, "repr": "mdnf", "payload": []})
+        )
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
         tracemalloc.start()
         try:
             code, out, err = run_cli(capsys, *argv, "--max-n", "22")
@@ -379,6 +405,63 @@ class TestSizeCap:
         assert code == 1
         assert out == ""
         assert err == "dmono: DMONO_MAX_N='abc' is not an integer\n"
+
+
+# what each subcommand's parser accepts: --max-n everywhere, --out wherever
+# a record or a target file is written, --seed and --trace where they are read
+ACCEPTED = {
+    "learn": {"target", "-d", "--seed", "--trace", "--max-n", "--out"},
+    "consistent": {"--lattice", "-d", "--x0", "--x1", "--max-n", "--out"},
+    "decompose": {"target", "--max-n", "--out"},
+    "degree": {"target", "--max-n", "--out"},
+    "sigma": {"lattice", "--max-n", "--out"},
+    "family": {"family", "-d", "-t", "-n", "--sizes", "--uneven", "--seed", "--max-n", "--out"},
+    "verify": {"paths", "--against", "--max-n"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_accepts_exactly_its_flags(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            name: {
+                action.option_strings[-1] if action.option_strings else action.dest
+                for action in p._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, p in sub.choices.items()
+        }
+        assert accepted == ACCEPTED
+        assert sum(len(flags) for flags in accepted.values()) == 33
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("consistent", "--lattice", "cube:2", "-d", "1", "--seed", "1"),
+            ("consistent", "--lattice", "cube:2", "-d", "1", "--trace"),
+            ("decompose", "FILE", "--seed", "1"),
+            ("decompose", "FILE", "--trace"),
+            ("degree", "FILE", "--seed", "1"),
+            ("degree", "FILE", "--trace"),
+            ("sigma", "cube:3", "--seed", "1"),
+            ("sigma", "cube:3", "--trace"),
+            ("family", "tightness", "-d", "2", "-t", "1", "--trace"),
+            ("verify", "FILE", "--seed", "1"),
+            ("verify", "FILE", "--trace"),
+            ("verify", "FILE", "--out", "OUT"),
+        ],
+        ids=lambda argv: f"{argv[0]}{next(a for a in argv if a in ('--seed', '--trace', '--out'))}",
+    )
+    def test_flags_nothing_reads_are_usage_errors(self, capsys, tmp_path, parity_file, argv):
+        out_path = tmp_path / "x"
+        argv = [
+            {"FILE": str(parity_file), "OUT": str(out_path)}.get(arg, arg) for arg in argv
+        ]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
+        assert not out_path.exists()
 
 
 class TestUsage:

@@ -85,15 +85,22 @@ class TestMembershipOracle:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_learning_costs_the_same_queries(self, data):
-        # the truth-table oracle against one evaluating the target point by point
+        # the truth-table oracle, and one sharing the equivalence oracle's
+        # table, against one evaluating the target point by point
         lat = data.draw(LATTICES)
         target = draw_representations(data, lat)[3]
         d = max(monotone_degree(target), 1)
+        shared = EquivalenceOracle(target).table
+        assert shared == target.dense()
         runs = []
-        for mq in (MembershipOracle.for_function(target), MembershipOracle(target.evaluate)):
+        for mq in (
+            MembershipOracle.for_function(target),
+            MembershipOracle(target.evaluate),
+            MembershipOracle.for_function(shared),
+        ):
             _, stats = learn(d, lat, mq, EquivalenceOracle(target))
             runs.append((stats.mq_used, stats.eq_used, stats.counterexamples, stats.trace))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestDescend:
