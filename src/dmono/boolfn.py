@@ -24,7 +24,7 @@ class DenseFunction:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.lattice.size):
+        if self.mask < 0 or self.mask.bit_length() > self.lattice.size:
             raise ValueError("dense mask does not fit the lattice")
 
     @classmethod
@@ -236,8 +236,7 @@ def local_min(f: Representation) -> list[int]:
     value is 1, since its only predecessor is the implicit bottom.
     """
     fd = f.dense()
-    lat = fd.lattice
-    return mask_elements(fd.mask & ~lat.shadow(fd.mask))
+    return mask_elements(fd.lattice.minimal(fd.mask, fd.mask))
 
 
 def monotone_closure(f: Representation) -> MonotoneDNF:

@@ -8,6 +8,7 @@ standard tooling.  Exit codes: 0 ok, 1 input error or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -72,14 +73,18 @@ def _add_flags(parser: argparse.ArgumentParser, seed=False, trace=False, out=Tru
 
 def _resolved_max_n(args) -> int:
     if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get("DMONO_MAX_N")
-    if env is not None:
+        max_n, source = args.max_n, f"--max-n {args.max_n}"
+    else:
+        env = os.environ.get("DMONO_MAX_N")
+        if env is None:
+            return DEFAULT_MAX_N
         try:
-            return int(env)
+            max_n, source = int(env), f"DMONO_MAX_N={env!r}"
         except ValueError:
             raise DmonoError(f"DMONO_MAX_N={env!r} is not an integer") from None
-    return DEFAULT_MAX_N
+    if max_n < 0:
+        raise DmonoError(f"{source} is negative")
+    return max_n
 
 
 def _check_cap(lattice: Lattice, max_n: int) -> None:
@@ -88,12 +93,11 @@ def _check_cap(lattice: Lattice, max_n: int) -> None:
     A cube is checked by its dimension and never reads its size, so one
     too large to work on is refused before anything of its size exists.
     """
-    cap = 1 << max_n  # raises ValueError (exit 1) on a negative max_n
     if isinstance(lattice, CubeLattice):
         # 2^n in decimal can pass the interpreter's digit limit for int-to-str
         fits, count = lattice.n <= max_n, f"2^{lattice.n}"
     else:
-        fits, count = lattice.size <= cap, lattice.size
+        fits, count = lattice.size <= 1 << max_n, lattice.size
     if fits:
         return
     raise SizeCapExceededError(
@@ -364,7 +368,9 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process; parsing leaves no state on it."""
     parser = _Parser(prog="dmono", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

@@ -12,7 +12,6 @@ element id, which keeps closure sweeps cheap even at 2^12 elements.
 
 from __future__ import annotations
 
-import heapq
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -72,8 +71,14 @@ class Lattice:
         """Dense indicator of the union of up-sets of the set bits of mask."""
         raise NotImplementedError
 
-    def shadow(self, mask: int) -> int:
-        """Elements having at least one immediate predecessor inside mask."""
+    def minimal(self, mask: int, up: int | None = None) -> int:
+        """Points of ``mask`` with no immediate predecessor in ``up``.
+
+        ``up`` defaults to the up-closure of ``mask``: then nothing of
+        ``mask`` sits strictly below a kept point, so the result is the
+        antichain of minimal elements.  ``up = mask`` gives the local
+        minima instead.
+        """
         raise NotImplementedError
 
     def element_name(self, a: int) -> str:
@@ -94,18 +99,6 @@ class Lattice:
         if not isinstance(a, int) or not 0 <= a < self.size:
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
-
-    def minimal(self, mask: int, up: int | None = None) -> int:
-        """Minimal elements of a dense subset, as a dense subset.
-
-        An element of ``mask`` is minimal when no immediate predecessor
-        lies in the up-closure of ``mask``, i.e. nothing of ``mask`` sits
-        strictly below it.  ``up`` is that up-closure when the caller
-        already has it.  The result is always an antichain.
-        """
-        if up is None:
-            up = self.up_closure(mask)
-        return mask & ~self.shadow(up)
 
 
 class CubeLattice(Lattice):
@@ -186,10 +179,16 @@ class CubeLattice(Lattice):
         return mask
 
     def shadow(self, mask: int) -> int:
+        """Elements having at least one immediate predecessor inside mask."""
         out = 0
         for j, zeros in enumerate(self._coordinate_clear_masks()):
             out |= (mask & zeros) << (1 << j)
         return out
+
+    def minimal(self, mask: int, up: int | None = None) -> int:
+        if up is None:
+            up = self.up_closure(mask)
+        return mask & ~self.shadow(up)
 
 
 class ExplicitLattice(Lattice):
@@ -198,7 +197,7 @@ class ExplicitLattice(Lattice):
     Validation establishes antisymmetry (no cycles), a unique top element
     and a unique least upper bound for every pair; after that the instance
     is immutable and every query reads per-element bit sets: the up-set and
-    the upper and lower covers of each element.
+    the lower covers of each element.
     """
 
     def __init__(
@@ -233,17 +232,17 @@ class ExplicitLattice(Lattice):
             succ[lo] |= 1 << hi
             pred[hi] |= 1 << lo
 
-        # Kahn sweep, lowest ready id first; it stalls exactly on cycles
+        # Kahn sweep; it stalls exactly on cycles, whatever the pop order
         indeg = [p.bit_count() for p in pred]
         ready = [a for a in range(self.size) if not indeg[a]]
         order = []
         while ready:
-            u = heapq.heappop(ready)
+            u = ready.pop()
             order.append(u)
             for v in mask_elements(succ[u]):
                 indeg[v] -= 1
                 if not indeg[v]:
-                    heapq.heappush(ready, v)
+                    ready.append(v)
         if len(order) < self.size:
             # every left-over element keeps a left-over predecessor, so
             # walking down through them must come back to a visited element
@@ -257,7 +256,6 @@ class ExplicitLattice(Lattice):
             raise LatticeValidationError(
                 f"cycle through elements {names[a]!r} and {names[step[a]]!r}"
             )
-        self._topo = tuple(order)
 
         # top-down: an up-set is the element and its successors' up-sets; a
         # declared successor is a cover unless it lies strictly above another
@@ -271,7 +269,6 @@ class ExplicitLattice(Lattice):
             up_covers[a] = succ[a] & ~above
             ups[a] = 1 << a | succ[a] | above
         self._ups = ups
-        self._up_covers = up_covers
 
         maximal = [a for a in range(self.size) if not succ[a]]
         if len(maximal) != 1:
@@ -342,10 +339,6 @@ class ExplicitLattice(Lattice):
         self.check_element(a)
         return self._preds[a]
 
-    def topo_order(self) -> tuple[int, ...]:
-        """Every element after all of its immediate predecessors."""
-        return self._topo
-
     def sigma(self) -> int:
         return self._sigma
 
@@ -356,15 +349,8 @@ class ExplicitLattice(Lattice):
             mask &= ~out  # points already covered add nothing new
         return out
 
-    def shadow(self, mask: int) -> int:
-        out = 0
-        for a in mask_elements(mask):
-            out |= self._up_covers[a]
-        return out
-
     def minimal(self, mask: int, up: int | None = None) -> int:
-        # test only the mask's own points: one of them is minimal exactly
-        # when none of its lower covers lies in the up-closure
+        # test only the mask's own points, each against its lower covers
         if up is None:
             up = self.up_closure(mask)
         down = self._down

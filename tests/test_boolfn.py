@@ -140,6 +140,11 @@ class TestValidation:
     def test_dense_mask_must_fit(self, cube2):
         with pytest.raises(ValueError):
             DenseFunction(cube2, 1 << 16)
+        with pytest.raises(ValueError, match="does not fit"):
+            DenseFunction(cube2, -1)
+        assert DenseFunction(cube2, (1 << 4) - 1).bits() == "1111"
+        with pytest.raises(ValueError, match="does not fit"):
+            DenseFunction(cube2, 1 << 4)
 
     def test_level_lattice_mismatch(self, cube2, cube3):
         with pytest.raises(ValueError, match="lattice"):

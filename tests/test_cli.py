@@ -405,6 +405,15 @@ class TestSizeCap:
         assert code == 1
         assert out == ""
         assert err == "dmono: DMONO_MAX_N='abc' is not an integer\n"
+        # a negative cap is refused where it is read, naming its source
+        monkeypatch.setenv("DMONO_MAX_N", "-2")
+        assert run_cli(capsys, "sigma", "cube:4") == (1, "", "dmono: DMONO_MAX_N='-2' is negative\n")
+        monkeypatch.delenv("DMONO_MAX_N")
+        assert run_cli(capsys, "sigma", "cube:4", "--max-n", "-1") == (
+            1,
+            "",
+            "dmono: --max-n -1 is negative\n",
+        )
 
 
 # what each subcommand's parser accepts: --max-n everywhere, --out wherever
@@ -472,6 +481,27 @@ class TestUsage:
         code, out, _ = run_cli(capsys)
         assert code == 1
         assert "learn" in out
+
+    def test_parsed_state_does_not_leak_between_calls(self, capsys):
+        # one parser serves every main() call; each call must print what a
+        # run on a freshly built parser prints
+        calls = [
+            ("consistent", "--lattice", "cube:2", "-d", "2", "--x0", "11", "--x1", "01", "--x1", "10"),
+            ("consistent", "--lattice", "cube:2", "-d", "1"),
+            ("family", "random", "-d", "2", "--sizes", "2,1", "-n", "5", "--seed", "7"),
+            ("family", "random", "-d", "2", "--sizes", "2,1", "-n", "5"),
+            ("consistent", "--lattice", "cube:2", "-d"),
+            ("sigma", "cube:3"),
+        ]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        build_parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+        assert build_parser.cache_info().misses == 1
+        assert fresh[0][1] != fresh[1][1] and fresh[2][1] != fresh[3][1]
+        assert fresh[4][0] == 1 and fresh[5] == (0, "6\n", "")
 
     def test_module_entry_point(self):
         proc = subprocess.run(
