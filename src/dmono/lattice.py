@@ -12,7 +12,6 @@ element id, which keeps closure sweeps cheap even at 2^12 elements.
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -110,14 +109,16 @@ class CubeLattice(Lattice):
         self.n = n
         self._clear_masks: list[int] | None = None
 
-    # computed on first use, so that building even a huge cube is O(1)
-    @cached_property
+    # computed on each read, so that building even a huge cube is O(1); not
+    # cached, since caching would give every cube an instance dict and slow
+    # each attribute load in the hot queries
+    @property
     def size(self) -> int:
         return 1 << self.n
 
-    @cached_property
+    @property
     def top(self) -> int:
-        return self.size - 1
+        return (1 << self.n) - 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CubeLattice) and other.n == self.n
@@ -130,6 +131,12 @@ class CubeLattice(Lattice):
 
     def describe(self) -> str:
         return f"cube:{self.n}"
+
+    def check_element(self, a: int) -> int:
+        # tests n rather than building size; a negative a shifts to -1
+        if not isinstance(a, int) or a >> self.n:
+            raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
+        return a
 
     def leq(self, a: int, b: int) -> bool:
         self.check_element(a)
@@ -219,8 +226,10 @@ class ExplicitLattice(Lattice):
         self.source_path = source_path
         self._ids = {nm: i for i, nm in enumerate(names)}
 
-        succ = [0] * self.size  # declared upper neighbours, as bit sets
-        pred = [0] * self.size  # declared lower neighbours, as bit sets
+        # declared neighbours as small lists; a repeated cover line shows on
+        # both sides, so the sweep's in-degrees stay exact
+        succ: list[list[int]] = [[] for _ in range(self.size)]
+        pred: list[list[int]] = [[] for _ in range(self.size)]
         for lo_name, hi_name in covers:
             lo = self._ids.get(lo_name)
             hi = self._ids.get(hi_name)
@@ -229,45 +238,44 @@ class ExplicitLattice(Lattice):
                 raise LatticeValidationError(f"cover names unknown element {missing!r}")
             if lo == hi:
                 raise LatticeValidationError(f"cover relates {lo_name!r} to itself")
-            succ[lo] |= 1 << hi
-            pred[hi] |= 1 << lo
+            succ[lo].append(hi)
+            pred[hi].append(lo)
 
         # Kahn sweep; it stalls exactly on cycles, whatever the pop order
-        indeg = [p.bit_count() for p in pred]
+        indeg = [len(p) for p in pred]
         ready = [a for a in range(self.size) if not indeg[a]]
         order = []
         while ready:
             u = ready.pop()
             order.append(u)
-            for v in mask_elements(succ[u]):
+            for v in succ[u]:
                 indeg[v] -= 1
                 if not indeg[v]:
                     ready.append(v)
         if len(order) < self.size:
             # every left-over element keeps a left-over predecessor, so
             # walking down through them must come back to a visited element
-            left = elements_mask(a for a in range(self.size) if indeg[a])
             step: dict[int, int] = {}
-            a = (left & -left).bit_length() - 1
+            a = next(a for a in range(self.size) if indeg[a])
             while a not in step:
-                below = pred[a] & left
-                step[a] = (below & -below).bit_length() - 1
+                step[a] = min(b for b in pred[a] if indeg[b])
                 a = step[a]
             raise LatticeValidationError(
                 f"cycle through elements {names[a]!r} and {names[step[a]]!r}"
             )
 
-        # top-down: an up-set is the element and its successors' up-sets; a
-        # declared successor is a cover unless it lies strictly above another
-        # declared successor, which drops transitive input edges
+        # top-down: an up-set is the element, its covers and its successors'
+        # strict up-sets; a declared successor is a cover (once, however
+        # often declared) unless it lies strictly above another declared
+        # successor, which drops transitive input edges
         ups = [0] * self.size
-        up_covers = [0] * self.size
+        up_covers: list[list[int]] = [[] for _ in range(self.size)]
         for a in reversed(order):
             above = 0
-            for b in mask_elements(succ[a]):
+            for b in succ[a]:
                 above |= ups[b] ^ (1 << b)
-            up_covers[a] = succ[a] & ~above
-            ups[a] = 1 << a | succ[a] | above
+            up_covers[a] = [b for b in dict.fromkeys(succ[a]) if not above >> b & 1]
+            ups[a] = 1 << a | elements_mask(up_covers[a]) | above
         self._ups = ups
 
         maximal = [a for a in range(self.size) if not succ[a]]
@@ -282,24 +290,25 @@ class ExplicitLattice(Lattice):
         preds: list[list[int]] = [[] for _ in range(self.size)]
         down = [0] * self.size  # lower covers, as bit sets
         for a in range(self.size):
-            for c in mask_elements(up_covers[a]):
+            for c in up_covers[a]:
                 preds[c].append(a)
                 down[c] |= 1 << a
         self._preds = tuple(map(tuple, preds))
         self._down = down
 
         # a pair has a least upper bound exactly when its common up-set is
-        # itself the up-set of one element, which is then the join
-        self._by_up = {up: a for a, up in enumerate(ups)}
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                common = ups[a] & ups[b]
-                if common not in self._by_up:
-                    minimal_ubs = [names[c] for c in mask_elements(self.minimal(common))]
-                    raise LatticeValidationError(
-                        f"elements {names[a]!r} and {names[b]!r} have no unique "
-                        f"least upper bound (minimal upper bounds: {minimal_ubs})"
-                    )
+        # itself the up-set of one element, which is then the join.  Under a
+        # top, every pair has one as soon as every two upper covers of a
+        # common element do, the implicit bottom included: its upper covers
+        # are the elements with no declared predecessor
+        by_up = self._by_up = {up: a for a, up in enumerate(ups)}
+        groups = [[a for a in range(self.size) if not pred[a]]]
+        groups += up_covers
+        for group in groups:
+            for i, x in enumerate(group):
+                for y in group[i + 1 :]:
+                    if ups[x] & ups[y] not in by_up:
+                        raise self._no_join_error(x, y)
 
         # maximal predecessor sum: the best chain below an element depends
         # only on that element, so one sweep in topological order suffices
@@ -308,6 +317,24 @@ class ExplicitLattice(Lattice):
             if preds[a]:
                 best[a] = len(preds[a]) + max(best[b] for b in preds[a])
         self._sigma = best[self.top]
+
+    def _no_join_error(self, x: int, y: int) -> LatticeValidationError:
+        """Name the first pair by id without a join, else the failed pair x, y."""
+        ups, n = self._ups, self.size
+        a, b = next(
+            (
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if ups[a] & ups[b] not in self._by_up
+            ),
+            (x, y),
+        )
+        minimal_ubs = [self.names[c] for c in mask_elements(self.minimal(ups[a] & ups[b]))]
+        return LatticeValidationError(
+            f"elements {self.names[a]!r} and {self.names[b]!r} have no unique "
+            f"least upper bound (minimal upper bounds: {minimal_ubs})"
+        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -93,3 +93,22 @@ def moore_families(draw, max_ground=4, max_draws=6):
     lines = draw(st.permutations(covers))
     names = [set_name(s) for s in sets]
     return sets, names, [(names[i], names[j]) for i, j in lines]
+
+
+@st.composite
+def single_top_orders(draw, max_size=11):
+    """A random acyclic order on 2..max_size elements with exactly one maximal element.
+
+    Returns ``(names, covers)``: the names in a shuffled declaration order
+    and cover lines by name, some transitive or repeated, in shuffled
+    order.  About a quarter of the draws are not lattices.
+    """
+    n = draw(st.integers(2, max_size))
+    # rank r lies below a nonempty set of later ranks, so only the last is maximal
+    edges = []
+    for r in range(n - 1):
+        later = draw(st.integers(1, (1 << n - 1 - r) - 1))
+        edges += [(r, r + 1 + i) for i in range(n - 1 - r) if later >> i & 1]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    names = draw(st.permutations([f"r{r}" for r in range(n)]))
+    return names, [(f"r{r}", f"r{s}") for r, s in draw(st.permutations(edges))]

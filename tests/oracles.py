@@ -48,6 +48,34 @@ def brute_join(lat, a, b):
     return mins[0] if len(mins) == 1 else None
 
 
+def brute_is_lattice(names, covers):
+    """Lattice-ness of a declared acyclic order with one top, by all pairs.
+
+    Ids follow ``names``; ``covers`` are (lower, upper) name pairs, read
+    transitively.  Returns ``(True, None)`` when every pair has exactly one
+    minimal common upper bound, else ``(False, (a, b, bounds))`` for the
+    first such pair by id with its minimal upper bounds' names in id order.
+    """
+    ids = {nm: i for i, nm in enumerate(names)}
+    n = len(names)
+    above = [{i} for i in range(n)]
+    changed = True
+    while changed:  # transitive closure, one relaxation sweep at a time
+        changed = False
+        for lo, hi in covers:
+            grown = above[ids[lo]] | above[ids[hi]]
+            if grown != above[ids[lo]]:
+                above[ids[lo]] = grown
+                changed = True
+    for a in range(n):
+        for b in range(a + 1, n):
+            common = above[a] & above[b]
+            mins = sorted(c for c in common if not any(u != c and c in above[u] for u in common))
+            if len(mins) != 1:
+                return False, (names[a], names[b], [names[c] for c in mins])
+    return True, None
+
+
 def sigma_downset_recursion(lat, domain=None):
     """Literal maximal-predecessor-sum recursion over explicit down-sets.
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dmono import CubeLattice, ExplicitLattice, load_lattice, parse_lattice
 from dmono.errors import InvalidElementError, LatticeValidationError
-from dmono.lattice import elements_mask, mask_elements
+from dmono.lattice import Lattice, elements_mask, mask_elements
 
 from conftest import (
     DIAMOND_COVERS,
@@ -18,11 +19,13 @@ from conftest import (
     lattice_file_text,
     moore_families,
     set_name,
+    single_top_orders,
     top_down_chain,
 )
 from oracles import (
     brute_global_min,
     brute_immediate_predecessors,
+    brute_is_lattice,
     brute_join,
     brute_local_min,
     brute_mask_elements,
@@ -88,6 +91,17 @@ class TestCubeOrder:
             cube3.leq(0, 8)
         with pytest.raises(InvalidElementError):
             cube3.immediate_predecessors(-1)
+
+    @pytest.mark.parametrize("value", [-(2**70), -1, 0, 7, 8, 2**70, True, 1.0, "3", None])
+    def test_check_element_matches_range_test(self, cube3, value):
+        def verdict(check):
+            try:
+                return check(value)
+            except InvalidElementError:
+                return "rejected"
+
+        expected = verdict(lambda a: Lattice.check_element(cube3, a))
+        assert verdict(cube3.check_element) == expected
 
     @given(st.integers(0, 1023), st.integers(0, 1023))
     def test_join_is_least_upper_bound(self, a, b):
@@ -276,6 +290,17 @@ class TestExplicitLattice:
             for y in lat.elements():
                 assert lat.join(x, y) == brute_join(lat, x, y)
 
+    def test_failed_cover_pair_is_named_when_no_pair_fails(self, diamond):
+        # the cover-pair lemma says the full scan always finds a failing
+        # pair; were it ever to find none, the failed cover pair is named
+        p, q = diamond.parse_element("p"), diamond.parse_element("q")
+        err = diamond._no_join_error(p, q)
+        assert isinstance(err, LatticeValidationError)
+        assert str(err) == (
+            "elements 'p' and 'q' have no unique least upper bound "
+            "(minimal upper bounds: ['top'])"
+        )
+
     def test_several_bottom_most_elements_allowed(self):
         # p and q both sit directly above the implicit bottom
         lat = ExplicitLattice(["p", "q", "t"], [("p", "t"), ("q", "t")])
@@ -358,6 +383,76 @@ class TestMooreFamilies:
         named = _quoted(str(exc.value))
         assert named[:2] == [names[i], names[j]]
         assert sorted(named[2:]) == sorted(set_name(s) for s in minimal_upper_bounds(sets[i], sets[j]))
+
+
+def assert_validation_matches_brute(names, covers):
+    ok, failing = brute_is_lattice(names, covers)
+    if ok:
+        lat = ExplicitLattice(names, covers)
+        for a in lat.elements():
+            assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
+            for b in lat.elements():
+                assert lat.join(a, b) == brute_join(lat, a, b)
+        return
+    # rejected, naming the first failing pair by id as the all-pairs scan does
+    with pytest.raises(LatticeValidationError) as exc:
+        ExplicitLattice(names, covers)
+    a, b, bounds = failing
+    assert str(exc.value) == (
+        f"elements {a!r} and {b!r} have no unique least upper bound "
+        f"(minimal upper bounds: {bounds})"
+    )
+
+
+class TestValidationAgainstBruteForce:
+    @settings(max_examples=400, deadline=None)
+    @given(single_top_orders())
+    def test_fuzzed_orders(self, order):
+        assert_validation_matches_brute(*order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(moore_families())
+    def test_moore_families(self, family):
+        _, names, covers = family
+        assert brute_is_lattice(names, covers) == (True, None)
+        assert_validation_matches_brute(names, covers)
+
+
+def _point_name(p):
+    return "p" + "-".join(map(str, p))
+
+
+def _shuffled_chain_product(dims, rng):
+    """Product of chains 0 < 1 < ... < k-1, declared and covered in shuffled order.
+
+    Returns the points by id and the lattice.
+    """
+    points = list(itertools.product(*(range(k) for k in dims)))
+    rng.shuffle(points)
+    covers = [
+        (_point_name(p), _point_name(p[:j] + (p[j] + 1,) + p[j + 1 :]))
+        for p in points
+        for j, k in enumerate(dims)
+        if p[j] + 1 < k
+    ]
+    rng.shuffle(covers)
+    return points, ExplicitLattice([_point_name(p) for p in points], covers)
+
+
+class TestChainProductAtScale:
+    def test_shuffled_16_cubed(self):
+        rng = random.Random(16)
+        points, lat = _shuffled_chain_product((16, 16, 16), rng)
+        ids = {p: i for i, p in enumerate(points)}
+        assert lat.sigma() == 132
+        assert points[lat.top] == (15, 15, 15)
+        for _ in range(200):
+            a, b = rng.randrange(lat.size), rng.randrange(lat.size)
+            assert points[lat.join(a, b)] == tuple(map(max, points[a], points[b]))
+        for a in rng.sample(range(lat.size), 200):
+            p = points[a]
+            below = [ids[p[:j] + (p[j] - 1,) + p[j + 1 :]] for j in range(3) if p[j]]
+            assert list(lat.immediate_predecessors(a)) == sorted(below)
 
 
 class TestLatticeFiles:
