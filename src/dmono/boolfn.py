@@ -105,7 +105,7 @@ class XorHypothesis:
 
     lattice: Lattice
     # a factory, not a class attribute, so that ``__getattr__`` sees a
-    # ``from_masks`` hypothesis whose levels are not wrapped yet
+    # ``from_closures`` hypothesis whose levels are not derived yet
     levels: tuple[MonotoneDNF, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -115,29 +115,36 @@ class XorHypothesis:
                 raise ValueError("level defined over a different lattice")
 
     @classmethod
-    def from_masks(
-        cls, lattice: Lattice, level_masks: Sequence[int], table: int
+    def from_closures(
+        cls, lattice: Lattice, closures: Sequence[int], points: int, table: int
     ) -> "XorHypothesis":
-        """Trusted constructor from dense antichains and their truth table.
+        """Trusted constructor from the levels' up-closures and their truth table.
 
-        ``table`` must be the XOR of the levels' up-closures, as
-        ``consistent_masks`` returns it; ``dense()`` reads it instead of
-        recomputing the closures.  The levels are wrapped as
-        ``MonotoneDNF`` when first read, so a learner that only queries
-        the table never lists their minimal elements.
+        ``points`` must hold every minimal element of every closure (the
+        sample's points, as ``consistent`` passes them), and ``table`` must
+        be the XOR of the closures; ``dense()`` reads it instead of
+        recomputing them.  Level i is the minimal elements of closure i,
+        found among ``points`` when ``levels`` is first read, so a learner
+        that only queries the table never derives them.
         """
         h = object.__new__(cls)
         object.__setattr__(h, "lattice", lattice)
-        object.__setattr__(h, "_level_masks", tuple(level_masks))
+        object.__setattr__(h, "_closures", tuple(closures))
+        object.__setattr__(h, "_points", points)
         object.__setattr__(h, "_dense", DenseFunction(lattice, table))
         return h
 
     def __getattr__(self, name: str):
-        # reached only while a ``from_masks`` hypothesis has no levels yet
-        masks = self.__dict__.get("_level_masks")
-        if name != "levels" or masks is None:
+        # reached only while a ``from_closures`` hypothesis has no levels yet
+        closures = self.__dict__.get("_closures")
+        if name != "levels" or closures is None:
             raise AttributeError(name)
-        levels = tuple(MonotoneDNF.from_mask(self.lattice, m) for m in masks)
+        lat, points = self.lattice, self._points
+        # the minimal elements of an up-set are its points without an
+        # immediate predecessor inside it
+        levels = tuple(
+            MonotoneDNF.from_mask(lat, lat.minimal(points & up, up)) for up in closures
+        )
         object.__setattr__(self, "levels", levels)
         return levels
 

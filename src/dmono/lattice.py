@@ -180,6 +180,15 @@ class CubeLattice(Lattice):
         return self._clear_masks
 
     def up_closure(self, mask: int) -> int:
+        a = mask.bit_length() - 1
+        if a >= 0 and mask == 1 << a:  # far cheaper than bit_count on a dense mask
+            # the up-set of one point a doubles once per coordinate where a
+            # is 0, and the copies never overlap; small shifts come first,
+            # so the int grows to full width only in the last passes
+            for j in range(self.n):
+                if not a >> j & 1:
+                    mask |= mask << (1 << j)
+            return mask
         # bit-parallel sweep: one pass per coordinate propagates 0 -> 1
         for j, zeros in enumerate(self._coordinate_clear_masks()):
             mask |= (mask & zeros) << (1 << j)
@@ -203,8 +212,8 @@ class ExplicitLattice(Lattice):
 
     Validation establishes antisymmetry (no cycles), a unique top element
     and a unique least upper bound for every pair; after that the instance
-    is immutable and every query reads per-element bit sets: the up-set and
-    the lower covers of each element.
+    is immutable and every query reads per-element state: the up-set of
+    each element as a bit set and its lower covers as a tuple of ids.
     """
 
     def __init__(
@@ -288,13 +297,10 @@ class ExplicitLattice(Lattice):
         self.top = maximal[0]
 
         preds: list[list[int]] = [[] for _ in range(self.size)]
-        down = [0] * self.size  # lower covers, as bit sets
         for a in range(self.size):
             for c in up_covers[a]:
                 preds[c].append(a)
-                down[c] |= 1 << a
         self._preds = tuple(map(tuple, preds))
-        self._down = down
 
         # a pair has a least upper bound exactly when its common up-set is
         # itself the up-set of one element, which is then the join.  Under a
@@ -380,10 +386,10 @@ class ExplicitLattice(Lattice):
         # test only the mask's own points, each against its lower covers
         if up is None:
             up = self.up_closure(mask)
-        down = self._down
+        preds = self._preds
         out = 0
         for a in mask_elements(mask):
-            if not down[a] & up:
+            if not any(up >> b & 1 for b in preds[a]):
                 out |= 1 << a
         return out
 

@@ -132,6 +132,8 @@ def descend_to_local_min(
     descent never exceed the lattice's maximal predecessor sum.
     """
     lattice.check_element(a)
+    # read once; the predecessor ids come from the lattice, so need no check
+    table = hypothesis.dense().mask
     cache = {} if _cache is None else _cache
 
     def look(x: int) -> int:
@@ -152,11 +154,11 @@ def descend_to_local_min(
         for b in lattice.immediate_predecessors(a):
             inspections += 1
             vb = look(b)
-            if vb != hypothesis.evaluate(b):
+            if vb != table >> b & 1:
                 a, value, moved = b, vb, True
                 steps += 1
                 break
-    if value == hypothesis.evaluate(a):
+    if value == table >> a & 1:
         raise ValueError(
             f"no disagreement at or below {lattice.element_name(a)}: "
             "descent requires a counterexample"
@@ -177,9 +179,13 @@ def learn(
     membership query is spent), descend to a local minimal disagreement,
     file that point under its label, and rebuild the hypothesis with
     ``consistent``.  The sample is kept as two dense masks that enter
-    ``consistent`` unvalidated, and each query reads the truth table the
-    rebuild returns.  Membership answers are memoized per run, so the raw
-    inspection count of a descent can exceed the real queries it costs.
+    ``consistent`` unvalidated, together with the previous hypothesis as
+    its ``prior``: the sample grew by one point, so the rebuild usually
+    extends one level's up-closure by that point instead of running d
+    rounds.  Each query and each descent reads the truth table the rebuild
+    returns, and the levels are derived only when the caller reads them.
+    Membership answers are memoized per run, so the raw inspection count
+    of a descent can exceed the real queries it costs.
 
     Raises DegreeTooSmallError when the sample proves the target is not
     d-monotone, and InternalError if a descent settles on a point already
@@ -234,7 +240,7 @@ def learn(
             s0 |= bit
         started = time.perf_counter()
         try:
-            h = consistent(d, LabeledSample.from_masks(lattice, s0, s1))
+            h = consistent(d, LabeledSample.from_masks(lattice, s0, s1), prior=h)
         except InconsistentSampleError as exc:
             raise DegreeTooSmallError(
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point

@@ -1,3 +1,7 @@
+import sys
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import strategies as st
 
@@ -37,6 +41,22 @@ def diamond():
 def chain4():
     names = ["a", "b", "c", "d"]
     return ExplicitLattice(names, [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+@contextmanager
+def kernel_runs():
+    """Record the sample mask of every full-rounds ``consistent`` run in the block."""
+    # ``dmono.consistent`` names the function, so reach the module directly
+    module = sys.modules["dmono.consistent"]
+    kernel = module.consistent_masks
+    runs = []
+
+    def spy(lat, d, s0, s1):
+        runs.append(s0 | s1)
+        return kernel(lat, d, s0, s1)
+
+    with mock.patch.object(module, "consistent_masks", spy):
+        yield runs
 
 
 def top_down_chain(n):

@@ -169,34 +169,39 @@ class TestFromMask:
                 )
 
     @given(st.lists(st.sets(st.integers(0, 63)), max_size=3))
-    def test_xor_from_masks_reads_the_given_table(self, level_points):
+    def test_xor_from_closures_reads_the_given_table(self, level_points):
         lat = CubeLattice(6)
+        closures = [lat.up_closure(elements_mask(p)) for p in level_points]
         masks = [lat.minimal(elements_mask(p)) for p in level_points]
+        points = elements_mask(set().union(*level_points))
         table = 0
-        for m in masks:
-            table ^= lat.up_closure(m)
-        trusted = XorHypothesis.from_masks(lat, masks, table)
+        for up in closures:
+            table ^= up
+        trusted = XorHypothesis.from_closures(lat, closures, points, table)
         plain = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in masks))
         assert trusted.dense() == plain.dense() == DenseFunction(lat, table)
-        # levels are wrapped on first read, and read the same afterwards
+        # levels are derived on first read, and read the same afterwards
         assert trusted.levels == plain.levels
         assert trusted == plain and repr(trusted) == repr(plain)
         assert copy.deepcopy(trusted) == plain
 
-    def test_xor_from_masks_dense_computes_no_closure(self, monkeypatch):
+    def test_xor_from_closures_dense_computes_no_closure(self, monkeypatch):
         lat = CubeLattice(3)
         # levels {001} and {011}: closures 10101010 and 10001000
-        h = XorHypothesis.from_masks(lat, [0b00000010, 0b00001000], 0b00100010)
+        h = XorHypothesis.from_closures(
+            lat, [0b10101010, 0b10001000], 0b00001010, 0b00100010
+        )
 
         def no_closure(mask):
             raise AssertionError("dense() recomputed a closure")
 
         monkeypatch.setattr(lat, "up_closure", no_closure)
         assert h.dense().mask == 0b00100010
+        assert [lv.minimals for lv in h.levels] == [(0b001,), (0b011,)]
 
     def test_xor_attribute_lookup_is_unchanged(self, cube2):
         assert XorHypothesis(cube2).levels == ()
-        lazy = XorHypothesis.from_masks(cube2, [0b0010], 0b1010)
+        lazy = XorHypothesis.from_closures(cube2, [0b1010], 0b0010, 0b1010)
         with pytest.raises(AttributeError):
             lazy.minimals
         assert not hasattr(XorHypothesis(cube2), "minimals")

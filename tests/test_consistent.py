@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmono import (
@@ -27,8 +27,14 @@ from dmono.errors import (
 )
 from dmono.lattice import elements_mask, mask_elements
 
-from conftest import PENTAGON_COVERS, PENTAGON_NAMES, moore_families, top_down_chain
-from oracles import brute_consistent_rounds, brute_strict_levels
+from conftest import (
+    PENTAGON_COVERS,
+    PENTAGON_NAMES,
+    kernel_runs,
+    moore_families,
+    top_down_chain,
+)
+from oracles import brute_consistent_rounds, brute_strict_levels, brute_up_set
 
 
 def sample_of(lat, x0, x1):
@@ -182,7 +188,7 @@ class TestKernel:
         s0, s1 = draw_sample_masks(data, lat)
         sample = LabeledSample(lat, frozenset(mask_elements(s0)), frozenset(mask_elements(s1)))
         try:
-            levels, table = consistent_masks(lat, d, s0, s1)
+            closures, table = consistent_masks(lat, d, s0, s1)
         except InconsistentSampleError as exc:
             with pytest.raises(InconsistentSampleError) as public:
                 consistent(d, sample)
@@ -191,11 +197,15 @@ class TestKernel:
             assert (s0 | s1) >> exc.point & 1
             return
         h = consistent(d, sample)
+        levels = [lat.minimal(up) for up in closures]
         assert [lv.minimals for lv in h.levels] == [tuple(mask_elements(m)) for m in levels]
         assert h.dense().mask == table
-        # the table is the XOR of the wrapped levels' up-closures
+        # the table is the XOR of the wrapped levels' up-closures, which are
+        # the kernel's closures, nested
         wrapped = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in levels))
         assert table == wrapped.dense().mask
+        assert closures == [lv.dense().mask for lv in wrapped.levels]
+        assert all(lo & hi == hi for lo, hi in zip(closures, closures[1:]))
         assert table & s1 == s1 and table & s0 == 0
 
     @settings(max_examples=150, deadline=None)
@@ -229,9 +239,158 @@ def assert_kernel_matches_brute(lat, d, s0, s1):
             consistent_masks(lat, d, s0, s1)
         assert exc.value.point == violated
         return
-    got_levels, got_table = consistent_masks(lat, d, s0, s1)
+    closures, got_table = consistent_masks(lat, d, s0, s1)
+    # levels as the hypothesis derives them: the sample points minimal in
+    # each closure, which is the up-set of its level
+    got_levels = [lat.minimal((s0 | s1) & up, up) for up in closures]
     assert [mask_elements(m) for m in got_levels] == levels
+    assert [set(mask_elements(up)) for up in closures] == [brute_up_set(lat, lv) for lv in levels]
     assert set(mask_elements(got_table)) == table
+
+
+def outcome(d, sample, prior=None):
+    """The hypothesis with its levels and table, or the error's point and text."""
+    try:
+        h = consistent(d, sample, prior=prior)
+    except InconsistentSampleError as exc:
+        return None, ("error", exc.point, str(exc))
+    return h, ([lv.minimals for lv in h.levels], h.dense().mask)
+
+
+def draw_labels(data, lat, d):
+    """A random table, or a d-monotone one: the XOR of d up-closures."""
+    full = (1 << lat.size) - 1
+    if data.draw(st.booleans()):
+        return data.draw(st.integers(0, full))
+    table = 0
+    for _ in range(d):
+        table ^= lat.up_closure(data.draw(st.integers(0, full)))
+    return table
+
+
+def labeled(lat, points, labels):
+    mask = elements_mask(points)
+    return LabeledSample.from_masks(lat, mask & ~labels, mask & labels)
+
+
+def rule_applies(lat, d, old_points, labels, q):
+    """The one-point rule, decided by order scans on the old sample's rounds.
+
+    True when q's rank equals the number of old closures holding it, or is
+    one more, at most d, with every old point above q inside that closure.
+    """
+    x0 = [p for p in old_points if not labels >> p & 1]
+    x1 = [p for p in old_points if labels >> p & 1]
+    levels, _, violated = brute_consistent_rounds(lat, d, x0, x1)
+    assert violated is None
+    closures = [brute_up_set(lat, lv) for lv in levels]
+    held = sum(q in up for up in closures)
+    rank = held + ((labels >> q & 1) - held) % 2
+    if rank == held:
+        return True
+    return rank <= d and all(
+        p in closures[rank - 1] for p in old_points if lat.leq(q, p)
+    )
+
+
+class TestOnePointExtension:
+    """``consistent`` with a prior against the full rounds and brute force."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_step_matches_the_full_rounds(self, data):
+        lat = data.draw(KERNEL_LATTICES)
+        d = data.draw(st.integers(1, 3))
+        labels = draw_labels(data, lat, d)
+        order = data.draw(st.permutations(range(lat.size)))
+        prior = consistent(d, LabeledSample.from_masks(lat, 0, 0))
+        for k, q in enumerate(order):
+            sample = labeled(lat, order[: k + 1], labels)
+            with kernel_runs() as runs:
+                h, got = outcome(d, sample, prior)
+            assert got == outcome(d, sample)[1]
+            x0, x1 = mask_elements(sample.s0), mask_elements(sample.s1)
+            levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
+            if violated is not None:
+                assert got[:2] == ("error", violated)
+                return
+            assert got == ([tuple(lv) for lv in levels], elements_mask(table))
+            # the full rounds run exactly when the one-point rule fails
+            assert bool(runs) != rule_applies(lat, d, order[:k], labels, q)
+            prior = h
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_misfit_prior_is_ignored(self, data):
+        lat = data.draw(KERNEL_LATTICES)
+        assume(lat.size >= 3)
+        d = data.draw(st.integers(1, 3))
+        labels = draw_labels(data, lat, d)
+        order = data.draw(st.permutations(range(lat.size)))
+        k = data.draw(st.integers(1, lat.size - 2))
+        base, q, r = order[:k], order[k], order[k + 1]
+        try:
+            prior = consistent(d, labeled(lat, base, labels))
+        except InconsistentSampleError:
+            assume(False)
+        kind = data.draw(
+            st.sampled_from(
+                ["degree", "lattice", "levels", "no new point", "two new points",
+                 "dropped point", "flipped label"]
+            )
+        )
+        sample = labeled(lat, base + [q], labels)
+        if kind == "degree":
+            prior = consistent(d + 1, labeled(lat, base, labels))
+        elif kind == "lattice":
+            # the same closures and table, declared on a chain of as many elements
+            names = [f"o{i}" for i in range(lat.size)]
+            other = ExplicitLattice(names, list(zip(names, names[1:])))
+            state = vars(prior)
+            prior = XorHypothesis.from_closures(
+                other, state["_closures"], state["_points"], prior.dense().mask
+            )
+        elif kind == "levels":
+            prior = XorHypothesis(lat, prior.levels)
+        elif kind == "no new point":
+            sample = labeled(lat, base, labels)
+        elif kind == "two new points":
+            sample = labeled(lat, base + [q, r], labels)
+        elif kind == "dropped point":
+            sample = labeled(lat, base[1:] + [q], labels)
+        else:
+            sample = labeled(lat, base + [q], labels ^ 1 << base[0])
+        with kernel_runs() as runs:
+            _, got = outcome(d, sample, prior)
+        assert runs == [sample.s0 | sample.s1]
+        assert got == outcome(d, sample)[1]
+
+    def test_point_above_a_lower_rank_falls_back(self, cube2):
+        # 11 is a negative of rank 0; the positive 01 below it takes rank 1
+        # and lifts 11 to rank 2, which only the full rounds see
+        prior = consistent(2, sample_of(cube2, {0b11}, ()))
+        with kernel_runs() as runs:
+            h = consistent(2, sample_of(cube2, {0b11}, {0b01}), prior=prior)
+        assert runs == [0b1010]
+        assert [lv.minimals for lv in h.levels] == [(0b01,), (0b11,)]
+
+    def test_counterexample_extends_one_closure(self, cube3):
+        prior = consistent(2, sample_of(cube3, (), {0b001}))
+        with kernel_runs() as runs:
+            h = consistent(2, sample_of(cube3, {0b011}, {0b001}), prior=prior)
+        assert runs == []
+        assert [lv.minimals for lv in h.levels] == [(0b001,), (0b011,)]
+        assert h.dense().mask == 0b00100010
+
+    def test_rank_beyond_d_raises_as_the_full_rounds(self, cube3):
+        prior = consistent(1, sample_of(cube3, (), {0b001}))
+        sample = sample_of(cube3, {0b011}, {0b001})
+        with kernel_runs() as runs:
+            _, got = outcome(1, sample, prior)
+        assert runs == [0b1010]
+        assert got == outcome(1, sample)[1] == (
+            "error", 0b011, "no 1-monotone function matches the sample (violated at 011)"
+        )
 
 
 class ReplayingOracle:

@@ -528,6 +528,14 @@ class TestDenseSweeps:
                 expected = any(lat.leq(a, x) for a in pts)
                 assert bool(closed >> x & 1) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_cube_up_closure_of_one_point_matches_pointwise(self, n):
+        # a single point takes its own doubling path, not the coordinate sweep
+        lat = CubeLattice(n)
+        for a in lat.elements():
+            up = elements_mask(x for x in lat.elements() if lat.leq(a, x))
+            assert lat.up_closure(1 << a) == up
+
     def test_cube_shadow_matches_pointwise(self):
         lat = CubeLattice(4)
         rng = random.Random(7)

@@ -28,7 +28,7 @@ from dmono import (
 from dmono.errors import DegreeTooSmallError, InvalidElementError
 from dmono.lattice import elements_mask, mask_elements
 
-from conftest import moore_families
+from conftest import kernel_runs, moore_families
 from oracles import (
     join_products,
     max_chain_alternations,
@@ -266,6 +266,16 @@ class TestLearnerProperties:
             assert stats.counterexamples == target.size
             assert stats.eq_bound == target.size
 
+    def test_rebuilds_extend_the_previous_hypothesis(self):
+        # with the shipped oracle every settled point on these targets
+        # extends one closure, so the full rounds run once, on the empty sample
+        for target in (tightness_family(2, 3), tightness_family(3, 2), takimoto_family(2, 2)):
+            mq = MembershipOracle.for_function(target)
+            with kernel_runs() as runs:
+                _, stats = learn(target.d, target.lattice, mq, EquivalenceOracle(target))
+            assert stats.counterexamples > 0
+            assert runs == [0]
+
     def test_caching_never_exceeds_raw_inspections(self):
         rng = random.Random(35)
         for _ in range(10):
@@ -277,12 +287,40 @@ class TestLearnerProperties:
             assert stats.mq_used <= raw_total
 
 
-def run_both(d, target):
+class HighestIdOracle(EquivalenceOracle):
+    """Answers the highest disagreeing id instead of the lowest."""
+
+    def query(self, hypothesis):
+        self.eq_count += 1
+        diff = hypothesis.dense().mask ^ self.table.mask
+        return diff.bit_length() - 1 if diff else None
+
+
+class SeededRandomOracle(EquivalenceOracle):
+    """Answers a disagreeing id drawn by a generator seeded per oracle."""
+
+    def __init__(self, target, seed):
+        super().__init__(target)
+        self._rng = random.Random(seed)
+
+    def query(self, hypothesis):
+        self.eq_count += 1
+        diff = hypothesis.dense().mask ^ self.table.mask
+        return self._rng.choice(mask_elements(diff)) if diff else None
+
+
+ORDERS = {
+    "highest": HighestIdOracle,
+    "random": lambda target: SeededRandomOracle(target, seed=target.lattice.size),
+}
+
+
+def run_both(d, target, make_eq=EquivalenceOracle):
     """``learn`` and ``reference_learn`` on fresh oracles: each one's (h, stats) or error."""
     runs = []
     for run in (learn, reference_learn):
         mq = MembershipOracle.for_function(target)
-        eq = EquivalenceOracle(target)
+        eq = make_eq(target)
         try:
             runs.append(run(d, target.lattice, mq, eq))
         except DegreeTooSmallError as exc:
@@ -290,11 +328,12 @@ def run_both(d, target):
     return runs
 
 
-def assert_same_run(d, target):
-    got, want = run_both(d, target)
+def assert_same_run(d, target, make_eq=EquivalenceOracle):
+    """Both loops agree; returns whether they learned the target."""
+    got, want = run_both(d, target, make_eq)
     if isinstance(want[0], str):
         assert got == want
-        return
+        return False
     (h, stats), (ref_h, ref_stats) = got, want
     assert [lv.minimals for lv in h.levels] == [lv.minimals for lv in ref_h.levels]
     for field in (
@@ -310,10 +349,24 @@ def assert_same_run(d, target):
         "trace",
     ):
         assert getattr(stats, field) == getattr(ref_stats, field), field
+    return True
+
+
+def learn_counting_fallbacks(d, target, make_eq):
+    """``learn`` under a kernel spy: (h, stats, full-rounds runs on nonempty samples)."""
+    with kernel_runs() as runs:
+        h, stats = learn(
+            d, target.lattice, MembershipOracle.for_function(target), make_eq(target)
+        )
+    return h, stats, sum(1 for points in runs if points)
 
 
 class TestAgainstReferenceLoop:
-    """The mask-native loop against the point-set loop with a validated rebuild."""
+    """The mask-native loop against the point-set loop with a validated rebuild.
+
+    The shipped oracle answers the lowest disagreeing id; the highest-id
+    and seeded-random oracles above exercise other counterexample orders.
+    """
 
     @pytest.mark.parametrize(
         "target",
@@ -367,6 +420,49 @@ class TestAgainstReferenceLoop:
         assert xor.dense().mask == target.dense().mask
         assert len(xor.levels) == max_chain_alternations(lat, target.evaluate, maximal_chains(lat))
         assert degree <= d + (outer & 1)
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_other_orders_on_family_and_random_targets(self, order):
+        # learning stays exact within its bounds, and some rebuilds fall back
+        # to the full rounds because an old sample point lies above the new one
+        make_eq = ORDERS[order]
+        rng = random.Random(38)
+        targets = [
+            tightness_family(2, 3),
+            tightness_family(3, 2),
+            takimoto_family(2, 2),
+            takimoto_family(3, 1, uneven=True),
+        ] + [random_target(rng) for _ in range(25)]
+        fallbacks = 0
+        for target in targets:
+            if target.d > 1:
+                assert_same_run(target.d - 1, target, make_eq)
+            assert assert_same_run(target.d, target, make_eq)
+            h, stats, fell_back = learn_counting_fallbacks(target.d, target, make_eq)
+            assert h.dense().mask == target.dense().mask
+            assert stats.counterexamples <= stats.eq_bound
+            assert stats.max_descent_inspections <= target.lattice.sigma()
+            fallbacks += fell_back
+        assert fallbacks > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), order=st.sampled_from(sorted(ORDERS)))
+    def test_other_orders_on_moore_families(self, data, order):
+        _, names, covers = data.draw(moore_families(max_ground=5, max_draws=8))
+        lat = ExplicitLattice(names, covers)
+        d = data.draw(st.integers(1, 3))
+        inner = tuple(
+            MonotoneDNF.from_mask(lat, lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1))))
+            for _ in range(d)
+        )
+        target = ComposedTarget(lat, data.draw(st.integers(0, (1 << (1 << d)) - 1)), inner)
+        degree = max(monotone_degree(target), 1)
+        assert assert_same_run(degree, target, ORDERS[order])
+        if degree > 1:
+            assert not assert_same_run(degree - 1, target, ORDERS[order])
+        h, stats, _ = learn_counting_fallbacks(degree, target, ORDERS[order])
+        assert h.dense().mask == target.dense().mask
+        assert stats.max_descent_inspections <= lat.sigma()
 
 
 class TestBoundHelper:
