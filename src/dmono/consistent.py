@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .boolfn import XorHypothesis
 from .errors import InconsistentSampleError, InvalidSampleError
@@ -14,8 +14,8 @@ from .lattice import Lattice, elements_mask, mask_elements
 class LabeledSample:
     """Disjoint negative (x0) and positive (x1) lattice points.
 
-    The points are kept as two dense masks, ``s0`` and ``s1``.  The
-    constructor validates every point; ``from_masks`` trusts its masks.
+    The points are kept as two dense masks, ``s0`` and ``s1``; the
+    constructor validates every point.
     """
 
     lattice: Lattice
@@ -29,16 +29,6 @@ class LabeledSample:
         if overlap:
             name = lattice.element_name((overlap & -overlap).bit_length() - 1)
             raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
-        self._set(lattice, s0, s1)
-
-    @classmethod
-    def from_masks(cls, lattice: Lattice, s0: int, s1: int) -> "LabeledSample":
-        """Trusted constructor from disjoint in-lattice masks, skipping validation."""
-        sample = object.__new__(cls)
-        sample._set(lattice, s0, s1)
-        return sample
-
-    def _set(self, lattice: Lattice, s0: int, s1: int) -> None:
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "s1", s1)
@@ -88,81 +78,78 @@ def consistent_masks(lattice: Lattice, d: int, s0: int, s1: int) -> tuple[list[i
     return closures, table
 
 
-def _extend_by_one_point(
-    d: int, sample: LabeledSample, points: int, prior: XorHypothesis
-) -> tuple[Sequence[int], int] | None:
-    """The kernel's output for ``sample`` from the one ``prior`` was built on.
+class DenseState:
+    """A growing sample and the d nested closures that the rounds build on it.
 
-    ``points`` is the sample's point mask.  A sample point's rank is the
-    number of closures holding it.  It is the largest rank of the sample
-    points strictly below it, raised by one when that has the wrong parity
-    for its label, so a new point q changes only its own rank and those of
-    the sample points above it.  When q's rank equals the count of closures
-    already holding it, nothing changes; when it is one more, at most d,
-    and every old sample point above q keeps its rank (lies in that closure
-    already), only closure ``rank`` grows, by up(q).  Returns None whenever
-    ``prior`` does not fit (built by other means or on another lattice or
-    degree, a label changed, not exactly one new point) or the rule does
-    not apply; the full rounds then decide.
+    ``s0`` and ``s1`` are the sample's negative and positive points,
+    ``closures`` the up-closures U_1 ⊇ ... ⊇ U_d of ``consistent_masks``
+    and ``table`` their XOR, all dense masks.  The constructor runs the
+    full rounds on its masks; ``add`` files one more point and keeps the
+    state equal to the full rounds on the grown sample.
     """
-    state = vars(prior)  # the closures are set only by ``from_closures``
-    closures = state.get("_closures")
-    lattice, s1 = sample.lattice, sample.s1
-    if closures is None or len(closures) != d:
-        return None
-    if prior.lattice is not lattice and prior.lattice != lattice:
-        return None
-    # xor and and only: negating a dense mask costs several times as much
-    known, table = state["_points"], prior.dense().mask
-    new = points ^ known
-    if not new or new & (new - 1) or new & known:
-        return None  # not one point added with every old point kept
-    if (s1 ^ table) & known:
-        return None  # a label differs from the prior's table on its sample
-    held = sum(1 for up in closures if up & new)
-    label = 1 if s1 & new else 0
-    rank = held + (label - held) % 2
-    if rank == held:
-        return closures, table
-    if rank > d:
-        return None
-    closures = list(closures)
-    old = closures[rank - 1]
-    up = lattice.up_closure(new)
-    fresh = up ^ (up & old)
-    if known & fresh:
-        return None  # an old point above q would change its rank
-    closures[rank - 1] = old | up
-    return closures, table ^ fresh
+
+    __slots__ = ("lattice", "d", "s0", "s1", "closures", "table")
+
+    def __init__(self, lattice: Lattice, d: int, s0: int = 0, s1: int = 0):
+        if d < 1:
+            raise ValueError("degree must be at least 1")
+        self.lattice, self.d, self.s0, self.s1 = lattice, d, s0, s1
+        self.closures, self.table = consistent_masks(lattice, d, s0, s1)
+
+    def add(self, q: int, label: int) -> None:
+        """File point q, not yet in the sample, under ``label`` (0 or 1).
+
+        A sample point's rank is the number of closures holding it.  It is
+        the largest rank of the sample points strictly below it, raised by
+        one when that has the wrong parity for its label, so q changes only
+        its own rank and those of the sample points above it.  When q's
+        rank equals the count of closures already holding it, no closure
+        changes; when it is one more, at most d, and every sample point
+        above q keeps its rank (lies in that closure already), only closure
+        ``rank`` grows, by up(q).  Otherwise the full rounds run on the
+        grown sample.
+
+        Raises InconsistentSampleError as the full rounds do, and then
+        leaves the state as it was.
+        """
+        bit = 1 << q
+        known = self.s0 | self.s1
+        s0, s1 = (self.s0, self.s1 | bit) if label else (self.s0 | bit, self.s1)
+        closures = self.closures
+        held = sum(1 for up in closures if up & bit)
+        rank = held + (label - held) % 2
+        if rank > held:
+            fresh = None
+            if rank <= self.d:
+                old = closures[rank - 1]
+                up = self.lattice.up_closure(bit)
+                fresh = up ^ (up & old)
+            if fresh is None or known & fresh:
+                # rank beyond d, or an old point above q would change its rank
+                self.closures, self.table = consistent_masks(self.lattice, self.d, s0, s1)
+            else:
+                closures[rank - 1] = old | up
+                self.table ^= fresh
+        self.s0, self.s1 = s0, s1
+
+    def hypothesis(self) -> XorHypothesis:
+        """The hypothesis of the current closures; a later ``add`` leaves it as it is."""
+        return XorHypothesis.from_closures(
+            self.lattice, self.closures, self.s0 | self.s1, self.table
+        )
 
 
-def consistent(
-    d: int, sample: LabeledSample, prior: XorHypothesis | None = None
-) -> XorHypothesis:
+def consistent(d: int, sample: LabeledSample) -> XorHypothesis:
     """Return h = F_1 xor ... xor F_d agreeing with every sample label.
 
-    Runs ``consistent_masks`` on the sample's masks and keeps its closures;
-    the hypothesis's ``dense()`` is the table the kernel returns, and level
-    i is taken as the minimal sample points of closure i when the levels
-    are first read.  The output always has exactly d levels; trailing
-    all-zero levels are kept so the hypothesis shape is stable, and
-    evaluation ignores them.
-
-    ``prior`` is a hint: a hypothesis this function returned for the same
-    lattice and d on a sample that ``sample`` extends by exactly one point
-    with the other labels kept.  Then the new point usually settles by one
-    closure of that point instead of d rounds; where it does not, or when
-    ``prior`` does not fit, the full rounds run.  The output never depends
-    on ``prior``.
+    Runs ``consistent_masks`` on the sample's masks through a
+    ``DenseState`` and keeps its closures; the hypothesis's ``dense()`` is
+    the table the kernel returns, and level i is taken as the minimal
+    sample points of closure i when the levels are first read.  The output
+    always has exactly d levels; trailing all-zero levels are kept so the
+    hypothesis shape is stable, and evaluation ignores them.
 
     Raises InconsistentSampleError when no d-monotone function fits the
     sample, naming a point the output would misclassify.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    lattice, points = sample.lattice, sample.s0 | sample.s1
-    extended = None if prior is None else _extend_by_one_point(d, sample, points, prior)
-    if extended is None:
-        extended = consistent_masks(lattice, d, sample.s0, sample.s1)
-    closures, table = extended
-    return XorHypothesis.from_closures(lattice, closures, points, table)
+    return DenseState(sample.lattice, d, sample.s0, sample.s1).hypothesis()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from typing import Sequence
 
 from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis, strict_decompose
@@ -200,6 +201,18 @@ def random_composed(
 _RETRY_BUDGET = 1000
 
 
+def _distinct_draws(rng: random.Random, stop: int, k: int) -> tuple[int, ...]:
+    """k distinct draws from range(1, stop) by ``Random.sample``'s rejection loop.
+
+    Once the range outgrows that loop's selection set, this draws what
+    ``rng.sample(range(1, stop), k)`` draws, but it needs no ``len`` of it.
+    """
+    picks: dict[int, None] = {}  # kept in draw order
+    while len(picks) < k:
+        picks[rng.randrange(1, stop)] = None
+    return tuple(picks)
+
+
 def _random_antichain(rng: random.Random, lat: CubeLattice, size: int) -> MonotoneDNF:
     if size == 0:
         return MonotoneDNF(lat)
@@ -208,7 +221,10 @@ def _random_antichain(rng: random.Random, lat: CubeLattice, size: int) -> Monoto
             f"cannot place {size} incomparable points in {lat.describe()}"
         )
     for _ in range(_RETRY_BUDGET):
-        picks = tuple(rng.sample(range(1, lat.size), size))
+        if lat.size - 1 <= sys.maxsize:
+            picks = tuple(rng.sample(range(1, lat.size), size))
+        else:  # the range is too long for ``len``, so ``rng.sample`` fails
+            picks = _distinct_draws(rng, lat.size, size)
         # the constructor's sparse check rejects draws with a comparable pair
         try:
             return MonotoneDNF(lat, picks)

@@ -150,8 +150,14 @@ class CubeLattice(Lattice):
 
     def immediate_predecessors(self, a: int) -> tuple[int, ...]:
         self.check_element(a)
-        # clearing a higher bit yields a smaller word, so ascending output
-        return tuple(a & ~(1 << j) for j in reversed(range(self.n)) if a >> j & 1)
+        # peel the set bits high first: clearing a higher bit yields a
+        # smaller word, so the output ascends
+        preds, rest = [], a
+        while rest:
+            bit = 1 << rest.bit_length() - 1
+            preds.append(a ^ bit)
+            rest ^= bit
+        return tuple(preds)
 
     def sigma(self) -> int:
         return self.n * (self.n + 1) // 2

@@ -1,6 +1,6 @@
 """Exact learner from membership and equivalence queries, with query accounting.
 
-The learner proposes hypotheses built by ``consistent``, walks every
+The learner proposes hypotheses from a ``DenseState`` it grows, walks every
 counterexample down to a local minimal point of disagreement, and stops at
 the first YES.  Counters live on the oracles; the stats object additionally
 tracks counterexamples, the worst descent, and the bound values they are
@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .boolfn import ComposedTarget, MonotoneDNF, Representation, XorHypothesis
-from .consistent import LabeledSample, consistent
+from .boolfn import ComposedTarget, DenseFunction, MonotoneDNF, Representation, XorHypothesis
+from .consistent import DenseState
 from .errors import DegreeTooSmallError, InconsistentSampleError, InternalError
 from .lattice import Lattice, mask_elements
 
@@ -55,7 +55,7 @@ class EquivalenceOracle:
         diff = hypothesis.dense().mask ^ self.table.mask
         if not diff:
             return None
-        return (diff & -diff).bit_length() - 1
+        return (diff ^ (diff - 1)).bit_length() - 1
 
 
 @dataclass
@@ -177,13 +177,11 @@ def learn(
     Starts from the constant-0 hypothesis, and per counterexample: infer
     the target's value there (the oracle guarantees disagreement, so no
     membership query is spent), descend to a local minimal disagreement,
-    file that point under its label, and rebuild the hypothesis with
-    ``consistent``.  The sample is kept as two dense masks that enter
-    ``consistent`` unvalidated, together with the previous hypothesis as
-    its ``prior``: the sample grew by one point, so the rebuild usually
-    extends one level's up-closure by that point instead of running d
-    rounds.  Each query and each descent reads the truth table the rebuild
-    returns, and the levels are derived only when the caller reads them.
+    and file that point under its label in the run's ``DenseState``.  The
+    sample grew by one point, so the state usually extends one level's
+    up-closure by that point instead of running d rounds.  Each query and
+    each descent reads the state's truth table, and the returned
+    hypothesis derives its levels only when the caller reads them.
     Membership answers are memoized per run, so the raw inspection count
     of a descent can exceed the real queries it costs.
 
@@ -191,27 +189,24 @@ def learn(
     d-monotone, and InternalError if a descent settles on a point already
     in the sample, which a correct run cannot.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
     stats = QueryStats(sigma=lattice.sigma())
     bound = counterexample_bound(getattr(eq, "target", None))
     if bound is not None:
         stats.eq_bound = bound
         stats.mq_bound = stats.sigma * bound
 
-    s0 = s1 = 0  # negative and positive sample points, one bit each
-    h = consistent(d, LabeledSample.from_masks(lattice, 0, 0))
+    state = DenseState(lattice, d)
     cache: dict[int, int] = {}
 
     while True:
-        hd = h.dense()
+        hd = DenseFunction(lattice, state.table)
         cex = eq.query(hd)
         stats.eq_used = eq.eq_count
         stats.mq_used = mq.mq_count
         if cex is None:
-            stats.x0 = tuple(mask_elements(s0))
-            stats.x1 = tuple(mask_elements(s1))
-            return h, stats
+            stats.x0 = tuple(mask_elements(state.s0))
+            stats.x1 = tuple(mask_elements(state.s1))
+            return state.hypothesis(), stats
         stats.counterexamples += 1
         inferred = 1 - (hd.mask >> cex & 1)
         result = descend_to_local_min(lattice, cex, hd, mq, value=inferred, _cache=cache)
@@ -227,20 +222,15 @@ def learn(
                 "inspections": result.inspections,
             }
         )
-        bit = 1 << result.element
-        if (s0 | s1) & bit:
+        if (state.s0 | state.s1) >> result.element & 1:
             # every hypothesis agrees with the sample, so this is a bug
             raise InternalError(
                 f"descent settled on {lattice.element_name(result.element)}, "
                 "which is already in the sample"
             )
-        if result.value:
-            s1 |= bit
-        else:
-            s0 |= bit
         started = time.perf_counter()
         try:
-            h = consistent(d, LabeledSample.from_masks(lattice, s0, s1), prior=h)
+            state.add(result.element, result.value)
         except InconsistentSampleError as exc:
             raise DegreeTooSmallError(
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point

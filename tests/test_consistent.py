@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmono import (
@@ -18,7 +18,7 @@ from dmono import (
     random_composed,
     strict_decompose,
 )
-from dmono.consistent import consistent_masks
+from dmono.consistent import DenseState, consistent_masks
 from dmono.errors import (
     InconsistentSampleError,
     InternalError,
@@ -48,7 +48,7 @@ class TestSample:
         lat = CubeLattice(4)
         sample = sample_of(lat, x0, x1)
         assert (sample.x0, sample.x1, sample.points) == (x0, x1, x0 | x1)
-        assert sample == LabeledSample.from_masks(lat, elements_mask(x0), elements_mask(x1))
+        assert (sample.s0, sample.s1) == (elements_mask(x0), elements_mask(x1))
 
 
 class TestWorkedExamples:
@@ -86,6 +86,11 @@ class TestErrors:
     def test_degree_must_be_positive(self, cube2):
         with pytest.raises(ValueError):
             consistent(0, sample_of(cube2, (), ()))
+        with pytest.raises(ValueError, match="at least 1"):
+            DenseState(cube2, 0)
+        target = MonotoneDNF(cube2, (0b01,))
+        with pytest.raises(ValueError, match="at least 1"):
+            learn(0, cube2, MembershipOracle.for_function(target), ReplayingOracle([]))
 
     def test_unsatisfiable_sample_names_point(self, cube2):
         # x1 xor x2 labels are not monotone-realizable
@@ -248,13 +253,22 @@ def assert_kernel_matches_brute(lat, d, s0, s1):
     assert set(mask_elements(got_table)) == table
 
 
-def outcome(d, sample, prior=None):
-    """The hypothesis with its levels and table, or the error's point and text."""
+def outcome(d, sample):
+    """The hypothesis's levels and table, or the error's point and text."""
     try:
-        h = consistent(d, sample, prior=prior)
+        h = consistent(d, sample)
     except InconsistentSampleError as exc:
-        return None, ("error", exc.point, str(exc))
-    return h, ([lv.minimals for lv in h.levels], h.dense().mask)
+        return ("error", exc.point, str(exc))
+    return [lv.minimals for lv in h.levels], h.dense().mask
+
+
+def add_outcome(state, q, label):
+    """``outcome`` of the state after ``state.add(q, label)``."""
+    try:
+        state.add(q, label)
+    except InconsistentSampleError as exc:
+        return ("error", exc.point, str(exc))
+    return [lv.minimals for lv in state.hypothesis().levels], state.table
 
 
 def draw_labels(data, lat, d):
@@ -269,8 +283,9 @@ def draw_labels(data, lat, d):
 
 
 def labeled(lat, points, labels):
-    mask = elements_mask(points)
-    return LabeledSample.from_masks(lat, mask & ~labels, mask & labels)
+    return LabeledSample(
+        lat, [p for p in points if not labels >> p & 1], [p for p in points if labels >> p & 1]
+    )
 
 
 def rule_applies(lat, d, old_points, labels, q):
@@ -293,8 +308,13 @@ def rule_applies(lat, d, old_points, labels, q):
     )
 
 
+def state_of(lat, d, x0, x1):
+    sample = sample_of(lat, x0, x1)
+    return DenseState(lat, d, sample.s0, sample.s1)
+
+
 class TestOnePointExtension:
-    """``consistent`` with a prior against the full rounds and brute force."""
+    """``DenseState.add`` against ``consistent``, the full rounds and brute force."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -303,92 +323,55 @@ class TestOnePointExtension:
         d = data.draw(st.integers(1, 3))
         labels = draw_labels(data, lat, d)
         order = data.draw(st.permutations(range(lat.size)))
-        prior = consistent(d, LabeledSample.from_masks(lat, 0, 0))
+        state = DenseState(lat, d)
         for k, q in enumerate(order):
             sample = labeled(lat, order[: k + 1], labels)
+            before = (state.s0, state.s1, list(state.closures), state.table)
             with kernel_runs() as runs:
-                h, got = outcome(d, sample, prior)
-            assert got == outcome(d, sample)[1]
+                got = add_outcome(state, q, labels >> q & 1)
+            assert got == outcome(d, sample)
             x0, x1 = mask_elements(sample.s0), mask_elements(sample.s1)
             levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
             if violated is not None:
                 assert got[:2] == ("error", violated)
+                # a failed add leaves the state as it was
+                assert (state.s0, state.s1, state.closures, state.table) == before
                 return
             assert got == ([tuple(lv) for lv in levels], elements_mask(table))
+            assert (state.s0, state.s1) == (sample.s0, sample.s1)
             # the full rounds run exactly when the one-point rule fails
             assert bool(runs) != rule_applies(lat, d, order[:k], labels, q)
-            prior = h
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_misfit_prior_is_ignored(self, data):
-        lat = data.draw(KERNEL_LATTICES)
-        assume(lat.size >= 3)
-        d = data.draw(st.integers(1, 3))
-        labels = draw_labels(data, lat, d)
-        order = data.draw(st.permutations(range(lat.size)))
-        k = data.draw(st.integers(1, lat.size - 2))
-        base, q, r = order[:k], order[k], order[k + 1]
-        try:
-            prior = consistent(d, labeled(lat, base, labels))
-        except InconsistentSampleError:
-            assume(False)
-        kind = data.draw(
-            st.sampled_from(
-                ["degree", "lattice", "levels", "no new point", "two new points",
-                 "dropped point", "flipped label"]
-            )
-        )
-        sample = labeled(lat, base + [q], labels)
-        if kind == "degree":
-            prior = consistent(d + 1, labeled(lat, base, labels))
-        elif kind == "lattice":
-            # the same closures and table, declared on a chain of as many elements
-            names = [f"o{i}" for i in range(lat.size)]
-            other = ExplicitLattice(names, list(zip(names, names[1:])))
-            state = vars(prior)
-            prior = XorHypothesis.from_closures(
-                other, state["_closures"], state["_points"], prior.dense().mask
-            )
-        elif kind == "levels":
-            prior = XorHypothesis(lat, prior.levels)
-        elif kind == "no new point":
-            sample = labeled(lat, base, labels)
-        elif kind == "two new points":
-            sample = labeled(lat, base + [q, r], labels)
-        elif kind == "dropped point":
-            sample = labeled(lat, base[1:] + [q], labels)
-        else:
-            sample = labeled(lat, base + [q], labels ^ 1 << base[0])
-        with kernel_runs() as runs:
-            _, got = outcome(d, sample, prior)
-        assert runs == [sample.s0 | sample.s1]
-        assert got == outcome(d, sample)[1]
+    def test_earlier_hypotheses_stay_as_they_were(self, cube3):
+        state = DenseState(cube3, 2)
+        h = state.hypothesis()
+        state.add(0b001, 1)
+        assert h.dense().mask == 0 and [lv.minimals for lv in h.levels] == [(), ()]
+        assert state.hypothesis().dense().mask == cube3.up_closure(0b10)
 
     def test_point_above_a_lower_rank_falls_back(self, cube2):
         # 11 is a negative of rank 0; the positive 01 below it takes rank 1
         # and lifts 11 to rank 2, which only the full rounds see
-        prior = consistent(2, sample_of(cube2, {0b11}, ()))
+        state = state_of(cube2, 2, {0b11}, ())
         with kernel_runs() as runs:
-            h = consistent(2, sample_of(cube2, {0b11}, {0b01}), prior=prior)
+            state.add(0b01, 1)
         assert runs == [0b1010]
-        assert [lv.minimals for lv in h.levels] == [(0b01,), (0b11,)]
+        assert [lv.minimals for lv in state.hypothesis().levels] == [(0b01,), (0b11,)]
 
     def test_counterexample_extends_one_closure(self, cube3):
-        prior = consistent(2, sample_of(cube3, (), {0b001}))
+        state = state_of(cube3, 2, (), {0b001})
         with kernel_runs() as runs:
-            h = consistent(2, sample_of(cube3, {0b011}, {0b001}), prior=prior)
+            state.add(0b011, 0)
         assert runs == []
-        assert [lv.minimals for lv in h.levels] == [(0b001,), (0b011,)]
-        assert h.dense().mask == 0b00100010
+        assert [lv.minimals for lv in state.hypothesis().levels] == [(0b001,), (0b011,)]
+        assert state.table == 0b00100010
 
     def test_rank_beyond_d_raises_as_the_full_rounds(self, cube3):
-        prior = consistent(1, sample_of(cube3, (), {0b001}))
-        sample = sample_of(cube3, {0b011}, {0b001})
+        state = state_of(cube3, 1, (), {0b001})
         with kernel_runs() as runs:
-            _, got = outcome(1, sample, prior)
+            got = add_outcome(state, 0b011, 0)
         assert runs == [0b1010]
-        assert got == outcome(1, sample)[1] == (
+        assert got == outcome(1, sample_of(cube3, {0b011}, {0b001})) == (
             "error", 0b011, "no 1-monotone function matches the sample (violated at 011)"
         )
 

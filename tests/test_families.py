@@ -18,6 +18,7 @@ from dmono import (
 )
 from dmono.boolfn import MonotoneDNF, XorHypothesis
 from dmono.errors import GenerationError
+from dmono.families import _distinct_draws
 
 
 class TestTightness:
@@ -190,6 +191,25 @@ class TestRandomComposed:
         r = random_composed(3, (3, 3, 3), 40, 0)
         assert [g.size for g in r.inner] == [3, 3, 3]
         assert r == random_composed(3, (3, 3, 3), 40, 0)
+
+    def test_draws_equal_random_sample_below_the_overflow(self):
+        # past n = 62 the draws leave ``rng.sample``; below it both must
+        # agree, so every seeded target up to there keeps its points
+        for n in range(10, 63):
+            for seed in range(4):
+                for k in (1, 2, 5):
+                    want = random.Random(seed).sample(range(1, 1 << n), k)
+                    assert _distinct_draws(random.Random(seed), 1 << n, k) == tuple(want)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_cubes_past_the_machine_word_draw_seeded_antichains(self, n):
+        t = random_composed(2, (3, 2), n, seed=1)
+        assert t.lattice.n == n and [g.size for g in t.inner] == [3, 2]
+        assert t == random_composed(2, (3, 2), n, seed=1)
+        assert t != random_composed(2, (3, 2), n, seed=2)
+        for g in t.inner:
+            assert all(0 < a < t.lattice.size for a in g.minimals)
+            assert not any(a != b and a & b == a for a in g.minimals for b in g.minimals)
 
     def test_sizes_arity_mismatch(self):
         with pytest.raises(ValueError):

@@ -86,6 +86,17 @@ class TestCubeOrder:
         assert cube3.immediate_predecessors(0b000) == ()
         assert cube3.immediate_predecessors(0b111) == (0b011, 0b101, 0b110)
 
+    def test_preds_match_the_coordinate_scan(self):
+        # one word per coordinate cleared, ascending, from n = 1 to past
+        # one machine word
+        rng = random.Random(41)
+        for n in range(1, 71):
+            cube = CubeLattice(n)
+            top = cube.size - 1
+            for a in [0, top, 1, 1 << n - 1] + [rng.randrange(cube.size) for _ in range(20)]:
+                scan = tuple(a & ~(1 << j) for j in reversed(range(n)) if a >> j & 1)
+                assert cube.immediate_predecessors(a) == scan
+
     def test_unknown_element_rejected(self, cube3):
         with pytest.raises(InvalidElementError):
             cube3.leq(0, 8)
