@@ -113,7 +113,6 @@ class DenseState:
         leaves the state as it was.
         """
         bit = 1 << q
-        known = self.s0 | self.s1
         s0, s1 = (self.s0, self.s1 | bit) if label else (self.s0 | bit, self.s1)
         closures = self.closures
         held = sum(1 for up in closures if up & bit)
@@ -124,7 +123,7 @@ class DenseState:
                 old = closures[rank - 1]
                 up = self.lattice.up_closure(bit)
                 fresh = up ^ (up & old)
-            if fresh is None or known & fresh:
+            if fresh is None or (self.s0 | self.s1) & fresh:
                 # rank beyond d, or an old point above q would change its rank
                 self.closures, self.table = consistent_masks(self.lattice, self.d, s0, s1)
             else:

@@ -222,7 +222,7 @@ def learn(
                 "inspections": result.inspections,
             }
         )
-        if (state.s0 | state.s1) >> result.element & 1:
+        if (state.s0 | state.s1) & (1 << result.element):
             # every hypothesis agrees with the sample, so this is a bug
             raise InternalError(
                 f"descent settled on {lattice.element_name(result.element)}, "
