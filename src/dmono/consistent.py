@@ -81,37 +81,42 @@ def consistent_masks(lattice: Lattice, d: int, s0: int, s1: int) -> tuple[list[i
 class DenseState:
     """A growing sample and the d nested closures that the rounds build on it.
 
-    ``s0`` and ``s1`` are the sample's negative and positive points,
-    ``closures`` the up-closures U_1 ⊇ ... ⊇ U_d of ``consistent_masks``
-    and ``table`` their XOR, all dense masks.  The constructor runs the
-    full rounds on its masks; ``add`` files one more point and keeps the
-    state equal to the full rounds on the grown sample.
+    ``s0``/``s1`` hold the negative/positive points, ``closures`` the
+    up-closures U_1 ⊇ ... ⊇ U_d of ``consistent_masks`` and ``table``
+    their XOR, all dense masks.  ``add`` files one more point and ``fit``
+    joins it, keeping the state equal to the full rounds on the sample.
     """
 
-    __slots__ = ("lattice", "d", "s0", "s1", "closures", "table")
+    __slots__ = ("lattice", "d", "s0", "s1", "closures", "table", "_filed")
+    x0, x1 = LabeledSample.x0, LabeledSample.x1
 
     def __init__(self, lattice: Lattice, d: int, s0: int = 0, s1: int = 0):
         if d < 1:
             raise ValueError("degree must be at least 1")
-        self.lattice, self.d, self.s0, self.s1 = lattice, d, s0, s1
+        self.lattice, self.d, self.s0, self.s1, self._filed = lattice, d, s0, s1, None
         self.closures, self.table = consistent_masks(lattice, d, s0, s1)
 
     def add(self, q: int, label: int) -> None:
-        """File point q, not yet in the sample, under ``label`` (0 or 1).
+        """Fit any filed point, then file q, not yet in the sample, under ``label``."""
+        self.fit()
+        self._filed = q, label
 
-        A sample point's rank is the number of closures holding it.  It is
-        the largest rank of the sample points strictly below it, raised by
-        one when that has the wrong parity for its label, so q changes only
-        its own rank and those of the sample points above it.  When q's
-        rank equals the count of closures already holding it, no closure
-        changes; when it is one more, at most d, and every sample point
-        above q keeps its rank (lies in that closure already), only closure
-        ``rank`` grows, by up(q).  Otherwise the full rounds run on the
-        grown sample.
+    def fit(self) -> None:
+        """Join the filed point q, if any, to the masks, closures and table.
 
-        Raises InconsistentSampleError as the full rounds do, and then
-        leaves the state as it was.
+        A sample point's rank, the number of closures holding it, is the
+        largest rank strictly below it, raised by one when its parity
+        differs from its label; so q changes only its own rank and those
+        of the points above it.  If q's rank is the count of closures
+        holding it, nothing changes; if one more, at most d, with every old
+        point above q already in closure ``rank``, only that closure grows,
+        by up(q).  Otherwise the full rounds run on the grown sample.
+
+        Raises InconsistentSampleError as those rounds do, and drops q.
         """
+        if self._filed is None:
+            return
+        (q, label), self._filed = self._filed, None
         bit = 1 << q
         s0, s1 = (self.s0, self.s1 | bit) if label else (self.s0 | bit, self.s1)
         closures = self.closures
@@ -131,24 +136,26 @@ class DenseState:
                 self.table ^= fresh
         self.s0, self.s1 = s0, s1
 
-    def hypothesis(self) -> XorHypothesis:
-        """The hypothesis of the current closures; a later ``add`` leaves it as it is."""
-        return XorHypothesis.from_closures(
-            self.lattice, self.closures, self.s0 | self.s1, self.table
-        )
 
-
-def consistent(d: int, sample: LabeledSample) -> XorHypothesis:
+def consistent(d: int, sample: LabeledSample | DenseState) -> XorHypothesis:
     """Return h = F_1 xor ... xor F_d agreeing with every sample label.
 
-    Runs ``consistent_masks`` on the sample's masks through a
-    ``DenseState`` and keeps its closures; the hypothesis's ``dense()`` is
-    the table the kernel returns, and level i is taken as the minimal
-    sample points of closure i when the levels are first read.  The output
-    always has exactly d levels; trailing all-zero levels are kept so the
-    hypothesis shape is stable, and evaluation ignores them.
+    Fits a ``DenseState`` of degree d: the sample itself when it is one,
+    usually by one closure instead of d rounds, else a state built from
+    the sample's masks.  The output copies its closures: ``dense()`` is
+    their XOR, and level i is taken as the minimal sample points of
+    closure i when the levels are first read.  It always has exactly d
+    levels; trailing all-zero levels are kept so the shape is stable, and
+    evaluation ignores them.
 
     Raises InconsistentSampleError when no d-monotone function fits the
     sample, naming a point the output would misclassify.
     """
-    return DenseState(sample.lattice, d, sample.s0, sample.s1).hypothesis()
+    if not isinstance(sample, DenseState):
+        sample = DenseState(sample.lattice, d, sample.s0, sample.s1)
+    elif sample.d != d:
+        raise ValueError(f"the state was built for degree {sample.d}, not {d}")
+    sample.fit()
+    return XorHypothesis.from_closures(
+        sample.lattice, sample.closures, sample.s0 | sample.s1, sample.table
+    )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from typing import Sequence
 
 from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis, strict_decompose
@@ -202,11 +201,7 @@ _RETRY_BUDGET = 1000
 
 
 def _distinct_draws(rng: random.Random, stop: int, k: int) -> tuple[int, ...]:
-    """k distinct draws from range(1, stop) by ``Random.sample``'s rejection loop.
-
-    Once the range outgrows that loop's selection set, this draws what
-    ``rng.sample(range(1, stop), k)`` draws, but it needs no ``len`` of it.
-    """
+    """k distinct draws from range(1, stop) as ``Random.sample`` makes them on large ranges."""
     picks: dict[int, None] = {}  # kept in draw order
     while len(picks) < k:
         picks[rng.randrange(1, stop)] = None
@@ -221,9 +216,9 @@ def _random_antichain(rng: random.Random, lat: CubeLattice, size: int) -> Monoto
             f"cannot place {size} incomparable points in {lat.describe()}"
         )
     for _ in range(_RETRY_BUDGET):
-        if lat.size - 1 <= sys.maxsize:
+        try:
             picks = tuple(rng.sample(range(1, lat.size), size))
-        else:  # the range is too long for ``len``, so ``rng.sample`` fails
+        except OverflowError:  # ``len`` of the range fails before any draw
             picks = _distinct_draws(rng, lat.size, size)
         # the constructor's sparse check rejects draws with a comparable pair
         try:

@@ -150,13 +150,11 @@ class CubeLattice(Lattice):
 
     def immediate_predecessors(self, a: int) -> tuple[int, ...]:
         self.check_element(a)
-        # peel the set bits high first: clearing a higher bit yields a
-        # smaller word, so the output ascends
+        # peel set bits high first: clearing a higher bit gives a smaller word
         preds, rest = [], a
         while rest:
-            bit = 1 << rest.bit_length() - 1
+            rest ^= (bit := 1 << rest.bit_length() - 1)
             preds.append(a ^ bit)
-            rest ^= bit
         return tuple(preds)
 
     def sigma(self) -> int:

@@ -1,6 +1,6 @@
 """Exact learner from membership and equivalence queries, with query accounting.
 
-The learner proposes hypotheses from a ``DenseState`` it grows, walks every
+The learner proposes hypotheses built by ``consistent``, walks every
 counterexample down to a local minimal point of disagreement, and stops at
 the first YES.  Counters live on the oracles; the stats object additionally
 tracks counterexamples, the worst descent, and the bound values they are
@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .boolfn import ComposedTarget, DenseFunction, MonotoneDNF, Representation, XorHypothesis
-from .consistent import DenseState
+from .boolfn import ComposedTarget, MonotoneDNF, Representation, XorHypothesis
+from .consistent import DenseState, consistent
 from .errors import DegreeTooSmallError, InconsistentSampleError, InternalError
 from .lattice import Lattice, mask_elements
 
@@ -177,11 +177,12 @@ def learn(
     Starts from the constant-0 hypothesis, and per counterexample: infer
     the target's value there (the oracle guarantees disagreement, so no
     membership query is spent), descend to a local minimal disagreement,
-    and file that point under its label in the run's ``DenseState``.  The
-    sample grew by one point, so the state usually extends one level's
-    up-closure by that point instead of running d rounds.  Each query and
-    each descent reads the state's truth table, and the returned
-    hypothesis derives its levels only when the caller reads them.
+    file that point under its label in the run's ``DenseState``, and
+    rebuild the hypothesis with ``consistent`` on that state.  The sample
+    grew by one point, so the state usually extends one level's up-closure
+    by that point instead of running d rounds.  Each query and each
+    descent reads the hypothesis's truth table, and the levels are derived
+    only when the caller reads them.
     Membership answers are memoized per run, so the raw inspection count
     of a descent can exceed the real queries it costs.
 
@@ -196,20 +197,20 @@ def learn(
         stats.mq_bound = stats.sigma * bound
 
     state = DenseState(lattice, d)
+    h = consistent(d, state)
     cache: dict[int, int] = {}
 
     while True:
-        hd = DenseFunction(lattice, state.table)
-        cex = eq.query(hd)
+        cex = eq.query(h)
         stats.eq_used = eq.eq_count
         stats.mq_used = mq.mq_count
         if cex is None:
             stats.x0 = tuple(mask_elements(state.s0))
             stats.x1 = tuple(mask_elements(state.s1))
-            return state.hypothesis(), stats
+            return h, stats
         stats.counterexamples += 1
-        inferred = 1 - (hd.mask >> cex & 1)
-        result = descend_to_local_min(lattice, cex, hd, mq, value=inferred, _cache=cache)
+        inferred = 1 - (h.dense().mask >> cex & 1)
+        result = descend_to_local_min(lattice, cex, h, mq, value=inferred, _cache=cache)
         stats.max_descent_inspections = max(
             stats.max_descent_inspections, result.inspections
         )
@@ -228,9 +229,10 @@ def learn(
                 f"descent settled on {lattice.element_name(result.element)}, "
                 "which is already in the sample"
             )
+        state.add(result.element, result.value)
         started = time.perf_counter()
         try:
-            state.add(result.element, result.value)
+            h = consistent(d, state)
         except InconsistentSampleError as exc:
             raise DegreeTooSmallError(
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point

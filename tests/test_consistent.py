@@ -263,12 +263,9 @@ def outcome(d, sample):
 
 
 def add_outcome(state, q, label):
-    """``outcome`` of the state after ``state.add(q, label)``."""
-    try:
-        state.add(q, label)
-    except InconsistentSampleError as exc:
-        return ("error", exc.point, str(exc))
-    return [lv.minimals for lv in state.hypothesis().levels], state.table
+    """``outcome`` of ``consistent`` on the state after ``state.add(q, label)``."""
+    state.add(q, label)
+    return outcome(state.d, state)
 
 
 def draw_labels(data, lat, d):
@@ -314,7 +311,7 @@ def state_of(lat, d, x0, x1):
 
 
 class TestOnePointExtension:
-    """``DenseState.add`` against ``consistent``, the full rounds and brute force."""
+    """``DenseState.add`` and its fit against the full rounds and brute force."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -334,8 +331,9 @@ class TestOnePointExtension:
             levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
             if violated is not None:
                 assert got[:2] == ("error", violated)
-                # a failed add leaves the state as it was
+                # a failed fit leaves the state as it was before the add
                 assert (state.s0, state.s1, state.closures, state.table) == before
+                assert outcome(d, state) == outcome(d, labeled(lat, order[:k], labels))
                 return
             assert got == ([tuple(lv) for lv in levels], elements_mask(table))
             assert (state.s0, state.s1) == (sample.s0, sample.s1)
@@ -344,27 +342,45 @@ class TestOnePointExtension:
 
     def test_earlier_hypotheses_stay_as_they_were(self, cube3):
         state = DenseState(cube3, 2)
-        h = state.hypothesis()
-        state.add(0b001, 1)
-        assert h.dense().mask == 0 and [lv.minimals for lv in h.levels] == [(), ()]
-        assert state.hypothesis().dense().mask == cube3.up_closure(0b10)
+        state.add(0b011, 1)
+        h = consistent(2, state)
+        # 001 takes rank 1 too, so closure 1 grows in place to up(001);
+        # h's levels, read only afterwards, must come from its own copy
+        with kernel_runs() as runs:
+            state.add(0b001, 1)
+            grown = consistent(2, state)
+        assert runs == []
+        assert [lv.minimals for lv in grown.levels] == [(0b001,), ()]
+        assert [lv.minimals for lv in h.levels] == [(0b011,), ()]
+        assert h.dense().mask == cube3.up_closure(1 << 0b011)
+
+    def test_a_second_add_fits_the_first_point(self, cube3):
+        state = DenseState(cube3, 2)
+        state.add(0b011, 1)
+        assert (state.s0, state.s1, state.table) == (0, 0, 0)
+        state.add(0b001, 0)
+        assert state.s1 == 1 << 0b011 and state.s0 == 0
+        assert outcome(2, state) == outcome(2, sample_of(cube3, {0b001}, {0b011}))
+
+    def test_state_of_another_degree_is_rejected(self, cube3):
+        with pytest.raises(ValueError, match="built for degree 2, not 3"):
+            consistent(3, DenseState(cube3, 2))
 
     def test_point_above_a_lower_rank_falls_back(self, cube2):
         # 11 is a negative of rank 0; the positive 01 below it takes rank 1
         # and lifts 11 to rank 2, which only the full rounds see
         state = state_of(cube2, 2, {0b11}, ())
         with kernel_runs() as runs:
-            state.add(0b01, 1)
+            got = add_outcome(state, 0b01, 1)
         assert runs == [0b1010]
-        assert [lv.minimals for lv in state.hypothesis().levels] == [(0b01,), (0b11,)]
+        assert got[0] == [(0b01,), (0b11,)]
 
     def test_counterexample_extends_one_closure(self, cube3):
         state = state_of(cube3, 2, (), {0b001})
         with kernel_runs() as runs:
-            state.add(0b011, 0)
+            got = add_outcome(state, 0b011, 0)
         assert runs == []
-        assert [lv.minimals for lv in state.hypothesis().levels] == [(0b001,), (0b011,)]
-        assert state.table == 0b00100010
+        assert got == ([(0b001,), (0b011,)], 0b00100010)
 
     def test_rank_beyond_d_raises_as_the_full_rounds(self, cube3):
         state = state_of(cube3, 1, (), {0b001})
