@@ -252,27 +252,22 @@ def monotone_closure(f: Representation) -> MonotoneDNF:
     return MonotoneDNF.from_mask(fd.lattice, fd.lattice.minimal(fd.mask))
 
 
-def strict_decompose(f: Representation, cap: int | None = None) -> XorHypothesis:
+def strict_decompose(f: Representation) -> XorHypothesis:
     """Peel monotone closures off f until nothing remains.
 
     Each level is the closure of the current residue and the next residue
     is their XOR.  The XOR of all levels reproduces f exactly; consecutive
     levels strictly shrink and share no minimal elements; the level count
-    is the monotonicity degree.  ``cap`` bounds the level count (default:
-    the element count, which the recurrence can never exceed); hitting it
-    means a bug, not bad input.
+    is the monotonicity degree, which never exceeds the element count;
+    more levels than that mean a bug, not bad input.
     """
     fd = f.dense()
     lat = fd.lattice
-    if cap is None:
-        cap = lat.size
-    if cap < 1:
-        raise ValueError("cap must be positive")
     levels = []
     cur = fd.mask
     while cur:
-        if len(levels) == cap:
-            raise InternalError(f"decomposition did not terminate within {cap} levels")
+        if len(levels) == lat.size:
+            raise InternalError(f"decomposition did not terminate within {lat.size} levels")
         # the minimal elements of cur, keeping the closure for the next residue
         reach = lat.up_closure(cur)
         levels.append(MonotoneDNF.from_mask(lat, lat.minimal(cur, reach)))
@@ -319,9 +314,10 @@ def nested_disjoint_violation(x: XorHypothesis) -> str | None:
     Returns None when every level implies its predecessor, differs from it,
     and shares no minimal element with it; otherwise a one-line reason.
     """
+    tables = [lv.dense().mask for lv in x.levels]
     for i in range(len(x.levels) - 1):
         lo, hi = x.levels[i], x.levels[i + 1]
-        if not implies(hi, lo):
+        if tables[i + 1] & ~tables[i]:
             return f"level {i + 2} does not imply level {i + 1}"
         if hi == lo:
             return f"levels {i + 1} and {i + 2} are identical"

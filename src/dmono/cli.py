@@ -106,6 +106,17 @@ def _check_cap(lattice: Lattice, max_n: int) -> None:
     )
 
 
+def _check_degree(lattice: Lattice, d: int) -> None:
+    """Refuse (exit 1) a ``-d`` outside 1..sigma+1.
+
+    A chain descends from the top by at most sigma covers, so it has at
+    most sigma+1 elements, and a function flips at most once per element.
+    """
+    limit = lattice.sigma() + 1
+    if not 1 <= d <= limit:
+        raise DmonoError(f"-d {d} is outside 1..{limit} (sigma + 1) for {lattice.describe()}")
+
+
 def _load_lattice_spec(spec: str, max_n: int) -> Lattice:
     """The lattice of a ``cube:N`` spec or a lattice file, within the cap."""
     if spec.startswith("cube:"):
@@ -137,6 +148,7 @@ def cmd_learn(args) -> int:
     target, _meta = load_function(args.target)
     lat = target.lattice
     _check_cap(lat, args.max_n)
+    _check_degree(lat, args.d)
     effective_d = args.d
     if isinstance(target, ComposedTarget) and target.outer_at_origin:
         effective_d = args.d + 1
@@ -183,6 +195,7 @@ def cmd_learn(args) -> int:
 
 def cmd_consistent(args) -> int:
     lat = _load_lattice_spec(args.lattice, args.max_n)
+    _check_degree(lat, args.d)
     x0 = frozenset(lat.parse_element(nm) for nm in args.x0 or [])
     x1 = frozenset(lat.parse_element(nm) for nm in args.x1 or [])
     hypothesis = consistent(args.d, LabeledSample(lat, x0, x1))
@@ -204,7 +217,8 @@ def cmd_decompose(args) -> int:
     lat = target.lattice
     _check_cap(lat, args.max_n)
     started = time.perf_counter()
-    xor = strict_decompose(target)
+    table = target.dense()
+    xor = strict_decompose(table)
     wall = time.perf_counter() - started
     record = {
         "command": "decompose",
@@ -213,7 +227,7 @@ def cmd_decompose(args) -> int:
         "degree": len(xor.levels),
         "level_sizes": [lv.size for lv in xor.levels],
         "size_xor_m": xor.size,
-        "roundtrip_ok": xor.dense().mask == target.dense().mask,
+        "roundtrip_ok": xor.dense().mask == table.mask,
         "levels": [_names(lat, lv.minimals) for lv in xor.levels],
         "wall_ms": round(wall * 1000, 3),
     }
@@ -277,10 +291,9 @@ def cmd_family(args) -> int:
 
 def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
-    xor = strict_decompose(target)
-    checks.append(
-        ("decompose-roundtrip", xor.dense().mask == target.dense().mask, "")
-    )
+    table = target.dense()
+    xor = strict_decompose(table)
+    checks.append(("decompose-roundtrip", xor.dense().mask == table.mask, ""))
     violation = nested_disjoint_violation(xor)
     checks.append(("levels-strict", violation is None, violation or ""))
     if isinstance(target, ComposedTarget):
@@ -341,7 +354,7 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
         other, _ = load_function(against)
         same = (
             other.lattice == target.lattice
-            and other.dense().mask == target.dense().mask
+            and other.dense().mask == table.mask
         )
         checks.append(("pointwise-equal", same, f"differs from {against}"))
     return checks
@@ -439,7 +452,8 @@ def main(argv=None) -> int:
         return 3
     except DegreeTooSmallError as exc:
         print(f"dmono: {exc}", file=sys.stderr)
-        print(f"dmono: retry with -d {exc.degree + 1}", file=sys.stderr)
+        # exc.degree is the effective degree, one above -d for a lifted target
+        print(f"dmono: retry with -d {args.d + 1}", file=sys.stderr)
         return 2
     except InconsistentSampleError as exc:
         print(f"dmono: {exc}", file=sys.stderr)

@@ -287,7 +287,7 @@ class ExplicitLattice(Lattice):
             above = 0
             for b in succ[a]:
                 above |= ups[b] ^ (1 << b)
-            up_covers[a] = [b for b in dict.fromkeys(succ[a]) if not above >> b & 1]
+            up_covers[a] = sorted({b for b in succ[a] if not above >> b & 1})
             ups[a] = 1 << a | elements_mask(up_covers[a]) | above
         self._ups = ups
 
@@ -310,15 +310,21 @@ class ExplicitLattice(Lattice):
         # itself the up-set of one element, which is then the join.  Under a
         # top, every pair has one as soon as every two upper covers of a
         # common element do, the implicit bottom included: its upper covers
-        # are the elements with no declared predecessor
+        # are the elements with no declared predecessor.  An error names the
+        # first pair of this sweep that fails
         by_up = self._by_up = {up: a for a, up in enumerate(ups)}
         groups = [[a for a in range(self.size) if not pred[a]]]
         groups += up_covers
         for group in groups:
             for i, x in enumerate(group):
                 for y in group[i + 1 :]:
-                    if ups[x] & ups[y] not in by_up:
-                        raise self._no_join_error(x, y)
+                    common = ups[x] & ups[y]
+                    if common not in by_up:
+                        bounds = [names[c] for c in mask_elements(self.minimal(common, common))]
+                        raise LatticeValidationError(
+                            f"elements {names[x]!r} and {names[y]!r} have no unique "
+                            f"least upper bound (minimal upper bounds: {bounds})"
+                        )
 
         # maximal predecessor sum: the best chain below an element depends
         # only on that element, so one sweep in topological order suffices
@@ -327,24 +333,6 @@ class ExplicitLattice(Lattice):
             if preds[a]:
                 best[a] = len(preds[a]) + max(best[b] for b in preds[a])
         self._sigma = best[self.top]
-
-    def _no_join_error(self, x: int, y: int) -> LatticeValidationError:
-        """Name the first pair by id without a join, else the failed pair x, y."""
-        ups, n = self._ups, self.size
-        a, b = next(
-            (
-                (a, b)
-                for a in range(n)
-                for b in range(a + 1, n)
-                if ups[a] & ups[b] not in self._by_up
-            ),
-            (x, y),
-        )
-        minimal_ubs = [self.names[c] for c in mask_elements(self.minimal(ups[a] & ups[b]))]
-        return LatticeValidationError(
-            f"elements {self.names[a]!r} and {self.names[b]!r} have no unique "
-            f"least upper bound (minimal upper bounds: {minimal_ubs})"
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -54,7 +54,10 @@ def brute_is_lattice(names, covers):
     Ids follow ``names``; ``covers`` are (lower, upper) name pairs, read
     transitively.  Returns ``(True, None)`` when every pair has exactly one
     minimal common upper bound, else ``(False, (a, b, bounds))`` for the
-    first such pair by id with its minimal upper bounds' names in id order.
+    first failing pair in validation's sweep order with its minimal upper
+    bounds' names in id order.  That order walks the covers of the implicit
+    bottom, then the upper covers of each element by id, each group's
+    pairs in id order; the cover-pair lemma says some such pair fails.
     """
     ids = {nm: i for i, nm in enumerate(names)}
     n = len(names)
@@ -67,13 +70,26 @@ def brute_is_lattice(names, covers):
             if grown != above[ids[lo]]:
                 above[ids[lo]] = grown
                 changed = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            common = above[a] & above[b]
-            mins = sorted(c for c in common if not any(u != c and c in above[u] for u in common))
-            if len(mins) != 1:
-                return False, (names[a], names[b], [names[c] for c in mins])
-    return True, None
+
+    def minimal_upper_bounds(a, b):
+        common = above[a] & above[b]
+        return sorted(c for c in common if not any(u != c and c in above[u] for u in common))
+
+    if all(len(minimal_upper_bounds(a, b)) == 1 for a in range(n) for b in range(a + 1, n)):
+        return True, None
+    # covers by brute force: b strictly above a with nothing strictly between
+    upper_covers = [
+        sorted(b for b in above[a] if b != a and not any(b in above[c] for c in above[a] - {a, b}))
+        for a in range(n)
+    ]
+    bottom_covers = [a for a in range(n) if not any(a in above[b] for b in range(n) if b != a)]
+    for group in [bottom_covers] + upper_covers:
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                mins = minimal_upper_bounds(a, b)
+                if len(mins) != 1:
+                    return False, (names[a], names[b], [names[c] for c in mins])
+    raise AssertionError("a pair fails but no two upper covers of a common element do")
 
 
 def sigma_downset_recursion(lat, domain=None):

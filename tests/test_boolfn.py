@@ -293,9 +293,14 @@ class TestStrictDecompose:
     def test_constant_zero(self, cube2):
         assert strict_decompose(DenseFunction(cube2, 0)).levels == ()
 
-    def test_cap_trips_internal_error(self, cube2):
-        with pytest.raises(InternalError):
-            strict_decompose(DenseFunction.from_bits(cube2, "0110"), cap=1)
+    def test_cap_trips_internal_error(self, cube2, monkeypatch):
+        # a closure of nothing never shrinks the residue, so the guard
+        # trips once the levels reach the element count
+        calls = []
+        monkeypatch.setattr(cube2, "up_closure", lambda mask: calls.append(mask) or 0)
+        with pytest.raises(InternalError, match="within 4 levels"):
+            strict_decompose(DenseFunction.from_bits(cube2, "0110"))
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_identity_and_level_shape(self, n):

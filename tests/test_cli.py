@@ -116,7 +116,22 @@ class TestLearn:
     def test_degree_too_small_exits_2(self, capsys, parity_file):
         code, _, err = run_cli(capsys, "learn", str(parity_file), "-d", "1")
         assert code == 2
-        assert "retry with -d 2" in err
+        assert err.endswith("dmono: retry with -d 2\n")
+
+    def test_retry_hint_of_a_lifted_target_is_one_above_d(self, capsys, tmp_path):
+        # tightness(2,2) with its outer table complemented has degree 3: at
+        # -d 1 it runs at degree 2 and fails, and -d 2 (degree 3) succeeds
+        from dmono import ComposedTarget
+
+        base = tightness_family(2, 2)
+        lifted = tmp_path / "lifted.json"
+        save_function(ComposedTarget(base.lattice, base.outer ^ 0b1111, base.inner), lifted)
+        code, _, err = run_cli(capsys, "learn", str(lifted), "-d", "1")
+        assert code == 2
+        assert err.endswith("dmono: retry with -d 2\n")
+        code, out, _ = run_cli(capsys, "learn", str(lifted), "-d", "2")
+        assert code == 0
+        assert record_of(out)["effective_d"] == 3
 
     def test_constant_zero_target(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -239,6 +254,43 @@ class TestConsistentCommand:
         assert "11" in err
 
 
+class TestDegreeRange:
+    # cube:2 has sigma 3, so -d runs from 1 to 4
+    def test_sigma_plus_one_is_accepted(self, capsys, parity_file):
+        code, out, _ = run_cli(capsys, "consistent", "--lattice", "cube:2", "-d", "4", "--x1", "01")
+        assert code == 0
+        assert out == (
+            '{"command":"consistent","lattice":"cube:2","d":4,"x0":[],"x1":["01"],'
+            '"level_sizes":[1,0,0,0],"hypothesis":{"lattice":{"cube":2},"repr":"xor",'
+            '"payload":[["01"],[],[],[]]}}\n'
+        )
+        code, out, _ = run_cli(capsys, "learn", str(parity_file), "-d", "4")
+        assert code == 0
+        rec = record_of(out)
+        assert (rec["effective_d"], rec["counterexamples"]) == (4, 3)
+        assert rec["hypothesis"]["payload"] == [["01", "10"], ["11"], [], []]
+
+    @pytest.mark.parametrize("d", ["0", "5", "1000000"])
+    def test_degree_outside_the_range_writes_nothing(self, capsys, tmp_path, parity_file, d):
+        out_path = tmp_path / "out.jsonl"
+        for argv in (
+            ("consistent", "--lattice", "cube:2", "--x1", "01"),
+            ("learn", str(parity_file)),
+        ):
+            code, out, err = run_cli(capsys, *argv, "-d", d, "--out", str(out_path))
+            assert (code, out) == (1, "")
+            assert err == f"dmono: -d {d} is outside 1..4 (sigma + 1) for cube:2\n"
+        assert not out_path.exists()
+
+    def test_cap_is_checked_first(self, capsys, parity_file):
+        for argv in (
+            ("consistent", "--lattice", "cube:2", "--x1", "01"),
+            ("learn", str(parity_file)),
+        ):
+            code, out, _ = run_cli(capsys, *argv, "-d", "0", "--max-n", "1")
+            assert (code, out) == (3, "")
+
+
 class TestDegreeCommand:
     def test_degree(self, capsys, parity_file):
         code, out, _ = run_cli(capsys, "degree", str(parity_file))
@@ -282,6 +334,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(other), "--against", str(parity_file))
         assert code == 1
         assert any(ln.startswith("FAIL") and "pointwise-equal" in ln for ln in out.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv, tables",
+        [(("decompose",), 1), (("verify",), 1), (("verify", "--against", "FILE"), 2)],
+    )
+    def test_decompose_and_verify_build_the_target_table_once(
+        self, capsys, tmp_path, monkeypatch, argv, tables
+    ):
+        # with --against, the other file's table is the second one built
+        from dmono import ComposedTarget
+
+        path = tmp_path / "t44.json"
+        save_function(tightness_family(4, 4), path, meta={"family": "tightness", "d": 4, "t": 4})
+        calls = []
+        dense = ComposedTarget.dense
+        monkeypatch.setattr(ComposedTarget, "dense", lambda f: calls.append(f) or dense(f))
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        assert run_cli(capsys, *argv, str(path))[0] == 0
+        assert len(calls) == tables
 
 
 class TestSizeCap:

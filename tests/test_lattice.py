@@ -250,6 +250,20 @@ class TestExplicitLattice:
         with pytest.raises(LatticeValidationError, match="'a' and 'b'"):
             ExplicitLattice(names, covers)
 
+    def test_error_names_a_cover_pair_not_the_first_pair_by_id(self):
+        # pp and qq, ids 0 and 1, are the first pair by id without a join
+        # (both lie below c and d), but they cover no common element; the
+        # sweep meets p and q, the upper covers of z, and names them
+        names = ["pp", "qq", "z", "p", "q", "c", "d", "top"]
+        covers = [("z", "p"), ("z", "q"), ("p", "pp"), ("q", "qq")]
+        covers += [(lo, hi) for lo in ("pp", "qq") for hi in ("c", "d")]
+        covers += [("c", "top"), ("d", "top")]
+        ok, failing = brute_is_lattice(names, covers)
+        assert (ok, failing) == (False, ("p", "q", ["c", "d"]))
+        with pytest.raises(LatticeValidationError) as exc:
+            ExplicitLattice(names, covers)
+        assert str(exc.value) == join_error(*failing)
+
     def test_cycle_rejected(self):
         with pytest.raises(LatticeValidationError, match="cycle"):
             ExplicitLattice(["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")])
@@ -301,17 +315,6 @@ class TestExplicitLattice:
             for y in lat.elements():
                 assert lat.join(x, y) == brute_join(lat, x, y)
 
-    def test_failed_cover_pair_is_named_when_no_pair_fails(self, diamond):
-        # the cover-pair lemma says the full scan always finds a failing
-        # pair; were it ever to find none, the failed cover pair is named
-        p, q = diamond.parse_element("p"), diamond.parse_element("q")
-        err = diamond._no_join_error(p, q)
-        assert isinstance(err, LatticeValidationError)
-        assert str(err) == (
-            "elements 'p' and 'q' have no unique least upper bound "
-            "(minimal upper bounds: ['top'])"
-        )
-
     def test_several_bottom_most_elements_allowed(self):
         # p and q both sit directly above the implicit bottom
         lat = ExplicitLattice(["p", "q", "t"], [("p", "t"), ("q", "t")])
@@ -322,6 +325,13 @@ class TestExplicitLattice:
 
 def _quoted(message):
     return re.findall(r"'(\w+)'", message)
+
+
+def join_error(a, b, bounds):
+    return (
+        f"elements {a!r} and {b!r} have no unique least upper bound "
+        f"(minimal upper bounds: {bounds})"
+    )
 
 
 class TestMooreFamilies:
@@ -381,19 +391,16 @@ class TestMooreFamilies:
             ubs = [s for s in sets if s & (a | b) == a | b]
             return {s for s in ubs if not any(t != s and t & s == t for t in ubs)}
 
-        failing = [
-            (i, j)
-            for i in range(len(sets))
-            for j in range(i + 1, len(sets))
-            if len(minimal_upper_bounds(sets[i], sets[j])) > 1
-        ]
-        i, j = failing[0]
         covers = [(names[a], names[b]) for a, b in inclusion_covers(sets)]
-        with pytest.raises(LatticeValidationError, match="no unique least upper bound") as exc:
+        ok, failing = brute_is_lattice(names, covers)
+        assert not ok
+        a, b, bounds = failing
+        ubs = minimal_upper_bounds(sets[names.index(a)], sets[names.index(b)])
+        assert len(ubs) > 1
+        assert bounds == sorted(map(set_name, ubs), key=names.index)
+        with pytest.raises(LatticeValidationError) as exc:
             ExplicitLattice(names, covers)
-        named = _quoted(str(exc.value))
-        assert named[:2] == [names[i], names[j]]
-        assert sorted(named[2:]) == sorted(set_name(s) for s in minimal_upper_bounds(sets[i], sets[j]))
+        assert str(exc.value) == join_error(*failing)
 
 
 def assert_validation_matches_brute(names, covers):
@@ -405,14 +412,10 @@ def assert_validation_matches_brute(names, covers):
             for b in lat.elements():
                 assert lat.join(a, b) == brute_join(lat, a, b)
         return
-    # rejected, naming the first failing pair by id as the all-pairs scan does
+    # rejected, naming the first failing pair of the validation sweep
     with pytest.raises(LatticeValidationError) as exc:
         ExplicitLattice(names, covers)
-    a, b, bounds = failing
-    assert str(exc.value) == (
-        f"elements {a!r} and {b!r} have no unique least upper bound "
-        f"(minimal upper bounds: {bounds})"
-    )
+    assert str(exc.value) == join_error(*failing)
 
 
 class TestValidationAgainstBruteForce:
