@@ -105,7 +105,7 @@ class XorHypothesis:
 
     lattice: Lattice
     # a factory, not a class attribute, so that ``__getattr__`` sees a
-    # ``from_closures`` hypothesis whose levels are not derived yet
+    # ``from_table`` hypothesis whose levels are not derived yet
     levels: tuple[MonotoneDNF, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -115,36 +115,26 @@ class XorHypothesis:
                 raise ValueError("level defined over a different lattice")
 
     @classmethod
-    def from_closures(
-        cls, lattice: Lattice, closures: Sequence[int], points: int, table: int
-    ) -> "XorHypothesis":
-        """Trusted constructor from the levels' up-closures and their truth table.
+    def from_table(cls, lattice: Lattice, table: int, d: int) -> "XorHypothesis":
+        """Trusted constructor from the truth table of a d-monotone function.
 
-        ``points`` must hold every minimal element of every closure (the
-        sample's points, as ``consistent`` passes them), and ``table`` must
-        be the XOR of the closures; ``dense()`` reads it instead of
-        recomputing them.  Level i is the minimal elements of closure i,
-        found among ``points`` when ``levels`` is first read, so a learner
-        that only queries the table never derives them.
+        ``dense()`` reads ``table``.  The levels are its strict
+        decomposition padded with empty levels to d, derived when first
+        read, so a learner that only queries the table never derives them.
         """
         h = object.__new__(cls)
         object.__setattr__(h, "lattice", lattice)
-        object.__setattr__(h, "_closures", tuple(closures))
-        object.__setattr__(h, "_points", points)
         object.__setattr__(h, "_dense", DenseFunction(lattice, table))
+        object.__setattr__(h, "_d", d)
         return h
 
     def __getattr__(self, name: str):
-        # reached only while a ``from_closures`` hypothesis has no levels yet
-        closures = self.__dict__.get("_closures")
-        if name != "levels" or closures is None:
+        # reached only while a ``from_table`` hypothesis has no levels yet
+        d = self.__dict__.get("_d")
+        if name != "levels" or d is None:
             raise AttributeError(name)
-        lat, points = self.lattice, self._points
-        # the minimal elements of an up-set are its points without an
-        # immediate predecessor inside it
-        levels = tuple(
-            MonotoneDNF.from_mask(lat, lat.minimal(points & up, up)) for up in closures
-        )
+        levels = strict_decompose(self._dense).levels
+        levels += (MonotoneDNF.from_mask(self.lattice, 0),) * (d - len(levels))
         object.__setattr__(self, "levels", levels)
         return levels
 

@@ -40,7 +40,7 @@ from .families import (
     tightness_dimension,
     tightness_family,
 )
-from .fileio import function_to_doc, load_function
+from .fileio import dumps_function, function_to_doc, load_function
 from .lattice import CubeLattice, Lattice, load_lattice
 from .learner import EquivalenceOracle, MembershipOracle, counterexample_bound, learn
 
@@ -275,7 +275,7 @@ def cmd_family(args) -> int:
         _check_cap(CubeLattice(random_dimension(args.d, sizes, args.n)), args.max_n)
         target = random_composed(args.d, sizes, args.n, args.seed)
         meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": args.seed}
-    doc_text = json.dumps(function_to_doc(target, meta), indent=2) + "\n"
+    doc_text = dumps_function(target, meta)
     if args.out is not None:
         Path(args.out).write_text(doc_text)
         print(
@@ -287,6 +287,18 @@ def cmd_family(args) -> int:
     else:
         sys.stdout.write(doc_text)
     return 0
+
+
+def _tightness_mismatch(lattice: Lattice, meta: dict) -> str | None:
+    """Why a tightness meta cannot describe its target; checked before any prefix level."""
+    for key in ("d", "t"):
+        value = meta.get(key)
+        if type(value) is not int or value < 1:
+            return f"meta {key} is {json.dumps(value)}, not a positive int"
+    n = meta["d"] * meta["t"]
+    if not (isinstance(lattice, CubeLattice) and lattice.n == n):
+        return f"target lies on {lattice.describe()}, not cube:{n}"
+    return None
 
 
 def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
@@ -325,18 +337,18 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
         )
     family = meta.get("family")
     if family == "tightness":
-        d, t = meta["d"], meta["t"]
-        expected = (t + 1) ** d - 1
-        checks.append(
-            ("tightness-size", xor.size == expected, f"{xor.size} != {expected}")
-        )
-        checks.append(
-            (
-                "tightness-levels",
-                list(xor.levels) == list(prefix_levels(d, t).levels),
-                "decomposition differs from the expected prefix levels",
-            )
-        )
+        mismatch = _tightness_mismatch(target.lattice, meta)
+        if mismatch is None:
+            d, t = meta["d"], meta["t"]
+            expected = (t + 1) ** d - 1
+            size_ok, size_detail = xor.size == expected, f"{xor.size} != {expected}"
+            levels_ok = list(xor.levels) == list(prefix_levels(d, t).levels)
+            levels_detail = "decomposition differs from the expected prefix levels"
+        else:
+            size_ok = levels_ok = False
+            size_detail = levels_detail = mismatch
+        checks.append(("tightness-size", size_ok, size_detail))
+        checks.append(("tightness-levels", levels_ok, levels_detail))
     elif family == "takimoto":
         blocks = takimoto_blocks(target)
         count = 1

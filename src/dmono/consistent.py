@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .boolfn import XorHypothesis
-from .errors import InconsistentSampleError, InvalidSampleError
+from .errors import InconsistentSampleError, InternalError, InvalidSampleError
 from .lattice import Lattice, elements_mask, mask_elements
 
 
@@ -112,12 +112,16 @@ class DenseState:
         point above q already in closure ``rank``, only that closure grows,
         by up(q).  Otherwise the full rounds run on the grown sample.
 
-        Raises InconsistentSampleError as those rounds do, and drops q.
+        Raises InconsistentSampleError as those rounds do, and InternalError
+        when q is already a sample point; either way q is dropped.
         """
         if self._filed is None:
             return
         (q, label), self._filed = self._filed, None
         bit = 1 << q
+        points = self.s0 | self.s1
+        if points & bit:
+            raise InternalError(f"point {self.lattice.element_name(q)} is already in the sample")
         s0, s1 = (self.s0, self.s1 | bit) if label else (self.s0 | bit, self.s1)
         closures = self.closures
         held = sum(1 for up in closures if up & bit)
@@ -128,7 +132,7 @@ class DenseState:
                 old = closures[rank - 1]
                 up = self.lattice.up_closure(bit)
                 fresh = up ^ (up & old)
-            if fresh is None or (self.s0 | self.s1) & fresh:
+            if fresh is None or points & fresh:
                 # rank beyond d, or an old point above q would change its rank
                 self.closures, self.table = consistent_masks(self.lattice, self.d, s0, s1)
             else:
@@ -142,11 +146,10 @@ def consistent(d: int, sample: LabeledSample | DenseState) -> XorHypothesis:
 
     Fits a ``DenseState`` of degree d: the sample itself when it is one,
     usually by one closure instead of d rounds, else a state built from
-    the sample's masks.  The output copies its closures: ``dense()`` is
-    their XOR, and level i is taken as the minimal sample points of
-    closure i when the levels are first read.  It always has exactly d
-    levels; trailing all-zero levels are kept so the shape is stable, and
-    evaluation ignores them.
+    the sample's masks.  The output keeps only the state's table and d;
+    its levels are the table's strict decomposition (a minimal element of
+    closure i never lies in closure i+1), padded with all-zero levels to
+    exactly d so the shape is stable; evaluation ignores them.
 
     Raises InconsistentSampleError when no d-monotone function fits the
     sample, naming a point the output would misclassify.
@@ -156,6 +159,4 @@ def consistent(d: int, sample: LabeledSample | DenseState) -> XorHypothesis:
     elif sample.d != d:
         raise ValueError(f"the state was built for degree {sample.d}, not {d}")
     sample.fit()
-    return XorHypothesis.from_closures(
-        sample.lattice, sample.closures, sample.s0 | sample.s1, sample.table
-    )
+    return XorHypothesis.from_table(sample.lattice, sample.table, d)

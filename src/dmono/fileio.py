@@ -95,7 +95,9 @@ def doc_to_function(doc, base_dir: str | Path = ".") -> tuple[Representation, di
     lattice = resolve_lattice(doc["lattice"], base_dir)
     kind = doc["repr"]
     payload = doc["payload"]
-    meta = doc.get("meta") or {}
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FileFormatError("meta must be a JSON object")
     if kind == "dense":
         if not isinstance(payload, str):
             raise FileFormatError("dense payload must be a bit string")

@@ -15,8 +15,8 @@ from typing import Callable
 
 from .boolfn import ComposedTarget, MonotoneDNF, Representation, XorHypothesis
 from .consistent import DenseState, consistent
-from .errors import DegreeTooSmallError, InconsistentSampleError, InternalError
-from .lattice import Lattice, mask_elements
+from .errors import DegreeTooSmallError, InconsistentSampleError
+from .lattice import Lattice
 
 
 class MembershipOracle:
@@ -187,8 +187,9 @@ def learn(
     of a descent can exceed the real queries it costs.
 
     Raises DegreeTooSmallError when the sample proves the target is not
-    d-monotone, and InternalError if a descent settles on a point already
-    in the sample, which a correct run cannot.
+    d-monotone, and InternalError (from the state) if a descent settles on
+    a point already in the sample, which a correct run cannot: every
+    hypothesis agrees with the sample.
     """
     stats = QueryStats(sigma=lattice.sigma())
     bound = counterexample_bound(getattr(eq, "target", None))
@@ -202,11 +203,9 @@ def learn(
 
     while True:
         cex = eq.query(h)
-        stats.eq_used = eq.eq_count
-        stats.mq_used = mq.mq_count
         if cex is None:
-            stats.x0 = tuple(mask_elements(state.s0))
-            stats.x1 = tuple(mask_elements(state.s1))
+            stats.eq_used, stats.mq_used = eq.eq_count, mq.mq_count
+            stats.x0, stats.x1 = tuple(sorted(state.x0)), tuple(sorted(state.x1))
             return h, stats
         stats.counterexamples += 1
         inferred = 1 - (h.dense().mask >> cex & 1)
@@ -223,12 +222,6 @@ def learn(
                 "inspections": result.inspections,
             }
         )
-        if (state.s0 | state.s1) & (1 << result.element):
-            # every hypothesis agrees with the sample, so this is a bug
-            raise InternalError(
-                f"descent settled on {lattice.element_name(result.element)}, "
-                "which is already in the sample"
-            )
         state.add(result.element, result.value)
         started = time.perf_counter()
         try:

@@ -146,6 +146,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="does not fit"):
             DenseFunction(cube2, 1 << 4)
 
+    def test_composed_target_needs_inner_functions_on_its_lattice(self, cube2, cube3):
+        with pytest.raises(ValueError) as exc:
+            ComposedTarget(cube2, 0b10, ())
+        assert str(exc.value) == "a composed target needs at least one inner function"
+        with pytest.raises(ValueError) as exc:
+            ComposedTarget(cube2, 0b0110, (MonotoneDNF(cube2, (1,)), MonotoneDNF(cube3, (2,))))
+        assert str(exc.value) == "inner function defined over a different lattice"
+
     def test_level_lattice_mismatch(self, cube2, cube3):
         with pytest.raises(ValueError, match="lattice"):
             XorHypothesis(cube2, (MonotoneDNF(cube3, (1,)),))
@@ -168,40 +176,49 @@ class TestFromMask:
                     lat, tuple(mask_elements(mins))
                 )
 
-    @given(st.lists(st.sets(st.integers(0, 63)), max_size=3))
-    def test_xor_from_closures_reads_the_given_table(self, level_points):
+    @given(st.lists(st.sets(st.integers(0, 63)), max_size=3), st.integers(0, 2))
+    def test_xor_from_table_reads_the_given_table(self, draws, pad):
+        # nested closures as the rounds of ``consistent`` build them: each
+        # one after the first is generated by non-minimal points of the last
         lat = CubeLattice(6)
-        closures = [lat.up_closure(elements_mask(p)) for p in level_points]
-        masks = [lat.minimal(elements_mask(p)) for p in level_points]
-        points = elements_mask(set().union(*level_points))
+        closures, allowed = [], (1 << lat.size) - 1
+        for p in draws:
+            up = lat.up_closure(elements_mask(p) & allowed)
+            closures.append(up)
+            allowed = up & ~lat.minimal(up)
         table = 0
         for up in closures:
             table ^= up
-        trusted = XorHypothesis.from_closures(lat, closures, points, table)
-        plain = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in masks))
+        d = len(closures) + pad
+        plain = XorHypothesis(
+            lat,
+            tuple(MonotoneDNF.from_mask(lat, lat.minimal(up)) for up in closures)
+            + (MonotoneDNF(lat),) * pad,
+        )
+        assert copy.deepcopy(XorHypothesis.from_table(lat, table, d)) == plain
+        trusted = XorHypothesis.from_table(lat, table, d)
         assert trusted.dense() == plain.dense() == DenseFunction(lat, table)
         # levels are derived on first read, and read the same afterwards
         assert trusted.levels == plain.levels
         assert trusted == plain and repr(trusted) == repr(plain)
         assert copy.deepcopy(trusted) == plain
 
-    def test_xor_from_closures_dense_computes_no_closure(self, monkeypatch):
+    def test_xor_from_table_dense_computes_no_closure(self, monkeypatch):
         lat = CubeLattice(3)
         # levels {001} and {011}: closures 10101010 and 10001000
-        h = XorHypothesis.from_closures(
-            lat, [0b10101010, 0b10001000], 0b00001010, 0b00100010
-        )
+        h = XorHypothesis.from_table(lat, 0b00100010, 3)
 
         def no_closure(mask):
             raise AssertionError("dense() recomputed a closure")
 
         monkeypatch.setattr(lat, "up_closure", no_closure)
         assert h.dense().mask == 0b00100010
-        assert [lv.minimals for lv in h.levels] == [(0b001,), (0b011,)]
+        monkeypatch.undo()
+        assert [lv.minimals for lv in h.levels] == [(0b001,), (0b011,), ()]
 
     def test_xor_attribute_lookup_is_unchanged(self, cube2):
         assert XorHypothesis(cube2).levels == ()
-        lazy = XorHypothesis.from_closures(cube2, [0b1010], 0b0010, 0b1010)
+        lazy = XorHypothesis.from_table(cube2, 0b1010, 1)
         with pytest.raises(AttributeError):
             lazy.minimals
         assert not hasattr(XorHypothesis(cube2), "minimals")
@@ -505,3 +522,5 @@ class TestStrictShapeRecovery:
             cube2, (MonotoneDNF(cube2, (0b01,)), MonotoneDNF(cube2, (0b10,)))
         )
         assert "imply" in nested_disjoint_violation(not_implied)
+        twice = XorHypothesis(cube2, (MonotoneDNF(cube2, (0b01,)),) * 2)
+        assert nested_disjoint_violation(twice) == "levels 1 and 2 are identical"

@@ -2,11 +2,19 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
-from dmono import DenseFunction, CubeLattice, save_function, tightness_family
+from dmono import (
+    CubeLattice,
+    DenseFunction,
+    MonotoneDNF,
+    XorHypothesis,
+    save_function,
+    tightness_family,
+)
 from dmono.cli import build_parser, main
 
 from conftest import lattice_file_text
@@ -53,6 +61,16 @@ class TestSigma:
         assert code == 1
         assert "'a'" in err and "'b'" in err
 
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("cube:x", "invalid literal for int() with base 10: 'x'"),
+            ("cube:0", "cube dimension must be at least 1"),
+        ],
+    )
+    def test_bad_cube_spec_exits_1(self, capsys, spec, reason):
+        assert run_cli(capsys, "sigma", spec) == (1, "", f"dmono: bad cube spec {spec!r}: {reason}\n")
+
     def test_out_appends_the_number(self, capsys, tmp_path):
         out_path = tmp_path / "sigma.txt"
         for spec in ("cube:3", "cube:4"):
@@ -94,6 +112,11 @@ class TestFamilyAndDecompose:
         code, _, err = run_cli(capsys, "family", "takimoto", "-d", "2")
         assert code == 1
         assert "-t" in err
+
+    @pytest.mark.parametrize("argv", [("--sizes", "2,1"), ("-n", "5"), ()])
+    def test_random_family_needs_sizes_and_n(self, capsys, argv):
+        code, out, err = run_cli(capsys, "family", "random", "-d", "2", *argv)
+        assert (code, out, err) == (1, "", "dmono: random needs --sizes and -n\n")
 
     def test_bad_family_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "family", "takimoto", "-d", "1", "-t", "2")
@@ -353,6 +376,81 @@ class TestVerify:
         argv = [str(path) if arg == "FILE" else arg for arg in argv]
         assert run_cli(capsys, *argv, str(path))[0] == 0
         assert len(calls) == tables
+
+
+def tightness_file_with_meta(capsys, tmp_path, edit):
+    """tightness(2,2) written by ``dmono family``, with ``edit`` applied to its meta."""
+    path = tmp_path / "t.json"
+    run_cli(capsys, "family", "tightness", "-d", "2", "-t", "2", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["meta"] = edit(doc["meta"])
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestVerifyMeta:
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda m: {k: v for k, v in m.items() if k != "d"}, "meta d is null, not a positive int"),
+            (lambda m: {**m, "t": "2"}, 'meta t is "2", not a positive int'),
+            (lambda m: {**m, "t": True}, "meta t is true, not a positive int"),
+            (lambda m: {**m, "d": 0}, "meta d is 0, not a positive int"),
+            (lambda m: {**m, "t": 1000000}, "target lies on cube:4, not cube:2000000"),
+            (lambda m: {**m, "d": 1, "t": 2}, "target lies on cube:4, not cube:2"),
+        ],
+        ids=["no-d", "string-t", "bool-t", "zero-d", "huge-t", "other-cube"],
+    )
+    def test_tightness_checks_fail_on_a_meta_the_target_does_not_match(
+        self, capsys, tmp_path, monkeypatch, edit, detail
+    ):
+        import dmono.cli
+
+        def no_prefix_levels(d, t):
+            raise AssertionError("a prefix level was built")
+
+        path = tightness_file_with_meta(capsys, tmp_path, edit)
+        monkeypatch.setattr(dmono.cli, "prefix_levels", no_prefix_levels)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert time.perf_counter() - started < 1
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-2:] == [
+            f"FAIL {path} tightness-size ({detail})",
+            f"FAIL {path} tightness-levels ({detail})",
+        ]
+        assert all(ln.startswith("PASS") for ln in out.splitlines()[:-2])
+
+    @pytest.mark.parametrize("meta", [[], ["family", "tightness"], None])
+    def test_meta_that_is_not_an_object_is_a_file_error(self, capsys, tmp_path, meta):
+        path = tightness_file_with_meta(capsys, tmp_path, lambda m: meta)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert time.perf_counter() - started < 1
+        assert (code, out, err) == (1, "", f"dmono: {path}: meta must be a JSON object\n")
+
+
+class TestVerifyPaths:
+    def test_directory_verifies_its_sorted_json_files(self, capsys, tmp_path):
+        for name in ("b.json", "a.json"):
+            save_function(DenseFunction(CubeLattice(2), 0b0110), tmp_path / name)
+        (tmp_path / "notes.txt").write_text("not a function file")
+        code, out, err = run_cli(capsys, "verify", str(tmp_path))
+        assert (code, err) == (0, "")
+        files = [ln.split()[1] for ln in out.splitlines()]
+        assert files == [str(tmp_path / "a.json")] * 2 + [str(tmp_path / "b.json")] * 2
+
+    def test_empty_directory_is_nothing_to_verify(self, capsys, tmp_path):
+        assert run_cli(capsys, "verify", str(tmp_path)) == (1, "", "dmono: nothing to verify\n")
+
+    def test_trailing_empty_levels_are_recovered(self, capsys, tmp_path):
+        lat = CubeLattice(2)
+        path = tmp_path / "h.json"
+        levels = (MonotoneDNF(lat, (1, 2)), MonotoneDNF(lat, (3,)), MonotoneDNF(lat))
+        save_function(XorHypothesis(lat, levels), path)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert f"PASS {path} strict-recovery" in out.splitlines()
 
 
 class TestSizeCap:

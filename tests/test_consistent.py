@@ -236,6 +236,27 @@ class TestKernel:
         assert levels == brute_strict_levels(lat, f.evaluate)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_levels_are_the_strict_decomposition_of_the_table(self, data):
+        # a minimal element of closure i never lies in closure i+1, so
+        # decomposing the table peels off exactly the rounds' levels
+        lat = data.draw(KERNEL_LATTICES)
+        d = data.draw(st.integers(1, 3))
+        points = data.draw(st.integers(0, (1 << lat.size) - 1))
+        labels = 0
+        for _ in range(d):
+            labels ^= lat.up_closure(data.draw(st.integers(0, (1 << lat.size) - 1)))
+        x0, x1 = mask_elements(points & ~labels), mask_elements(points & labels)
+        h = consistent(d, sample_of(lat, x0, x1))
+        decomposed = strict_decompose(DenseFunction(lat, h.dense().mask)).levels
+        assert len(decomposed) <= d
+        assert h.levels == decomposed + (MonotoneDNF(lat),) * (d - len(decomposed))
+        levels, _, violated = brute_consistent_rounds(lat, d, x0, x1)
+        assert violated is None
+        assert [list(lv.minimals) for lv in h.levels] == levels
+
+
 def assert_kernel_matches_brute(lat, d, s0, s1):
     x0, x1 = mask_elements(s0), mask_elements(s1)
     levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
@@ -245,9 +266,8 @@ def assert_kernel_matches_brute(lat, d, s0, s1):
         assert exc.value.point == violated
         return
     closures, got_table = consistent_masks(lat, d, s0, s1)
-    # levels as the hypothesis derives them: the sample points minimal in
-    # each closure, which is the up-set of its level
-    got_levels = [lat.minimal((s0 | s1) & up, up) for up in closures]
+    # level i is the minimal elements of closure i, which is its up-set
+    got_levels = [lat.minimal(up) for up in closures]
     assert [mask_elements(m) for m in got_levels] == levels
     assert [set(mask_elements(up)) for up in closures] == [brute_up_set(lat, lv) for lv in levels]
     assert set(mask_elements(got_table)) == table
@@ -345,7 +365,7 @@ class TestOnePointExtension:
         state.add(0b011, 1)
         h = consistent(2, state)
         # 001 takes rank 1 too, so closure 1 grows in place to up(001);
-        # h's levels, read only afterwards, must come from its own copy
+        # h's levels, read only afterwards, must come from its own table
         with kernel_runs() as runs:
             state.add(0b001, 1)
             grown = consistent(2, state)
@@ -361,6 +381,15 @@ class TestOnePointExtension:
         state.add(0b001, 0)
         assert state.s1 == 1 << 0b011 and state.s0 == 0
         assert outcome(2, state) == outcome(2, sample_of(cube3, {0b001}, {0b011}))
+
+    def test_a_sample_point_is_refused_and_dropped(self, cube3):
+        state = state_of(cube3, 2, {0b011}, {0b001})
+        before = (state.s0, state.s1, list(state.closures), state.table)
+        state.add(0b011, 1)
+        with pytest.raises(InternalError, match="^point 011 is already in the sample$"):
+            consistent(2, state)
+        assert (state.s0, state.s1, state.closures, state.table) == before
+        assert outcome(2, state) == outcome(2, sample_of(cube3, {0b011}, {0b001}))
 
     def test_state_of_another_degree_is_rejected(self, cube3):
         with pytest.raises(ValueError, match="built for degree 2, not 3"):

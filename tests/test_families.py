@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dmono import (
+    ComposedTarget,
     CubeLattice,
     chain_witness_check,
     implies,
@@ -18,7 +19,7 @@ from dmono import (
 )
 from dmono.boolfn import MonotoneDNF, XorHypothesis
 from dmono.errors import GenerationError
-from dmono.families import _distinct_draws
+from dmono.families import _distinct_draws, takimoto_blocks
 
 
 class TestTightness:
@@ -52,6 +53,12 @@ class TestTightness:
 
 
 class TestPrefixLevels:
+    @pytest.mark.parametrize("d, t", [(0, 1), (1, 0), (-1, 2)])
+    def test_parameter_validation(self, d, t):
+        with pytest.raises(ValueError) as exc:
+            prefix_levels(d, t)
+        assert str(exc.value) == "prefix levels need d >= 1 and t >= 1"
+
     def test_minimal_parameters(self):
         assert [lv.minimals for lv in prefix_levels(2, 1).levels] == [(1, 2), (3,)]
 
@@ -123,6 +130,31 @@ class TestTakimoto:
             chain_witness_check(tk, (0, 2))
         with pytest.raises(ValueError):
             chain_witness_check(tk, (0,))
+
+    def test_blocks_need_single_variable_minterms(self):
+        lat = CubeLattice(3)
+        target = ComposedTarget(lat, parity_table(2), (MonotoneDNF(lat, (0b011,)), MonotoneDNF(lat, (0b001,))))
+        with pytest.raises(ValueError) as exc:
+            takimoto_blocks(target)
+        assert str(exc.value) == "target minterms are not single variables"
+
+    @pytest.mark.parametrize("inner", [((0b001,), (0b001, 0b010)), ((0b001,), (0b001,))])
+    def test_blocks_need_strictly_nested_inner_functions(self, inner):
+        lat = CubeLattice(3)
+        target = ComposedTarget(lat, parity_table(2), tuple(MonotoneDNF(lat, g) for g in inner))
+        with pytest.raises(ValueError) as exc:
+            takimoto_blocks(target)
+        assert str(exc.value) == "target blocks are not nested"
+
+    def test_failing_chain_without_given_levels(self):
+        # g1 = x0 | x1 and g2 = x1 are nested, but the outer table reads g1
+        # alone, so the target is 1-monotone and the chain's second element
+        # has no level to be minimal in
+        lat = CubeLattice(2)
+        target = ComposedTarget(lat, 0b1010, (MonotoneDNF(lat, (0b01, 0b10)), MonotoneDNF(lat, (0b10,))))
+        assert takimoto_blocks(target) == [[0], [1]]
+        assert not chain_witness_check(target, (0, 0))
+        assert chain_witness_check(target, (0, 0), levels=prefix_levels(2, 1))
 
     def test_uneven_variant(self):
         tk = takimoto_family(3, 2, uneven=True)

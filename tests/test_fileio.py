@@ -165,3 +165,62 @@ class TestErrors:
         g = MonotoneDNF(diamond, (diamond.parse_element("p"),))
         with pytest.raises(FileFormatError, match="memory"):
             dumps_function(g)
+
+
+def rejection(text):
+    """The message of the FileFormatError that loading ``text`` raises."""
+    with pytest.raises(FileFormatError) as exc:
+        loads_function(text)
+    return str(exc.value)
+
+
+def doc_text(lattice=None, kind="dense", payload="0110", **extra):
+    doc = {"lattice": {"cube": 2} if lattice is None else lattice, "repr": kind}
+    return json.dumps({**doc, "payload": payload, **extra})
+
+
+class TestBoundaryRejections:
+    def test_document_not_an_object(self):
+        assert rejection("[1, 2]") == "function document must be a JSON object"
+
+    @pytest.mark.parametrize("desc", [5, [2], {"cube": 2, "file": "x.lat"}])
+    def test_lattice_descriptor_not_a_one_key_object(self, desc):
+        assert rejection(doc_text(lattice=desc)) == f"bad lattice descriptor {desc!r}"
+
+    @pytest.mark.parametrize("n", [0, -1, "2", 2.0, None])
+    def test_bad_cube_dimension(self, n):
+        assert rejection(doc_text(lattice={"cube": n})) == f"bad cube dimension {n!r}"
+
+    def test_mdnf_payload_not_a_list(self):
+        text = doc_text(kind="mdnf", payload="01")
+        assert rejection(text) == "mdnf payload must be a list, got '01'"
+
+    def test_dense_payload_not_a_string(self):
+        assert rejection(doc_text(payload=[0, 1, 1, 0])) == "dense payload must be a bit string"
+
+    def test_xor_payload_not_a_list(self):
+        text = doc_text(kind="xor", payload={"levels": []})
+        assert rejection(text) == "xor payload must be a list of mdnf payloads"
+
+    @pytest.mark.parametrize(
+        "payload", [{"F": "0110", "g": [["01"], ["10"]], "d": 2}, {"F": "0110"}, ["0110"]]
+    )
+    def test_composed_payload_keys(self, payload):
+        text = doc_text(kind="composed", payload=payload)
+        assert rejection(text) == 'composed payload must be {"F": bits, "g": [mdnf...]}'
+
+    @pytest.mark.parametrize("inner", [[], "01", None])
+    def test_composed_payload_without_inner_functions(self, inner):
+        text = doc_text(kind="composed", payload={"F": "01", "g": inner})
+        assert rejection(text) == "composed payload needs at least one inner function"
+
+    @pytest.mark.parametrize("meta", [[], [1], None, "tightness", 3])
+    def test_meta_not_an_object(self, meta):
+        assert rejection(doc_text(meta=meta)) == "meta must be a JSON object"
+
+    def test_load_function_prefixes_the_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(doc_text(payload="01"))
+        with pytest.raises(FileFormatError) as exc:
+            load_function(path)
+        assert str(exc.value) == f"{path}: dense payload must be exactly 4 characters of 0/1"

@@ -507,6 +507,39 @@ class TestLatticeFiles:
             load_lattice(path)
 
 
+class TestBoundaryRejections:
+    @pytest.mark.parametrize(
+        "names, covers, message",
+        [
+            ([], [], "a lattice needs at least one element"),
+            (["a"], [("a", "b")], "cover names unknown element 'b'"),
+            (["a", "b"], [("c", "b")], "cover names unknown element 'c'"),
+            (["a", "b"], [("a", "b"), ("b", "b")], "cover relates 'b' to itself"),
+        ],
+    )
+    def test_explicit_lattice_constructor(self, names, covers, message):
+        with pytest.raises(LatticeValidationError) as exc:
+            ExplicitLattice(names, covers)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("lattice v1\nelem a b\n", "<lattice>:2: elem takes exactly one name"),
+            ("lattice v1\nelem\n", "<lattice>:2: elem takes exactly one name"),
+            ("lattice v1\nelem a\nelem b\ncover a\n", "<lattice>:4: cover takes exactly two names"),
+            ("lattice v1\nelem a\ncover a a a\n", "<lattice>:3: cover takes exactly two names"),
+            ("lattice v1\nelem a\n# b\n\nelem a\n", "<lattice>:5: duplicate element 'a'"),
+            ("# a comment\n\n  # another\n", "<lattice>: empty file, expected 'lattice v1' header"),
+            ("", "<lattice>: empty file, expected 'lattice v1' header"),
+        ],
+    )
+    def test_lattice_file_lines(self, text, message):
+        with pytest.raises(LatticeValidationError) as exc:
+            parse_lattice(text)
+        assert str(exc.value) == message
+
+
 class TestMaskHelpers:
     @given(st.integers(0, 2**40 - 1))
     def test_roundtrip(self, mask):

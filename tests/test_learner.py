@@ -13,6 +13,7 @@ from dmono import (
     LabeledSample,
     MembershipOracle,
     MonotoneDNF,
+    QueryStats,
     XorHypothesis,
     consistent,
     counterexample_bound,
@@ -463,6 +464,23 @@ class TestAgainstReferenceLoop:
         h, stats, _ = learn_counting_fallbacks(degree, target, ORDERS[order])
         assert h.dense().mask == target.dense().mask
         assert stats.max_descent_inspections <= lat.sigma()
+
+
+class TestQueryStats:
+    @pytest.mark.parametrize(
+        "counts, within",
+        [
+            ({}, True),
+            ({"counterexamples": 3, "mq_used": 12}, True),
+            ({"counterexamples": 4}, False),
+            ({"mq_used": 13}, False),
+        ],
+    )
+    def test_within_bounds_fails_on_either_bound(self, counts, within):
+        assert QueryStats(eq_bound=3, mq_bound=12, **counts).within_bounds() is within
+
+    def test_absent_bounds_never_fail(self):
+        assert QueryStats(counterexamples=10**6, mq_used=10**6).within_bounds()
 
 
 class TestBoundHelper:
