@@ -14,7 +14,7 @@ from .boolfn import (
     nested_disjoint_violation,
     strict_decompose,
 )
-from .consistent import LabeledSample, consistent
+from .consistent import DenseState, consistent
 from .families import (
     chain_witness_check,
     parity_table,
@@ -47,10 +47,10 @@ __all__ = [
     "ComposedTarget",
     "CubeLattice",
     "DenseFunction",
+    "DenseState",
     "DescentResult",
     "EquivalenceOracle",
     "ExplicitLattice",
-    "LabeledSample",
     "Lattice",
     "MembershipOracle",
     "MonotoneDNF",

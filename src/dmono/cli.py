@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from .boolfn import (
     nested_disjoint_violation,
     strict_decompose,
 )
-from .consistent import LabeledSample, consistent
+from .consistent import DenseState, consistent
 from .errors import (
     DegreeTooSmallError,
     DmonoError,
@@ -198,7 +199,7 @@ def cmd_consistent(args) -> int:
     _check_degree(lat, args.d)
     x0 = frozenset(lat.parse_element(nm) for nm in args.x0 or [])
     x1 = frozenset(lat.parse_element(nm) for nm in args.x1 or [])
-    hypothesis = consistent(args.d, LabeledSample(lat, x0, x1))
+    hypothesis = consistent(args.d, DenseState(lat, args.d, x0, x1))
     record = {
         "command": "consistent",
         "lattice": lat.describe(),
@@ -350,18 +351,23 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
         checks.append(("tightness-size", size_ok, size_detail))
         checks.append(("tightness-levels", levels_ok, levels_detail))
     elif family == "takimoto":
-        blocks = takimoto_blocks(target)
-        count = 1
-        for blk in blocks:
-            count *= len(blk)
-        checks.append(
-            ("separation-size", xor.size >= count, f"{xor.size} < {count}")
-        )
-        witnesses_ok = all(
-            chain_witness_check(target, picks, levels=xor)
-            for picks in itertools.product(*(range(len(blk)) for blk in blocks))
-        )
-        checks.append(("chain-witnesses", witnesses_ok, "a chain witness missed its level"))
+        try:
+            if not isinstance(target, ComposedTarget):
+                raise ValueError("target is not composed")
+            blocks = takimoto_blocks(target)
+        except ValueError as exc:
+            size_ok = witnesses_ok = False
+            size_detail = witnesses_detail = str(exc)
+        else:
+            count = math.prod(len(blk) for blk in blocks)
+            size_ok, size_detail = xor.size >= count, f"{xor.size} < {count}"
+            witnesses_ok = all(
+                chain_witness_check(target, picks, levels=xor)
+                for picks in itertools.product(*(range(len(blk)) for blk in blocks))
+            )
+            witnesses_detail = "a chain witness missed its level"
+        checks.append(("separation-size", size_ok, size_detail))
+        checks.append(("chain-witnesses", witnesses_ok, witnesses_detail))
     if against is not None:
         other, _ = load_function(against)
         same = (

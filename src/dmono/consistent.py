@@ -2,48 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .boolfn import XorHypothesis
 from .errors import InconsistentSampleError, InternalError, InvalidSampleError
 from .lattice import Lattice, elements_mask, mask_elements
-
-
-@dataclass(frozen=True, init=False)
-class LabeledSample:
-    """Disjoint negative (x0) and positive (x1) lattice points.
-
-    The points are kept as two dense masks, ``s0`` and ``s1``; the
-    constructor validates every point.
-    """
-
-    lattice: Lattice
-    s0: int
-    s1: int
-
-    def __init__(self, lattice: Lattice, x0: Iterable[int], x1: Iterable[int]):
-        s0 = elements_mask(lattice.check_element(a) for a in x0)
-        s1 = elements_mask(lattice.check_element(a) for a in x1)
-        overlap = s0 & s1
-        if overlap:
-            name = lattice.element_name((overlap & -overlap).bit_length() - 1)
-            raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s1", s1)
-
-    @property
-    def x0(self) -> frozenset[int]:
-        return frozenset(mask_elements(self.s0))
-
-    @property
-    def x1(self) -> frozenset[int]:
-        return frozenset(mask_elements(self.s1))
-
-    @property
-    def points(self) -> frozenset[int]:
-        return frozenset(mask_elements(self.s0 | self.s1))
 
 
 def consistent_masks(lattice: Lattice, d: int, s0: int, s1: int) -> tuple[list[int], int]:
@@ -83,18 +46,33 @@ class DenseState:
 
     ``s0``/``s1`` hold the negative/positive points, ``closures`` the
     up-closures U_1 ⊇ ... ⊇ U_d of ``consistent_masks`` and ``table``
-    their XOR, all dense masks.  ``add`` files one more point and ``fit``
-    joins it, keeping the state equal to the full rounds on the sample.
+    their XOR, all dense masks.  The constructor validates every point of
+    ``x0`` and ``x1`` and rejects a point labeled both ways before it
+    checks d.  ``add`` files one more point and ``fit`` joins it, keeping
+    the state equal to the full rounds on the sample.
     """
 
     __slots__ = ("lattice", "d", "s0", "s1", "closures", "table", "_filed")
-    x0, x1 = LabeledSample.x0, LabeledSample.x1
 
-    def __init__(self, lattice: Lattice, d: int, s0: int = 0, s1: int = 0):
+    def __init__(self, lattice: Lattice, d: int, x0: Iterable[int] = (), x1: Iterable[int] = ()):
+        s0 = elements_mask(lattice.check_element(a) for a in x0)
+        s1 = elements_mask(lattice.check_element(a) for a in x1)
+        overlap = s0 & s1
+        if overlap:
+            name = lattice.element_name((overlap & -overlap).bit_length() - 1)
+            raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
         if d < 1:
             raise ValueError("degree must be at least 1")
         self.lattice, self.d, self.s0, self.s1, self._filed = lattice, d, s0, s1, None
         self.closures, self.table = consistent_masks(lattice, d, s0, s1)
+
+    @property
+    def x0(self) -> tuple[int, ...]:
+        return tuple(mask_elements(self.s0))
+
+    @property
+    def x1(self) -> tuple[int, ...]:
+        return tuple(mask_elements(self.s1))
 
     def add(self, q: int, label: int) -> None:
         """Fit any filed point, then file q, not yet in the sample, under ``label``."""
@@ -141,22 +119,19 @@ class DenseState:
         self.s0, self.s1 = s0, s1
 
 
-def consistent(d: int, sample: LabeledSample | DenseState) -> XorHypothesis:
+def consistent(d: int, state: DenseState) -> XorHypothesis:
     """Return h = F_1 xor ... xor F_d agreeing with every sample label.
 
-    Fits a ``DenseState`` of degree d: the sample itself when it is one,
-    usually by one closure instead of d rounds, else a state built from
-    the sample's masks.  The output keeps only the state's table and d;
-    its levels are the table's strict decomposition (a minimal element of
-    closure i never lies in closure i+1), padded with all-zero levels to
-    exactly d so the shape is stable; evaluation ignores them.
+    Fits the state, of degree d, usually by one closure instead of d
+    rounds.  The output keeps only the state's table and d; its levels
+    are the table's strict decomposition (a minimal element of closure i
+    never lies in closure i+1), padded with all-zero levels to exactly d
+    so the shape is stable; evaluation ignores them.
 
     Raises InconsistentSampleError when no d-monotone function fits the
     sample, naming a point the output would misclassify.
     """
-    if not isinstance(sample, DenseState):
-        sample = DenseState(sample.lattice, d, sample.s0, sample.s1)
-    elif sample.d != d:
-        raise ValueError(f"the state was built for degree {sample.d}, not {d}")
-    sample.fit()
-    return XorHypothesis.from_table(sample.lattice, sample.table, d)
+    if state.d != d:
+        raise ValueError(f"the state was built for degree {state.d}, not {d}")
+    state.fit()
+    return XorHypothesis.from_table(state.lattice, state.table, d)

@@ -123,8 +123,8 @@ def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:
     """Per-block bit positions of a nested (takimoto) target.
 
     Block i holds the variables of g_i that g_{i+1} lacks; raises
-    ValueError when the inner minterms are not single variables or the
-    inner functions are not strictly nested.
+    ValueError when the inner minterms are not single variables or some
+    g_i's variables are not a proper superset of g_{i+1}'s.
     """
     per = []
     for g in target.inner:
@@ -135,13 +135,9 @@ def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:
             bits.add(a.bit_length() - 1)
         per.append(bits)
     per.append(set())
-    blocks = []
-    for i in range(len(per) - 1):
-        blk = sorted(per[i] - per[i + 1])
-        if not blk:
-            raise ValueError("target blocks are not nested")
-        blocks.append(blk)
-    return blocks
+    if not all(outer > inner for outer, inner in zip(per, per[1:])):
+        raise ValueError("target blocks are not nested")
+    return [sorted(outer - inner) for outer, inner in zip(per, per[1:])]
 
 
 def chain_witness_check(

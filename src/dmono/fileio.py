@@ -37,10 +37,12 @@ def resolve_lattice(desc, base_dir: str | Path = ".") -> Lattice:
         raise FileFormatError(f"bad lattice descriptor {desc!r}")
     if "cube" in desc:
         n = desc["cube"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise FileFormatError(f"bad cube dimension {n!r}")
         return CubeLattice(n)
     if "file" in desc:
+        if not isinstance(desc["file"], str):
+            raise FileFormatError(f"bad lattice file path {desc['file']!r}")
         path = Path(desc["file"])
         if not path.is_absolute():
             path = Path(base_dir) / path

@@ -205,7 +205,7 @@ def learn(
         cex = eq.query(h)
         if cex is None:
             stats.eq_used, stats.mq_used = eq.eq_count, mq.mq_count
-            stats.x0, stats.x1 = tuple(sorted(state.x0)), tuple(sorted(state.x1))
+            stats.x0, stats.x1 = state.x0, state.x1
             return h, stats
         stats.counterexamples += 1
         inferred = 1 - (h.dense().mask >> cex & 1)

@@ -12,7 +12,7 @@ none of the loop's mask bookkeeping.
 from itertools import permutations, product
 
 from dmono import (
-    LabeledSample,
+    DenseState,
     QueryStats,
     XorHypothesis,
     consistent,
@@ -240,9 +240,9 @@ def join_products(lat, min_sets):
 def reference_learn(d, lattice, mq, eq):
     """The learner's loop on Python point sets, rebuilt by the public ``consistent``.
 
-    Every round validates the whole sample into a ``LabeledSample`` and
-    recomputes the hypothesis's table from its levels rather than reading
-    the one ``consistent`` returns.  Returns the hypothesis and a
+    Every round validates the whole sample into a fresh ``DenseState``,
+    which runs the full rounds, and recomputes the hypothesis's table from
+    its levels rather than reading the one ``consistent`` returns.  Returns the hypothesis and a
     ``QueryStats`` filled as ``learn`` fills it.
     """
     stats = QueryStats(sigma=lattice.sigma())
@@ -251,7 +251,7 @@ def reference_learn(d, lattice, mq, eq):
         stats.eq_bound = bound
         stats.mq_bound = stats.sigma * bound
     x0, x1 = set(), set()
-    h = consistent(d, LabeledSample(lattice, frozenset(), frozenset()))
+    h = consistent(d, DenseState(lattice, d, frozenset(), frozenset()))
     cache = {}
     for _ in range(lattice.size + 1):
         hd = XorHypothesis(lattice, h.levels).dense()
@@ -277,7 +277,7 @@ def reference_learn(d, lattice, mq, eq):
         )
         (x1 if result.value else x0).add(result.element)
         try:
-            h = consistent(d, LabeledSample(lattice, frozenset(x0), frozenset(x1)))
+            h = consistent(d, DenseState(lattice, d, frozenset(x0), frozenset(x1)))
         except InconsistentSampleError as exc:
             raise DegreeTooSmallError(
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point

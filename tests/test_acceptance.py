@@ -16,8 +16,8 @@ from dmono import (
     CubeLattice,
     DenseFunction,
     EquivalenceOracle,
+    DenseState,
     ExplicitLattice,
-    LabeledSample,
     MembershipOracle,
     chain_alternations,
     chain_witness_check,
@@ -176,8 +176,9 @@ def test_criterion_9_consistent_outputs():
         target = random_composed(d, sizes, n, seed=rng.randrange(10**9))
         lat = target.lattice
         points = rng.sample(range(lat.size), rng.randint(1, min(lat.size, 12)))
-        sample = LabeledSample(
+        sample = DenseState(
             lat,
+            d,
             frozenset(x for x in points if not target.evaluate(x)),
             frozenset(x for x in points if target.evaluate(x)),
         )

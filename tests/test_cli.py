@@ -16,6 +16,7 @@ from dmono import (
     tightness_family,
 )
 from dmono.cli import build_parser, main
+from dmono.fileio import function_to_doc
 
 from conftest import lattice_file_text
 
@@ -428,6 +429,73 @@ class TestVerifyMeta:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert time.perf_counter() - started < 1
         assert (code, out, err) == (1, "", f"dmono: {path}: meta must be a JSON object\n")
+
+
+def takimoto_meta_dir(capsys, tmp_path, doc):
+    """A directory holding ``doc`` as a.json and a valid takimoto target as b.json."""
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    run_cli(capsys, "family", "takimoto", "-d", "2", "-t", "2", "--out", str(tmp_path / "b.json"))
+    return tmp_path
+
+
+class TestVerifyTakimotoMeta:
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [
+            (
+                {"lattice": {"cube": 3}, "repr": "mdnf", "payload": ["001"]},
+                "target is not composed",
+            ),
+            (
+                {
+                    "lattice": {"cube": 2},
+                    "repr": "composed",
+                    "payload": {"F": "0110", "g": [["11"], ["01"]]},
+                },
+                "target minterms are not single variables",
+            ),
+            (function_to_doc(tightness_family(2, 2)), "target blocks are not nested"),
+        ],
+        ids=["mdnf", "composite-minterms", "disjoint-blocks"],
+    )
+    def test_takimoto_checks_fail_on_a_target_that_is_not_nested(
+        self, capsys, tmp_path, doc, detail
+    ):
+        bad = tmp_path / "a.json"
+        good = tmp_path / "b.json"
+        takimoto_meta_dir(capsys, tmp_path, {**doc, "meta": {"family": "takimoto"}})
+        code, out, err = run_cli(capsys, "verify", str(tmp_path))
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        bad_lines = [ln for ln in lines if ln.split()[1] == str(bad)]
+        good_lines = [ln for ln in lines if ln.split()[1] == str(good)]
+        assert lines == bad_lines + good_lines
+        assert bad_lines[-2:] == [
+            f"FAIL {bad} separation-size ({detail})",
+            f"FAIL {bad} chain-witnesses ({detail})",
+        ]
+        assert all(ln.startswith("PASS") for ln in bad_lines[:-2])
+        assert all(ln.startswith("PASS") for ln in good_lines)
+        assert {"separation-size", "chain-witnesses"} <= {ln.split()[2] for ln in good_lines}
+
+
+class TestLatticeDescriptor:
+    @pytest.mark.parametrize(
+        "desc, reason",
+        [
+            ({"cube": True}, "bad cube dimension True"),
+            ({"file": 5}, "bad lattice file path 5"),
+            ({"file": None}, "bad lattice file path None"),
+        ],
+        ids=["bool-cube", "int-file", "null-file"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [("degree",), ("verify",), ("decompose",), ("learn", "-d", "1")], ids=lambda a: a[0]
+    )
+    def test_bad_descriptor_is_a_file_error(self, capsys, tmp_path, desc, reason, argv):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"lattice": desc, "repr": "dense", "payload": "01"}))
+        assert run_cli(capsys, *argv, str(path)) == (1, "", f"dmono: {path}: {reason}\n")
 
 
 class TestVerifyPaths:

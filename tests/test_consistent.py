@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from dmono import (
     CubeLattice,
     DenseFunction,
+    DenseState,
     ExplicitLattice,
-    LabeledSample,
     MembershipOracle,
     MonotoneDNF,
     XorHypothesis,
@@ -18,7 +18,7 @@ from dmono import (
     random_composed,
     strict_decompose,
 )
-from dmono.consistent import DenseState, consistent_masks
+from dmono.consistent import consistent_masks
 from dmono.errors import (
     InconsistentSampleError,
     InternalError,
@@ -37,33 +37,40 @@ from conftest import (
 from oracles import brute_consistent_rounds, brute_strict_levels, brute_up_set
 
 
-def sample_of(lat, x0, x1):
-    return LabeledSample(lat, frozenset(x0), frozenset(x1))
-
-
 class TestSample:
     @given(st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
     def test_points_round_trip_through_masks(self, x0, x1):
         x0 -= x1
         lat = CubeLattice(4)
-        sample = sample_of(lat, x0, x1)
-        assert (sample.x0, sample.x1, sample.points) == (x0, x1, x0 | x1)
+        # every labeling of the 4-cube is 5-monotone: its chains have 5 elements
+        sample = DenseState(lat, 5, x0, x1)
+        assert (sample.x0, sample.x1) == (tuple(sorted(x0)), tuple(sorted(x1)))
         assert (sample.s0, sample.s1) == (elements_mask(x0), elements_mask(x1))
+
+    def test_points_read_back_as_ascending_tuples(self, cube3):
+        state = DenseState(cube3, 4, [0b110, 0b001], iter((0b111, 0b010)))
+        assert (state.x0, state.x1) == ((0b001, 0b110), (0b010, 0b111))
+
+    def test_points_are_checked_before_the_degree(self, cube2):
+        with pytest.raises(InvalidElementError):
+            DenseState(cube2, 0, (), {0b100})
+        with pytest.raises(InvalidSampleError, match="^point 01 is labeled both 0 and 1$"):
+            DenseState(cube2, 0, {0b01}, {0b01})
 
 
 class TestWorkedExamples:
     def test_single_positive_point(self, cube2):
-        h = consistent(1, sample_of(cube2, (), {0b01}))
+        h = consistent(1, DenseState(cube2, 1, (), {0b01}))
         assert [lv.minimals for lv in h.levels] == [(0b01,)]
 
     def test_parity_sample(self, cube2):
-        h = consistent(2, sample_of(cube2, {0b11}, {0b01, 0b10}))
+        h = consistent(2, DenseState(cube2, 2, {0b11}, {0b01, 0b10}))
         assert [lv.minimals for lv in h.levels] == [(0b01, 0b10), (0b11,)]
         assert h.evaluate(0b11) == 0
         assert h.evaluate(0b01) == 1 and h.evaluate(0b10) == 1
 
     def test_empty_sample_keeps_d_levels(self, cube2):
-        h = consistent(2, sample_of(cube2, (), ()))
+        h = consistent(2, DenseState(cube2, 2, (), ()))
         assert [lv.minimals for lv in h.levels] == [(), ()]
         assert all(h.evaluate(x) == 0 for x in cube2.elements())
 
@@ -71,21 +78,23 @@ class TestWorkedExamples:
 class TestErrors:
     def test_overlap_rejected(self, cube2):
         with pytest.raises(InvalidSampleError):
-            sample_of(cube2, {0b01}, {0b01})
+            DenseState(cube2, 1, {0b01}, {0b01})
 
     def test_overlap_names_the_lowest_shared_point(self, cube3):
-        with pytest.raises(InvalidSampleError, match="point 011 is labeled both"):
-            sample_of(cube3, {0b101, 0b011, 0b001}, {0b111, 0b101, 0b011})
+        with pytest.raises(InvalidSampleError, match="^point 011 is labeled both 0 and 1$"):
+            DenseState(cube3, 1, {0b101, 0b011, 0b001}, {0b111, 0b101, 0b011})
 
     def test_out_of_lattice_point_rejected(self, cube2):
         with pytest.raises(InvalidElementError):
-            sample_of(cube2, (), {0b100})
+            DenseState(cube2, 1, (), {0b100})
         with pytest.raises(InvalidElementError):
-            sample_of(cube2, {-1}, ())
+            DenseState(cube2, 1, {-1}, ())
+        with pytest.raises(InvalidElementError):
+            DenseState(cube2, 1, {0b01}, {0b01, 0b100})
 
     def test_degree_must_be_positive(self, cube2):
         with pytest.raises(ValueError):
-            consistent(0, sample_of(cube2, (), ()))
+            consistent(0, DenseState(cube2, 0, (), ()))
         with pytest.raises(ValueError, match="at least 1"):
             DenseState(cube2, 0)
         target = MonotoneDNF(cube2, (0b01,))
@@ -95,14 +104,14 @@ class TestErrors:
     def test_unsatisfiable_sample_names_point(self, cube2):
         # x1 xor x2 labels are not monotone-realizable
         with pytest.raises(InconsistentSampleError) as exc:
-            consistent(1, sample_of(cube2, {0b11}, {0b01, 0b10}))
+            consistent(1, DenseState(cube2, 1, {0b11}, {0b01, 0b10}))
         assert exc.value.point == 0b11
         assert "11" in str(exc.value)
 
     def test_violation_names_the_lowest_surviving_point(self, cube3):
         # both negatives lie above the positive 001; the error names 011
         with pytest.raises(InconsistentSampleError) as exc:
-            consistent(1, sample_of(cube3, {0b011, 0b101}, {0b001}))
+            consistent(1, DenseState(cube3, 1, {0b011, 0b101}, {0b001}))
         assert exc.value.point == 0b011
 
 
@@ -118,7 +127,7 @@ class TestProperties:
         points = rng.sample(range(lat.size), min(lat.size, rng.randint(1, 15)))
         x0 = {x for x in points if not target.evaluate(x)}
         x1 = {x for x in points if target.evaluate(x)}
-        return d, lat, sample_of(lat, x0, x1)
+        return d, lat, DenseState(lat, d, x0, x1)
 
     def test_agrees_with_every_label(self):
         rng = random.Random(2024)
@@ -153,7 +162,7 @@ class TestProperties:
         for _ in range(40):
             d, lat, sample = self._random_case(rng)
             h = consistent(d, sample)
-            union = sample.points
+            union = set(sample.x0) | set(sample.x1)
             for lv in h.levels:
                 assert set(lv.minimals) <= union
                 assert lv.size <= len(union)
@@ -191,17 +200,17 @@ class TestKernel:
         lat = data.draw(KERNEL_LATTICES)
         d = data.draw(st.integers(1, 3))
         s0, s1 = draw_sample_masks(data, lat)
-        sample = LabeledSample(lat, frozenset(mask_elements(s0)), frozenset(mask_elements(s1)))
+        x0, x1 = mask_elements(s0), mask_elements(s1)
         try:
             closures, table = consistent_masks(lat, d, s0, s1)
         except InconsistentSampleError as exc:
             with pytest.raises(InconsistentSampleError) as public:
-                consistent(d, sample)
+                consistent(d, DenseState(lat, d, x0, x1))
             assert public.value.point == exc.point
             assert str(public.value) == str(exc)
             assert (s0 | s1) >> exc.point & 1
             return
-        h = consistent(d, sample)
+        h = consistent(d, DenseState(lat, d, x0, x1))
         levels = [lat.minimal(up) for up in closures]
         assert [lv.minimals for lv in h.levels] == [tuple(mask_elements(m)) for m in levels]
         assert h.dense().mask == table
@@ -248,7 +257,7 @@ class TestKernel:
         for _ in range(d):
             labels ^= lat.up_closure(data.draw(st.integers(0, (1 << lat.size) - 1)))
         x0, x1 = mask_elements(points & ~labels), mask_elements(points & labels)
-        h = consistent(d, sample_of(lat, x0, x1))
+        h = consistent(d, DenseState(lat, d, x0, x1))
         decomposed = strict_decompose(DenseFunction(lat, h.dense().mask)).levels
         assert len(decomposed) <= d
         assert h.levels == decomposed + (MonotoneDNF(lat),) * (d - len(decomposed))
@@ -282,6 +291,15 @@ def outcome(d, sample):
     return [lv.minimals for lv in h.levels], h.dense().mask
 
 
+def sample_outcome(lat, d, x0, x1):
+    """``outcome`` of a fresh state holding the sample, which runs the full rounds."""
+    try:
+        state = DenseState(lat, d, x0, x1)
+    except InconsistentSampleError as exc:
+        return ("error", exc.point, str(exc))
+    return outcome(d, state)
+
+
 def add_outcome(state, q, label):
     """``outcome`` of ``consistent`` on the state after ``state.add(q, label)``."""
     state.add(q, label)
@@ -299,10 +317,10 @@ def draw_labels(data, lat, d):
     return table
 
 
-def labeled(lat, points, labels):
-    return LabeledSample(
-        lat, [p for p in points if not labels >> p & 1], [p for p in points if labels >> p & 1]
-    )
+def labeled(points, labels):
+    """The points' negatives and positives under ``labels``, each ascending."""
+    points = sorted(points)
+    return [p for p in points if not labels >> p & 1], [p for p in points if labels >> p & 1]
 
 
 def rule_applies(lat, d, old_points, labels, q):
@@ -325,11 +343,6 @@ def rule_applies(lat, d, old_points, labels, q):
     )
 
 
-def state_of(lat, d, x0, x1):
-    sample = sample_of(lat, x0, x1)
-    return DenseState(lat, d, sample.s0, sample.s1)
-
-
 class TestOnePointExtension:
     """``DenseState.add`` and its fit against the full rounds and brute force."""
 
@@ -342,21 +355,20 @@ class TestOnePointExtension:
         order = data.draw(st.permutations(range(lat.size)))
         state = DenseState(lat, d)
         for k, q in enumerate(order):
-            sample = labeled(lat, order[: k + 1], labels)
+            x0, x1 = labeled(order[: k + 1], labels)
             before = (state.s0, state.s1, list(state.closures), state.table)
             with kernel_runs() as runs:
                 got = add_outcome(state, q, labels >> q & 1)
-            assert got == outcome(d, sample)
-            x0, x1 = mask_elements(sample.s0), mask_elements(sample.s1)
+            assert got == sample_outcome(lat, d, x0, x1)
             levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
             if violated is not None:
                 assert got[:2] == ("error", violated)
                 # a failed fit leaves the state as it was before the add
                 assert (state.s0, state.s1, state.closures, state.table) == before
-                assert outcome(d, state) == outcome(d, labeled(lat, order[:k], labels))
+                assert outcome(d, state) == sample_outcome(lat, d, *labeled(order[:k], labels))
                 return
             assert got == ([tuple(lv) for lv in levels], elements_mask(table))
-            assert (state.s0, state.s1) == (sample.s0, sample.s1)
+            assert (state.s0, state.s1) == (elements_mask(x0), elements_mask(x1))
             # the full rounds run exactly when the one-point rule fails
             assert bool(runs) != rule_applies(lat, d, order[:k], labels, q)
 
@@ -380,16 +392,16 @@ class TestOnePointExtension:
         assert (state.s0, state.s1, state.table) == (0, 0, 0)
         state.add(0b001, 0)
         assert state.s1 == 1 << 0b011 and state.s0 == 0
-        assert outcome(2, state) == outcome(2, sample_of(cube3, {0b001}, {0b011}))
+        assert outcome(2, state) == outcome(2, DenseState(cube3, 2, {0b001}, {0b011}))
 
     def test_a_sample_point_is_refused_and_dropped(self, cube3):
-        state = state_of(cube3, 2, {0b011}, {0b001})
+        state = DenseState(cube3, 2, {0b011}, {0b001})
         before = (state.s0, state.s1, list(state.closures), state.table)
         state.add(0b011, 1)
         with pytest.raises(InternalError, match="^point 011 is already in the sample$"):
             consistent(2, state)
         assert (state.s0, state.s1, state.closures, state.table) == before
-        assert outcome(2, state) == outcome(2, sample_of(cube3, {0b011}, {0b001}))
+        assert outcome(2, state) == outcome(2, DenseState(cube3, 2, {0b011}, {0b001}))
 
     def test_state_of_another_degree_is_rejected(self, cube3):
         with pytest.raises(ValueError, match="built for degree 2, not 3"):
@@ -398,25 +410,25 @@ class TestOnePointExtension:
     def test_point_above_a_lower_rank_falls_back(self, cube2):
         # 11 is a negative of rank 0; the positive 01 below it takes rank 1
         # and lifts 11 to rank 2, which only the full rounds see
-        state = state_of(cube2, 2, {0b11}, ())
+        state = DenseState(cube2, 2, {0b11}, ())
         with kernel_runs() as runs:
             got = add_outcome(state, 0b01, 1)
         assert runs == [0b1010]
         assert got[0] == [(0b01,), (0b11,)]
 
     def test_counterexample_extends_one_closure(self, cube3):
-        state = state_of(cube3, 2, (), {0b001})
+        state = DenseState(cube3, 2, (), {0b001})
         with kernel_runs() as runs:
             got = add_outcome(state, 0b011, 0)
         assert runs == []
         assert got == ([(0b001,), (0b011,)], 0b00100010)
 
     def test_rank_beyond_d_raises_as_the_full_rounds(self, cube3):
-        state = state_of(cube3, 1, (), {0b001})
+        state = DenseState(cube3, 1, (), {0b001})
         with kernel_runs() as runs:
             got = add_outcome(state, 0b011, 0)
         assert runs == [0b1010]
-        assert got == outcome(1, sample_of(cube3, {0b011}, {0b001})) == (
+        assert got == sample_outcome(cube3, 1, {0b011}, {0b001}) == (
             "error", 0b011, "no 1-monotone function matches the sample (violated at 011)"
         )
 

@@ -146,6 +146,11 @@ class TestTakimoto:
             takimoto_blocks(target)
         assert str(exc.value) == "target blocks are not nested"
 
+    def test_disjoint_blocks_are_not_nested(self):
+        # the tightness blocks are disjoint, so no g_i contains the next
+        with pytest.raises(ValueError, match="^target blocks are not nested$"):
+            takimoto_blocks(tightness_family(3, 2))
+
     def test_failing_chain_without_given_levels(self):
         # g1 = x0 | x1 and g2 = x1 are nested, but the outer table reads g1
         # alone, so the target is 1-monotone and the chain's second element

@@ -187,9 +187,13 @@ class TestBoundaryRejections:
     def test_lattice_descriptor_not_a_one_key_object(self, desc):
         assert rejection(doc_text(lattice=desc)) == f"bad lattice descriptor {desc!r}"
 
-    @pytest.mark.parametrize("n", [0, -1, "2", 2.0, None])
+    @pytest.mark.parametrize("n", [0, -1, "2", 2.0, None, True])
     def test_bad_cube_dimension(self, n):
         assert rejection(doc_text(lattice={"cube": n})) == f"bad cube dimension {n!r}"
+
+    @pytest.mark.parametrize("path", [5, None, ["x.lat"]])
+    def test_lattice_file_path_not_a_string(self, path):
+        assert rejection(doc_text(lattice={"file": path})) == f"bad lattice file path {path!r}"
 
     def test_mdnf_payload_not_a_list(self):
         text = doc_text(kind="mdnf", payload="01")

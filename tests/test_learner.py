@@ -8,9 +8,9 @@ from dmono import (
     ComposedTarget,
     CubeLattice,
     DenseFunction,
+    DenseState,
     EquivalenceOracle,
     ExplicitLattice,
-    LabeledSample,
     MembershipOracle,
     MonotoneDNF,
     QueryStats,
@@ -247,7 +247,7 @@ class TestLearnerProperties:
             for entry in stats.trace:
                 (x1 if entry["label"] else x0).add(entry["settled"])
                 h = consistent(
-                    target.d, LabeledSample(lat, frozenset(x0), frozenset(x1))
+                    target.d, DenseState(lat, target.d, frozenset(x0), frozenset(x1))
                 )
                 assert all(h.evaluate(u) == 0 for u in x0)
                 assert all(h.evaluate(u) == 1 for u in x1)
