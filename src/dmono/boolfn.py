@@ -181,7 +181,7 @@ class ComposedTarget:
         for g in self.inner:
             if g.lattice != self.lattice:
                 raise ValueError("inner function defined over a different lattice")
-        if not 0 <= self.outer < (1 << (1 << self.d)):
+        if self.outer < 0 or self.outer >> (1 << self.d):
             raise ValueError(f"outer table must hold exactly {1 << self.d} bits")
 
     @property

@@ -98,7 +98,8 @@ def _check_cap(lattice: Lattice, max_n: int) -> None:
         # 2^n in decimal can pass the interpreter's digit limit for int-to-str
         fits, count = lattice.n <= max_n, f"2^{lattice.n}"
     else:
-        fits, count = lattice.size <= 1 << max_n, lattice.size
+        # size <= 2^max_n for every size >= 1, and no cap builds 2^max_n
+        fits, count = (lattice.size - 1).bit_length() <= max_n, lattice.size
     if fits:
         return
     raise SizeCapExceededError(
@@ -182,13 +183,13 @@ def cmd_learn(args) -> int:
     if args.trace:
         record["trace"] = [
             {
-                "counterexample": lat.element_name(entry["counterexample"]),
-                "settled": lat.element_name(entry["settled"]),
-                "label": entry["label"],
-                "steps": entry["steps"],
-                "inspections": entry["inspections"],
+                "counterexample": lat.element_name(r.counterexample),
+                "settled": lat.element_name(r.element),
+                "label": r.value,
+                "steps": r.steps,
+                "inspections": r.inspections,
             }
-            for entry in stats.trace
+            for r in stats.trace
         ]
     _emit(record, args)
     return 0
@@ -274,6 +275,11 @@ def cmd_family(args) -> int:
             raise DmonoError("random needs --sizes and -n")
         sizes = [int(tok) for tok in args.sizes.split(",")]
         _check_cap(CubeLattice(random_dimension(args.d, sizes, args.n)), args.max_n)
+        if args.d > args.max_n:
+            raise SizeCapExceededError(
+                f"-d {args.d} needs an outer table of 2^{args.d} entries; exhaustive "
+                f"work is capped at 2^{args.max_n} (raise with --max-n or DMONO_MAX_N)"
+            )
         target = random_composed(args.d, sizes, args.n, args.seed)
         meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": args.seed}
     doc_text = dumps_function(target, meta)
@@ -390,7 +396,13 @@ def cmd_verify(args) -> int:
         raise DmonoError("nothing to verify")
     all_ok = True
     for path in paths:
-        target, meta = load_function(path)
+        try:
+            target, meta = load_function(path)
+        except (DmonoError, OSError, ValueError) as exc:
+            # what main reports with exit 1; the other files still run
+            print(f"dmono: {exc}", file=sys.stderr)
+            all_ok = False
+            continue
         _check_cap(target.lattice, args.max_n)
         for name, ok, detail in _verify_checks(target, meta, args.against):
             all_ok &= ok

@@ -58,6 +58,17 @@ class EquivalenceOracle:
         return (diff ^ (diff - 1)).bit_length() - 1
 
 
+@dataclass(frozen=True)
+class DescentResult:
+    """One counterexample's descent: its start, the point it settled on and that point's label."""
+
+    counterexample: int
+    element: int
+    value: int
+    steps: int
+    inspections: int
+
+
 @dataclass
 class QueryStats:
     """Query counters plus the bound values they are checked against.
@@ -67,7 +78,8 @@ class QueryStats:
     ``counterexamples``.  ``mq_used`` counts real membership queries
     (after caching), while ``max_descent_inspections`` counts raw
     predecessor inspections of the worst descent, the quantity bounded by
-    the maximal predecessor sum.
+    the maximal predecessor sum.  ``trace`` holds the run's descents, one
+    per counterexample, in query order.
     """
 
     eq_used: int = 0
@@ -80,7 +92,7 @@ class QueryStats:
     rebuild_seconds: float = 0.0
     x0: tuple[int, ...] = ()
     x1: tuple[int, ...] = ()
-    trace: list[dict] = field(default_factory=list)
+    trace: list[DescentResult] = field(default_factory=list)
 
     def within_bounds(self) -> bool:
         if self.eq_bound is not None and self.counterexamples > self.eq_bound:
@@ -88,14 +100,6 @@ class QueryStats:
         if self.mq_bound is not None and self.mq_used > self.mq_bound:
             return False
         return True
-
-
-@dataclass(frozen=True)
-class DescentResult:
-    element: int
-    value: int
-    steps: int
-    inspections: int
 
 
 def counterexample_bound(target) -> int | None:
@@ -115,55 +119,46 @@ def descend_to_local_min(
     a: int,
     hypothesis: Representation,
     mq: MembershipOracle,
-    value: int | None = None,
-    _cache: dict[int, int] | None = None,
+    value: int,
+    cache: dict[int, int],
 ) -> DescentResult:
     """Walk a counterexample down to a local minimal point of disagreement.
 
-    Repeatedly moves to the first (canonical order) immediate predecessor
-    where target and hypothesis disagree, one membership query per
-    predecessor inspected, and stops when none disagrees.  ``value`` is the
-    target's value at ``a`` when the caller already knows it (the learner
-    infers it from the equivalence oracle's contract); otherwise one
-    membership query establishes it.  The walk ends on a local minimal
-    element of the pointwise disagreement; if it never meets one, meaning
-    the start was no counterexample and no inspected predecessor disagreed
-    either, a ValueError reports the broken contract.  Raw inspections per
-    descent never exceed the lattice's maximal predecessor sum.
+    ``value`` is the target's value at ``a`` (the learner infers it from
+    the equivalence oracle's contract), and ``cache`` memoizes membership
+    answers across the caller's descents; it gains ``a`` and every
+    predecessor queried.  Repeatedly moves to the first (canonical order)
+    immediate predecessor where target and hypothesis disagree, one
+    membership query per uncached predecessor inspected, and stops when
+    none disagrees.  An ``a`` off the lattice raises InvalidElementError
+    before any query.  The walk ends on a local minimal element of the
+    pointwise disagreement; if it never meets one, meaning the start was
+    no counterexample and no inspected predecessor disagreed either, a
+    ValueError reports the broken contract.  Raw inspections per descent
+    never exceed the lattice's maximal predecessor sum.
     """
-    lattice.check_element(a)
     # read once; the predecessor ids come from the lattice, so need no check
     table = hypothesis.dense().mask
-    cache = {} if _cache is None else _cache
-
-    def look(x: int) -> int:
-        if x not in cache:
-            cache[x] = mq.query(x)
-        return cache[x]
-
-    if value is None:
-        value = look(a)
-    else:
-        cache.setdefault(a, value)
-
-    steps = 0
-    inspections = 0
-    moved = True
-    while moved:
-        moved = False
+    cache.setdefault(a, value)
+    start, steps, inspections = a, 0, 0
+    while True:
         for b in lattice.immediate_predecessors(a):
             inspections += 1
-            vb = look(b)
+            vb = cache.get(b)
+            if vb is None:
+                vb = cache[b] = mq.query(b)
             if vb != table >> b & 1:
-                a, value, moved = b, vb, True
+                a, value = b, vb
                 steps += 1
                 break
+        else:
+            break
     if value == table >> a & 1:
         raise ValueError(
             f"no disagreement at or below {lattice.element_name(a)}: "
             "descent requires a counterexample"
         )
-    return DescentResult(a, value, steps, inspections)
+    return DescentResult(start, a, value, steps, inspections)
 
 
 def learn(
@@ -209,19 +204,11 @@ def learn(
             return h, stats
         stats.counterexamples += 1
         inferred = 1 - (h.dense().mask >> cex & 1)
-        result = descend_to_local_min(lattice, cex, h, mq, value=inferred, _cache=cache)
+        result = descend_to_local_min(lattice, cex, h, mq, inferred, cache)
         stats.max_descent_inspections = max(
             stats.max_descent_inspections, result.inspections
         )
-        stats.trace.append(
-            {
-                "counterexample": cex,
-                "settled": result.element,
-                "label": result.value,
-                "steps": result.steps,
-                "inspections": result.inspections,
-            }
-        )
+        stats.trace.append(result)
         state.add(result.element, result.value)
         started = time.perf_counter()
         try:

@@ -264,17 +264,9 @@ def reference_learn(d, lattice, mq, eq):
             return h, stats
         stats.counterexamples += 1
         inferred = 1 - hd.evaluate(cex)
-        result = descend_to_local_min(lattice, cex, hd, mq, value=inferred, _cache=cache)
+        result = descend_to_local_min(lattice, cex, hd, mq, inferred, cache)
         stats.max_descent_inspections = max(stats.max_descent_inspections, result.inspections)
-        stats.trace.append(
-            {
-                "counterexample": cex,
-                "settled": result.element,
-                "label": result.value,
-                "steps": result.steps,
-                "inspections": result.inspections,
-            }
-        )
+        stats.trace.append(result)
         (x1 if result.value else x0).add(result.element)
         try:
             h = consistent(d, DenseState(lattice, d, frozenset(x0), frozenset(x1)))

@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -136,6 +137,24 @@ class TestValidation:
     def test_outer_table_must_fit(self, cube2):
         with pytest.raises(ValueError, match="outer"):
             ComposedTarget(cube2, 1 << 4, (MonotoneDNF(cube2, (1,)), MonotoneDNF(cube2, (2,))))
+        for d in (1, 2, 5):
+            inner = (MonotoneDNF(cube2, (1,)),) * d
+            for outer in (-1, 1 << (1 << d)):
+                with pytest.raises(ValueError) as exc:
+                    ComposedTarget(cube2, outer, inner)
+                assert str(exc.value) == f"outer table must hold exactly {1 << d} bits"
+            assert ComposedTarget(cube2, (1 << (1 << d)) - 1, inner).outer_at_origin == 1
+
+    def test_outer_check_builds_nothing_of_the_tables_size(self, cube2):
+        # 2^(2^26) would be a 2^26-bit (8 MB) int
+        inner = (MonotoneDNF(cube2, (1,)),) * 26
+        tracemalloc.start()
+        try:
+            ComposedTarget(cube2, 0b10, inner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_dense_mask_must_fit(self, cube2):
         with pytest.raises(ValueError):

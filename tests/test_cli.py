@@ -10,15 +10,18 @@ import pytest
 from dmono import (
     CubeLattice,
     DenseFunction,
+    EquivalenceOracle,
+    MembershipOracle,
     MonotoneDNF,
     XorHypothesis,
+    learn,
     save_function,
     tightness_family,
 )
 from dmono.cli import build_parser, main
-from dmono.fileio import function_to_doc
+from dmono.fileio import function_to_doc, load_function
 
-from conftest import lattice_file_text
+from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +40,18 @@ def record_of(out):
 def parity_file(tmp_path):
     path = tmp_path / "parity.json"
     save_function(tightness_family(2, 1), path, meta={"family": "tightness", "d": 2, "t": 1})
+    return path
+
+
+@pytest.fixture
+def diamond_file(tmp_path):
+    """A degree-2 target on a diamond declared top first, so descents move."""
+    (tmp_path / "diamond.lat").write_text(
+        lattice_file_text(DIAMOND_NAMES[::-1], DIAMOND_COVERS)
+    )
+    path = tmp_path / "diamond.json"
+    doc = {"lattice": {"file": "diamond.lat"}, "repr": "xor", "payload": [["p", "q"], ["top"]]}
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -187,6 +202,26 @@ class TestLearn:
         rec = record_of(out)
         assert [t["settled"] for t in rec["trace"]] == ["01", "10", "11"]
         assert all(set(t) == {"counterexample", "settled", "label", "steps", "inspections"} for t in rec["trace"])
+
+    @pytest.mark.parametrize("fixture", ["parity_file", "diamond_file"])
+    def test_trace_names_the_runs_descents(self, capsys, request, fixture):
+        path = request.getfixturevalue(fixture)
+        target, _ = load_function(path)
+        lat = target.lattice
+        _, stats = learn(2, lat, MembershipOracle.for_function(target), EquivalenceOracle(target))
+        assert any(r.steps for r in stats.trace) == (fixture == "diamond_file")
+        code, out, _ = run_cli(capsys, "learn", str(path), "-d", "2", "--trace")
+        assert code == 0
+        assert record_of(out)["trace"] == [
+            {
+                "counterexample": lat.element_name(r.counterexample),
+                "settled": lat.element_name(r.element),
+                "label": r.value,
+                "steps": r.steps,
+                "inspections": r.inspections,
+            }
+            for r in stats.trace
+        ]
 
     def test_records_identical_up_to_timing(self, capsys, parity_file):
         _, first, _ = run_cli(capsys, "learn", str(parity_file), "-d", "2")
@@ -508,6 +543,27 @@ class TestVerifyPaths:
         files = [ln.split()[1] for ln in out.splitlines()]
         assert files == [str(tmp_path / "a.json")] * 2 + [str(tmp_path / "b.json")] * 2
 
+    def test_file_that_fails_to_load_is_reported_and_the_run_goes_on(self, capsys, tmp_path):
+        bad, good = tmp_path / "a.json", tmp_path / "b.json"
+        bad.write_text(json.dumps({"lattice": {"file": 5}, "repr": "dense", "payload": "01"}))
+        save_function(tightness_family(2, 2), good, meta={"family": "tightness", "d": 2, "t": 2})
+        code, out, err = run_cli(capsys, "verify", str(tmp_path))
+        assert (code, err) == (1, f"dmono: {bad}: bad lattice file path 5\n")
+        lines = out.splitlines()
+        assert lines and all(ln.startswith(f"PASS {good} ") for ln in lines)
+        # a missing file named on the command line is reported the same way
+        missing = tmp_path / "none.json"
+        code, out2, err = run_cli(capsys, "verify", str(missing), str(good))
+        assert (code, out2) == (1, out)
+        assert err.startswith(f"dmono: cannot read {missing}: ")
+
+    def test_cap_still_stops_a_directory_run(self, capsys, tmp_path):
+        save_function(DenseFunction(CubeLattice(5), 0), tmp_path / "a.json")
+        save_function(DenseFunction(CubeLattice(2), 0b0110), tmp_path / "b.json")
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--max-n", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("dmono: cube:5 has 2^5 elements; ")
+
     def test_empty_directory_is_nothing_to_verify(self, capsys, tmp_path):
         assert run_cli(capsys, "verify", str(tmp_path)) == (1, "", "dmono: nothing to verify\n")
 
@@ -596,6 +652,39 @@ class TestSizeCap:
     def test_family_arguments_are_checked_before_the_cap(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "family", *argv, "--max-n", "4")
         assert (code, out, err) == (1, "", f"dmono: {message}\n")
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_huge_cap_builds_nothing_of_its_size(self, capsys, tmp_path, monkeypatch, source):
+        path = tmp_path / "diamond.lat"
+        path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        argv = ["sigma", str(path)]
+        if source == "flag":
+            argv += ["--max-n", "1000000000"]
+        else:
+            monkeypatch.setenv("DMONO_MAX_N", "1000000000")
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "3\n", "")
+        assert peak < 1 << 20
+
+    def test_random_family_is_capped_on_its_outer_table(self, capsys, tmp_path):
+        out_path = tmp_path / "r.json"
+        argv = ["family", "random", "--sizes", "1,1,1,1,1", "-n", "4", "--max-n", "4"]
+        code, out, err = run_cli(capsys, *argv, "-d", "5", "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "dmono: -d 5 needs an outer table of 2^5 entries; exhaustive work is "
+            "capped at 2^4 (raise with --max-n or DMONO_MAX_N)\n"
+        )
+        assert not out_path.exists()
+        argv[3] = "1,1,1,1"
+        code, _, _ = run_cli(capsys, *argv, "-d", "4", "--out", str(out_path))
+        assert code == 0
+        assert len(json.loads(out_path.read_text())["payload"]["F"]) == 16
 
     def test_huge_cube_is_capped_by_dimension(self, capsys):
         # 2^20000 has more decimal digits than the interpreter converts to str

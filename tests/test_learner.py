@@ -9,6 +9,7 @@ from dmono import (
     CubeLattice,
     DenseFunction,
     DenseState,
+    DescentResult,
     EquivalenceOracle,
     ExplicitLattice,
     MembershipOracle,
@@ -108,7 +109,7 @@ class TestDescend:
     def test_walks_to_first_disagreeing_predecessor(self, cube2):
         target = parity_target(cube2)
         mq = MembershipOracle.for_function(target)
-        res = descend_to_local_min(cube2, 0b11, zero_hypothesis(cube2), mq, value=0)
+        res = descend_to_local_min(cube2, 0b11, zero_hypothesis(cube2), mq, value=0, cache={})
         assert res.element == 0b01
         assert res.steps == 1
         # one query for f(01), one for f(00); f(11) was supplied
@@ -117,7 +118,7 @@ class TestDescend:
     def test_local_min_start_returns_unchanged(self, cube3):
         target = MonotoneDNF(cube3, (0b110,))
         mq = MembershipOracle.for_function(target)
-        res = descend_to_local_min(cube3, 0b110, zero_hypothesis(cube3), mq, value=1)
+        res = descend_to_local_min(cube3, 0b110, zero_hypothesis(cube3), mq, value=1, cache={})
         assert res.element == 0b110
         assert res.steps == 0
         # both predecessors inspected, one query each
@@ -127,7 +128,7 @@ class TestDescend:
     def test_bottom_start_costs_nothing(self, cube2):
         target = DenseFunction(cube2, 0b0001)  # value 1 only at 00
         mq = MembershipOracle.for_function(target)
-        res = descend_to_local_min(cube2, 0b00, zero_hypothesis(cube2), mq, value=1)
+        res = descend_to_local_min(cube2, 0b00, zero_hypothesis(cube2), mq, value=1, cache={})
         assert res.element == 0b00
         assert res.inspections == 0
         assert mq.mq_count == 0
@@ -136,14 +137,66 @@ class TestDescend:
         target = DenseFunction(cube2, 0)
         mq = MembershipOracle.for_function(target)
         with pytest.raises(ValueError, match="counterexample"):
-            descend_to_local_min(cube2, 0b00, zero_hypothesis(cube2), mq, value=0)
+            descend_to_local_min(cube2, 0b00, zero_hypothesis(cube2), mq, value=0, cache={})
 
-    def test_queries_start_value_when_not_supplied(self, cube2):
+    @pytest.mark.parametrize("lattice", ["cube2", "diamond"])
+    def test_off_lattice_start_is_refused_before_any_query(self, request, lattice):
+        lat = request.getfixturevalue(lattice)
+        mq = MembershipOracle.for_function(DenseFunction(lat, 1))
+        for a in (-1, lat.size):
+            with pytest.raises(InvalidElementError) as info:
+                descend_to_local_min(lat, a, zero_hypothesis(lat), mq, value=1, cache={})
+            with pytest.raises(InvalidElementError) as expected:
+                lat.check_element(a)
+            assert str(info.value) == str(expected.value)
+        assert mq.mq_count == 0
+
+    def test_start_and_inspected_values_join_the_cache(self, cube2):
         target = parity_target(cube2)
         mq = MembershipOracle.for_function(target)
-        res = descend_to_local_min(cube2, 0b01, zero_hypothesis(cube2), mq)
-        assert res.element == 0b01
-        assert mq.mq_count == 2  # f(01) itself plus its only predecessor
+        cache = {}
+        res = descend_to_local_min(cube2, 0b11, zero_hypothesis(cube2), mq, value=0, cache=cache)
+        assert res == DescentResult(0b11, 0b01, 1, 1, 2)
+        assert cache == {0b11: 0, 0b01: 1, 0b00: 0}
+        # a second descent from a cached point spends no query
+        again = descend_to_local_min(cube2, 0b01, zero_hypothesis(cube2), mq, 1, cache)
+        assert again == DescentResult(0b01, 0b01, 1, 0, 1)
+        assert mq.mq_count == 2
+
+
+class RecordingOracle(EquivalenceOracle):
+    """The shipped oracle, keeping its counterexamples in answer order."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.answers = []
+
+    def query(self, hypothesis):
+        cex = super().query(hypothesis)
+        if cex is not None:
+            self.answers.append(cex)
+        return cex
+
+
+class TestTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_descent_per_counterexample(self, data):
+        lat = data.draw(LATTICES)
+        target = draw_representations(data, lat)[3]
+        eq = RecordingOracle(target)
+        d = max(monotone_degree(target), 1)
+        _, stats = learn(d, lat, MembershipOracle.for_function(target), eq)
+        assert all(type(r) is DescentResult for r in stats.trace)
+        assert [r.counterexample for r in stats.trace] == eq.answers
+        assert len(stats.trace) == stats.counterexamples
+        # each descent files one new point under its label
+        points = [r.element for r in stats.trace]
+        assert len(set(points)) == len(points)
+        assert sorted(r.element for r in stats.trace if not r.value) == list(stats.x0)
+        assert sorted(r.element for r in stats.trace if r.value) == list(stats.x1)
+        inspections = [r.inspections for r in stats.trace]
+        assert max(inspections, default=0) == stats.max_descent_inspections
 
 
 class TestWorkedTrace:
@@ -245,7 +298,7 @@ class TestLearnerProperties:
             _, stats = learn(target.d, lat, mq, eq)
             x0, x1 = set(), set()
             for entry in stats.trace:
-                (x1 if entry["label"] else x0).add(entry["settled"])
+                (x1 if entry.value else x0).add(entry.element)
                 h = consistent(
                     target.d, DenseState(lat, target.d, frozenset(x0), frozenset(x1))
                 )
@@ -284,7 +337,7 @@ class TestLearnerProperties:
             mq = MembershipOracle.for_function(target)
             eq = EquivalenceOracle(target)
             _, stats = learn(target.d, target.lattice, mq, eq)
-            raw_total = sum(entry["inspections"] for entry in stats.trace)
+            raw_total = sum(entry.inspections for entry in stats.trace)
             assert stats.mq_used <= raw_total
 
 
