@@ -23,14 +23,8 @@ from .families import (
     takimoto_family,
     tightness_family,
 )
-from .fileio import dumps_function, load_function, loads_function, save_function
-from .lattice import (
-    CubeLattice,
-    ExplicitLattice,
-    Lattice,
-    load_lattice,
-    parse_lattice,
-)
+from .fileio import dumps_function, load_function, load_lattice, loads_function, save_function
+from .lattice import CubeLattice, ExplicitLattice, Lattice, parse_lattice
 from .learner import (
     DescentResult,
     EquivalenceOracle,

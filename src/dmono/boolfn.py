@@ -42,8 +42,6 @@ class DenseFunction:
         self.lattice.check_element(x)
         return self.mask >> x & 1
 
-    __call__ = evaluate
-
     def dense(self) -> "DenseFunction":
         return self
 
@@ -90,8 +88,6 @@ class MonotoneDNF:
     def evaluate(self, x: int) -> int:
         self.lattice.check_element(x)
         return int(any(self.lattice.leq(a, x) for a in self.minimals))
-
-    __call__ = evaluate
 
     def dense(self) -> DenseFunction:
         return DenseFunction(
@@ -148,8 +144,6 @@ class XorHypothesis:
             v ^= lv.evaluate(x)
         return v
 
-    __call__ = evaluate
-
     def dense(self) -> DenseFunction:
         known = self.__dict__.get("_dense")
         if known is not None:
@@ -201,8 +195,6 @@ class ComposedTarget:
         for i, g in enumerate(self.inner):
             idx |= g.evaluate(x) << i
         return self.outer >> idx & 1
-
-    __call__ = evaluate
 
     def dense(self) -> DenseFunction:
         # the elements whose inner-value tuple is idx, OR-ed over outer's ones

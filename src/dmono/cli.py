@@ -41,8 +41,8 @@ from .families import (
     tightness_dimension,
     tightness_family,
 )
-from .fileio import dumps_function, function_to_doc, load_function
-from .lattice import CubeLattice, Lattice, load_lattice
+from .fileio import dumps_function, function_to_doc, load_function, load_lattice
+from .lattice import CubeLattice, Lattice
 from .learner import EquivalenceOracle, MembershipOracle, counterexample_bound, learn
 
 DEFAULT_MAX_N = 22
@@ -309,6 +309,7 @@ def _tightness_mismatch(lattice: Lattice, meta: dict) -> str | None:
 
 
 def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
+    """The checks of one target; ``against`` is None or (path, table) of the other file."""
     checks: list[tuple[str, bool, str]] = []
     table = target.dense()
     xor = strict_decompose(table)
@@ -375,12 +376,8 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
         checks.append(("separation-size", size_ok, size_detail))
         checks.append(("chain-witnesses", witnesses_ok, witnesses_detail))
     if against is not None:
-        other, _ = load_function(against)
-        same = (
-            other.lattice == target.lattice
-            and other.dense().mask == table.mask
-        )
-        checks.append(("pointwise-equal", same, f"differs from {against}"))
+        other_path, other_table = against
+        checks.append(("pointwise-equal", other_table == table, f"differs from {other_path}"))
     return checks
 
 
@@ -394,17 +391,22 @@ def cmd_verify(args) -> int:
             paths.append(p)
     if not paths:
         raise DmonoError("nothing to verify")
+    against = None
+    if args.against is not None:
+        other, _ = load_function(args.against)
+        _check_cap(other.lattice, args.max_n)
+        against = (args.against, other.dense())
     all_ok = True
     for path in paths:
         try:
             target, meta = load_function(path)
-        except (DmonoError, OSError, ValueError) as exc:
+        except DmonoError as exc:
             # what main reports with exit 1; the other files still run
             print(f"dmono: {exc}", file=sys.stderr)
             all_ok = False
             continue
         _check_cap(target.lattice, args.max_n)
-        for name, ok, detail in _verify_checks(target, meta, args.against):
+        for name, ok, detail in _verify_checks(target, meta, against):
             all_ok &= ok
             suffix = "" if ok or not detail else f" ({detail})"
             print(f"{'PASS' if ok else 'FAIL'} {path} {name}{suffix}")

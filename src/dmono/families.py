@@ -81,8 +81,6 @@ def takimoto_family(d: int, t: int, uneven: bool = False) -> ComposedTarget:
     lat = CubeLattice(n)
     if uneven:
         sizes = [max(1, n // ((i + 1) * d)) for i in range(d)]
-        if sum(sizes) > n:
-            raise ValueError("uneven blocks do not fit the cube")
     else:
         sizes = [t] * d
     blocks = _block_layout(sizes)
@@ -172,8 +170,9 @@ def random_dimension(d: int, sizes: Sequence[int], n: int) -> int:
     """Cube dimension of ``random_composed(d, sizes, n, seed)``, after checks."""
     if len(sizes) != d:
         raise ValueError("need one size per inner function")
-    if n < 1:
-        raise ValueError("cube dimension must be at least 1")
+    for size in sizes:
+        if size < 0:
+            raise ValueError(f"inner size {size} is negative")
     return n
 
 
@@ -205,8 +204,6 @@ def _distinct_draws(rng: random.Random, stop: int, k: int) -> tuple[int, ...]:
 
 
 def _random_antichain(rng: random.Random, lat: CubeLattice, size: int) -> MonotoneDNF:
-    if size == 0:
-        return MonotoneDNF(lat)
     if size > lat.size - 1:
         raise GenerationError(
             f"cannot place {size} incomparable points in {lat.describe()}"

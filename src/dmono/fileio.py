@@ -6,7 +6,8 @@ dense is a bit string in element-id order; mdnf is a list of element names;
 xor is a list of mdnf payloads; composed is {"F": bit string of 2^d, "g":
 [mdnf...]}.  Writers emit minimals in canonical order so outputs are
 byte-stable.  A relative lattice file path resolves against the function
-file's directory.
+file's directory.  Input files are read here only: every way a load fails
+is a ``DmonoError`` that names the file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .boolfn import ComposedTarget, DenseFunction, MonotoneDNF, Representation, XorHypothesis
 from .errors import DmonoError, FileFormatError
-from .lattice import CubeLattice, ExplicitLattice, Lattice, load_lattice
+from .lattice import CubeLattice, ExplicitLattice, Lattice, parse_lattice
 
 
 def lattice_descriptor(lattice: Lattice) -> dict:
@@ -141,7 +142,7 @@ def dumps_function(f: Representation, meta: dict | None = None) -> str:
 def loads_function(text: str, base_dir: str | Path = ".") -> tuple[Representation, dict]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses out
         raise FileFormatError(f"not valid JSON: {exc}") from None
     return doc_to_function(doc, base_dir)
 
@@ -150,13 +151,23 @@ def save_function(f: Representation, path: str | Path, meta: dict | None = None)
     Path(path).write_text(dumps_function(f, meta))
 
 
+def _read_text(path: Path) -> str:
+    # a ValueError is undecodable bytes, or a NUL or lone surrogate in the path
+    try:
+        return path.read_text()
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from None
+
+
+def load_lattice(path: str | Path) -> ExplicitLattice:
+    path = Path(path)
+    return parse_lattice(_read_text(path), source=str(path))
+
+
 def load_function(path: str | Path) -> tuple[Representation, dict]:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     try:
         return loads_function(text, base_dir=path.parent)
-    except FileFormatError as exc:
+    except DmonoError as exc:
         raise FileFormatError(f"{path}: {exc}") from None

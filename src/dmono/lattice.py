@@ -12,7 +12,6 @@ element id, which keeps closure sweeps cheap even at 2^12 elements.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InvalidElementError, LatticeValidationError
@@ -450,7 +449,3 @@ def parse_lattice(text: str, source: str = "<lattice>") -> ExplicitLattice:
     except LatticeValidationError as exc:
         raise LatticeValidationError(f"{source}: {exc}") from None
 
-
-def load_lattice(path: str | Path) -> ExplicitLattice:
-    path = Path(path)
-    return parse_lattice(path.read_text(), source=str(path))

@@ -134,6 +134,17 @@ class TestFamilyAndDecompose:
         code, out, err = run_cli(capsys, "family", "random", "-d", "2", *argv)
         assert (code, out, err) == (1, "", "dmono: random needs --sizes and -n\n")
 
+    @pytest.mark.parametrize("n", ["64", "4"])
+    def test_random_family_refuses_a_negative_size(self, capsys, tmp_path, n):
+        out_path = tmp_path / "neg.json"
+        argv = ("family", "random", "-d", "2", "-n", n, "--max-n", "64", "--out", str(out_path))
+        code, out, err = run_cli(capsys, *argv[:2], "--sizes", "2,-1", *argv[2:])
+        assert (code, out, err) == (1, "", "dmono: inner size -1 is negative\n")
+        assert not out_path.exists()
+        code, _, _ = run_cli(capsys, *argv[:2], "--sizes", "0,2", *argv[2:])
+        assert code == 0
+        assert json.loads(out_path.read_text())["payload"]["g"][0] == []
+
     def test_bad_family_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "family", "takimoto", "-d", "1", "-t", "2")
         assert code == 1
@@ -312,6 +323,13 @@ class TestConsistentCommand:
         assert code == 2
         assert "11" in err
 
+    def test_unknown_element_of_a_lattice_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "diamond.lat"
+        path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        argv = ("consistent", "--lattice", str(path), "-d", "1", "--x1", "nope")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"dmono: 'nope' is not an element of {path}\n")
+
 
 class TestDegreeRange:
     # cube:2 has sigma 3, so -d runs from 1 to 4
@@ -412,6 +430,40 @@ class TestVerify:
         argv = [str(path) if arg == "FILE" else arg for arg in argv]
         assert run_cli(capsys, *argv, str(path))[0] == 0
         assert len(calls) == tables
+
+    def test_verify_loads_and_builds_the_against_file_once(self, capsys, tmp_path, monkeypatch):
+        import dmono.cli
+        from dmono import ComposedTarget
+
+        k = 3
+        directory = tmp_path / "targets"
+        directory.mkdir()
+        for i in range(k):
+            save_function(tightness_family(2, 2), directory / f"t{i}.json")
+        other = tmp_path / "other.json"
+        save_function(tightness_family(2, 2), other)
+        loads, tables = [], []
+        load, dense = dmono.cli.load_function, ComposedTarget.dense
+        monkeypatch.setattr(dmono.cli, "load_function", lambda p: loads.append(p) or load(p))
+        monkeypatch.setattr(ComposedTarget, "dense", lambda f: tables.append(f) or dense(f))
+        code, out, err = run_cli(capsys, "verify", str(directory), "--against", str(other))
+        assert (code, err) == (0, "")
+        assert out.count(" pointwise-equal\n") == k
+        assert (len(loads), len(tables)) == (k + 1, k + 1)
+
+    def test_against_file_past_the_cap_exits_3_before_any_check(self, capsys, tmp_path):
+        path, other = tmp_path / "t.json", tmp_path / "big.json"
+        save_function(DenseFunction(CubeLattice(2), 0b0110), path)
+        save_function(DenseFunction(CubeLattice(5), 0), other)
+        argv = ("verify", str(path), "--against", str(other), "--max-n", "4")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("dmono: cube:5 has 2^5 elements; ")
+
+
+def lattice_reference(name):
+    """A dense function file over the lattice file ``name``."""
+    return json.dumps({"lattice": {"file": name}, "repr": "dense", "payload": "01"}).encode()
 
 
 def tightness_file_with_meta(capsys, tmp_path, edit):
@@ -556,6 +608,48 @@ class TestVerifyPaths:
         code, out2, err = run_cli(capsys, "verify", str(missing), str(good))
         assert (code, out2) == (1, out)
         assert err.startswith(f"dmono: cannot read {missing}: ")
+
+    @pytest.mark.parametrize(
+        "function_bytes, lattice_name, lattice, head",
+        [
+            (lattice_reference("missing.lat"), "missing.lat", None, "{bad}: "),
+            (lattice_reference("x.lat"), "x.lat", "dir", "{bad}: "),
+            (b"\xff{}", None, None, "cannot read {bad}: "),
+            (lattice_reference("x.lat"), "x.lat", b"\xff\xfe", "{bad}: "),
+            (lattice_reference("x\x00.lat"), "x\x00.lat", None, "{bad}: "),
+            (lattice_reference("x.lat"), "x.lat", b"lattice v1\nelem a\ncover a c\n", "{bad}: "),
+            (b"[" * 1000 + b"]" * 1000, None, None, "{bad}: "),
+        ],
+        ids=[
+            "lattice-missing",
+            "lattice-is-a-directory",
+            "function-not-utf8",
+            "lattice-not-utf8",
+            "nul-in-lattice-path",
+            "lattice-invalid",
+            "nested-1000-deep",
+        ],
+    )
+    def test_each_load_failure_is_one_line_naming_the_function_file(
+        self, capsys, tmp_path, function_bytes, lattice_name, lattice, head
+    ):
+        bad, good = tmp_path / "a.json", tmp_path / "b.json"
+        bad.write_bytes(function_bytes)
+        if lattice == "dir":
+            (tmp_path / lattice_name).mkdir()
+        elif lattice is not None:
+            (tmp_path / lattice_name).write_bytes(lattice)
+        save_function(tightness_family(2, 2), good, meta={"family": "tightness", "d": 2, "t": 2})
+        prefix = "dmono: " + head.format(bad=bad)
+        for argv in (("degree", str(bad)), ("verify", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert err.startswith(prefix) and err.count("\n") == 1
+            assert "Traceback" not in err
+            if lattice_name is not None:
+                assert str(tmp_path / lattice_name) in err
+        lines = out.splitlines()
+        assert lines and all(ln.startswith(f"PASS {good} ") for ln in lines)
 
     def test_cap_still_stops_a_directory_run(self, capsys, tmp_path):
         save_function(DenseFunction(CubeLattice(5), 0), tmp_path / "a.json")

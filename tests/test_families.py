@@ -252,6 +252,15 @@ class TestRandomComposed:
         with pytest.raises(ValueError):
             random_composed(2, [1], 4, seed=0)
 
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ValueError, match="inner size -1 is negative"):
+            random_composed(2, [2, -1], 64, seed=0)
+
+    def test_empty_inner_function_draws_nothing(self):
+        t = random_composed(2, [0, 2], 4, seed=1)
+        assert t.inner[0].size == 0
+        assert t.inner[1] == random_composed(1, [2], 4, seed=1).inner[0]
+
 
 class TestSizeBounds:
     def test_product_and_power_bounds_hold_everywhere(self):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmono import (
     ComposedTarget,
@@ -15,7 +17,7 @@ from dmono import (
     save_function,
     tightness_family,
 )
-from dmono.errors import FileFormatError
+from dmono.errors import DmonoError, FileFormatError
 
 from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text
 
@@ -228,3 +230,82 @@ class TestBoundaryRejections:
         with pytest.raises(FileFormatError) as exc:
             load_function(path)
         assert str(exc.value) == f"{path}: dense payload must be exactly 4 characters of 0/1"
+
+
+# lattice files beside the fuzzed function file; "" and "." name the directory
+FUZZ_LATTICES = ("ok.lat", "bad.lat", "bin.lat", "dir.lat", "missing.lat", "", ".")
+# a NUL, and a lone surrogate that no file system encoding takes
+FUZZ_LATTICES += ("a\x00b.lat", "\ud800.lat")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+element_names = st.sampled_from(["0", "1", "01", "10", "11", "bot", "p", "top"])
+element_names |= st.text(max_size=3)
+mdnf_payloads = st.lists(element_names, max_size=4)
+# path text without "/" stays inside the fuzz directory
+lattice_paths = st.sampled_from(FUZZ_LATTICES) | st.text(
+    st.characters(blacklist_characters="/"), max_size=6
+)
+composed_payloads = st.fixed_dictionaries(
+    {"F": st.text("01", max_size=8), "g": st.lists(mdnf_payloads, max_size=3)}
+)
+function_docs = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "lattice": json_values
+        | st.fixed_dictionaries({"cube": json_values})
+        | st.fixed_dictionaries({"file": lattice_paths}),
+        "repr": st.sampled_from(["dense", "mdnf", "xor", "composed"]) | json_values,
+        "payload": json_values
+        | st.text("01", max_size=8)
+        | mdnf_payloads
+        | st.lists(mdnf_payloads, max_size=3)
+        | composed_payloads,
+        "meta": json_values,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "ok.lat").write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+    (root / "bad.lat").write_text("lattice v1\nelem a\nelem b\ncover a c\n")
+    (root / "bin.lat").write_bytes(b"\xff\xfe")
+    (root / "dir.lat").mkdir()
+    return root
+
+
+def loads_or_raises_dmono_error(path):
+    try:
+        load_function(path)
+    except DmonoError:
+        pass
+
+
+class TestEveryLoadFailureIsADmonoError:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_any_bytes(self, fuzz_dir, data):
+        path = fuzz_dir / "f.json"
+        path.write_bytes(data)
+        loads_or_raises_dmono_error(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=function_docs)
+    def test_any_document(self, fuzz_dir, doc):
+        path = fuzz_dir / "f.json"
+        path.write_text(json.dumps(doc))
+        loads_or_raises_dmono_error(path)
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_deeply_nested_json_is_invalid_json(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        with pytest.raises(FileFormatError) as exc:
+            load_function(path)
+        assert str(exc.value).startswith(f"{path}: not valid JSON: ")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmono import CubeLattice, ExplicitLattice, load_lattice, parse_lattice
-from dmono.errors import InvalidElementError, LatticeValidationError
+from dmono.errors import FileFormatError, InvalidElementError, LatticeValidationError
 from dmono.lattice import Lattice, elements_mask, mask_elements
 
 from conftest import (
@@ -505,6 +505,17 @@ class TestLatticeFiles:
         path.write_text("lattice v1\nelem a\nelem b\n")
         with pytest.raises(LatticeValidationError, match="bad.lat"):
             load_lattice(path)
+
+    @pytest.mark.parametrize(
+        "content", [None, b"lattice v1\nelem \xff\n"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_file_is_a_file_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "x.lat"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(FileFormatError) as exc:
+            load_lattice(path)
+        assert str(exc.value).startswith(f"cannot read {path}: ")
 
 
 class TestBoundaryRejections:
