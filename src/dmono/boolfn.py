@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import InternalError, InvalidChainError
-from .lattice import Lattice, elements_mask, mask_elements
+from .lattice import CubeLattice, Lattice, elements_mask, mask_elements
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,16 @@ class DenseFunction:
 
     @classmethod
     def from_bits(cls, lattice: Lattice, bits: str) -> "DenseFunction":
-        if len(bits) != lattice.size or set(bits) - {"0", "1"}:
-            raise ValueError(
-                f"dense payload must be exactly {lattice.size} characters of 0/1"
-            )
+        if isinstance(lattice, CubeLattice):
+            # compared by the dimension and named as 2^n: a file may name a
+            # cube whose size is too large to build or to print in decimal
+            k = len(bits)
+            fits = k & (k - 1) == 0 and k.bit_length() == lattice.n + 1
+            count = f"2^{lattice.n}"
+        else:
+            fits, count = len(bits) == lattice.size, lattice.size
+        if not fits or set(bits) - {"0", "1"}:
+            raise ValueError(f"dense payload must be exactly {count} characters of 0/1")
         return cls(lattice, int(bits[::-1], 2))  # character i is bit i
 
     def bits(self) -> str:
@@ -114,14 +120,19 @@ class XorHypothesis:
     def from_table(cls, lattice: Lattice, table: int, d: int) -> "XorHypothesis":
         """Trusted constructor from the truth table of a d-monotone function.
 
-        ``dense()`` reads ``table``.  The levels are its strict
-        decomposition padded with empty levels to d, derived when first
-        read, so a learner that only queries the table never derives them.
+        ``dense()`` returns ``table`` as a ``DenseFunction`` that skips the
+        size check.  The levels are its strict decomposition padded with
+        empty levels to d, derived when first read, so a learner that only
+        queries the table never derives them.
         """
+        # the learner makes one per round: filling both frozen instances'
+        # dicts directly skips ``__post_init__`` and the per-field setattr
+        dense = object.__new__(DenseFunction)
+        fields = dense.__dict__
+        fields["lattice"], fields["mask"] = lattice, table
         h = object.__new__(cls)
-        object.__setattr__(h, "lattice", lattice)
-        object.__setattr__(h, "_dense", DenseFunction(lattice, table))
-        object.__setattr__(h, "_d", d)
+        fields = h.__dict__
+        fields["lattice"], fields["_dense"], fields["_d"] = lattice, dense, d
         return h
 
     def __getattr__(self, name: str):

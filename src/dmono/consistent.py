@@ -6,7 +6,7 @@ from typing import Iterable
 
 from .boolfn import XorHypothesis
 from .errors import InconsistentSampleError, InternalError, InvalidSampleError
-from .lattice import Lattice, elements_mask, mask_elements
+from .lattice import Lattice, elements_mask, mask_bit, mask_elements
 
 
 def consistent_masks(lattice: Lattice, d: int, s0: int, s1: int) -> tuple[list[int], int]:
@@ -85,7 +85,9 @@ class DenseState:
         A sample point's rank, the number of closures holding it, is the
         largest rank strictly below it, raised by one when its parity
         differs from its label; so q changes only its own rank and those
-        of the points above it.  If q's rank is the count of closures
+        of the points above it.  The closures are nested, so q's count is
+        the prefix of them that holds q: one ``mask_bit`` read each, up to
+        the first closure without q.  If q's rank is the count of closures
         holding it, nothing changes; if one more, at most d, with every old
         point above q already in closure ``rank``, only that closure grows,
         by up(q).  Otherwise the full rounds run on the grown sample.
@@ -98,23 +100,27 @@ class DenseState:
         (q, label), self._filed = self._filed, None
         bit = 1 << q
         points = self.s0 | self.s1
-        if points & bit:
+        if mask_bit(points, q):
             raise InternalError(f"point {self.lattice.element_name(q)} is already in the sample")
         s0, s1 = (self.s0, self.s1 | bit) if label else (self.s0 | bit, self.s1)
         closures = self.closures
-        held = sum(1 for up in closures if up & bit)
+        held = 0
+        for up in closures:
+            if not mask_bit(up, q):
+                break
+            held += 1
         rank = held + (label - held) % 2
         if rank > held:
             fresh = None
             if rank <= self.d:
                 old = closures[rank - 1]
-                up = self.lattice.up_closure(bit)
-                fresh = up ^ (up & old)
+                grown = old | self.lattice.up_closure(bit)
+                fresh = grown ^ old
             if fresh is None or points & fresh:
                 # rank beyond d, or an old point above q would change its rank
                 self.closures, self.table = consistent_masks(self.lattice, self.d, s0, s1)
             else:
-                closures[rank - 1] = old | up
+                closures[rank - 1] = grown
                 self.table ^= fresh
         self.s0, self.s1 = s0, s1
 

@@ -37,6 +37,18 @@ def mask_elements(mask: int) -> list[int]:
     return out
 
 
+def mask_bit(mask: int, i: int) -> int:
+    """Bit ``i`` of the non-negative ``mask``, paying for its shorter side.
+
+    ``mask >> i`` copies every bit above i, while ``mask & (1 << i)``
+    builds and scans i bits, so a low bit takes the AND and a high bit
+    the shift.
+    """
+    if i << 1 < mask.bit_length():
+        return 1 if mask & (1 << i) else 0
+    return mask >> i & 1
+
+
 def elements_mask(elems: Iterable[int]) -> int:
     m = 0
     for a in elems:
@@ -107,6 +119,7 @@ class CubeLattice(Lattice):
             raise ValueError("cube dimension must be at least 1")
         self.n = n
         self._clear_masks: list[int] | None = None
+        self._full = 0  # every element's bit, set beside the clear masks
 
     # computed on each read, so that building even a huge cube is O(1); not
     # cached, since caching would give every cube an instance dict and slow
@@ -179,15 +192,28 @@ class CubeLattice(Lattice):
                     m |= m << width
                     width <<= 1
                 masks.append(m)
+            self._full = (1 << self.size) - 1
             self._clear_masks = masks
         return self._clear_masks
 
     def up_closure(self, mask: int) -> int:
         a = mask.bit_length() - 1
         if a >= 0 and mask == 1 << a:  # far cheaper than bit_count on a dense mask
-            # the up-set of one point a doubles once per coordinate where a
-            # is 0, and the copies never overlap; small shifts come first,
-            # so the int grows to full width only in the last passes
+            if a.bit_count() << 1 <= self.n:
+                # the up-set of a is every element set wherever a is: the
+                # complement of the clear masks of a's set coordinates, one
+                # full-width OR per set coordinate
+                clear = self._coordinate_clear_masks()
+                out = 0
+                while a:
+                    j = a.bit_length() - 1
+                    out |= clear[j]
+                    a ^= 1 << j
+                return self._full ^ out
+            # with more set coordinates than clear ones, double the point
+            # once per clear coordinate instead; the copies never overlap,
+            # and small shifts come first, so the int grows to full width
+            # only in the last passes
             for j in range(self.n):
                 if not a >> j & 1:
                     mask |= mask << (1 << j)

@@ -16,7 +16,7 @@ from typing import Callable
 from .boolfn import ComposedTarget, MonotoneDNF, Representation, XorHypothesis
 from .consistent import DenseState, consistent
 from .errors import DegreeTooSmallError, InconsistentSampleError
-from .lattice import Lattice
+from .lattice import Lattice, mask_bit
 
 
 class MembershipOracle:
@@ -58,7 +58,7 @@ class EquivalenceOracle:
         return (diff ^ (diff - 1)).bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentResult:
     """One counterexample's descent: its start, the point it settled on and that point's label."""
 
@@ -130,15 +130,19 @@ def descend_to_local_min(
     predecessor queried.  Repeatedly moves to the first (canonical order)
     immediate predecessor where target and hypothesis disagree, one
     membership query per uncached predecessor inspected, and stops when
-    none disagrees.  An ``a`` off the lattice raises InvalidElementError
-    before any query.  The walk ends on a local minimal element of the
-    pointwise disagreement; if it never meets one, meaning the start was
-    no counterexample and no inspected predecessor disagreed either, a
-    ValueError reports the broken contract.  Raw inspections per descent
-    never exceed the lattice's maximal predecessor sum.
+    none disagrees.  Each hypothesis bit, the final check's included, is
+    read as ``mask_bit`` reads it, at the cost of the shorter side of the
+    table: an AND below its middle, a shift above.  An ``a`` off the
+    lattice raises InvalidElementError before any query.  The walk ends on
+    a local minimal element of the pointwise disagreement; if it never
+    meets one, meaning the start was no counterexample and no inspected
+    predecessor disagreed either, a ValueError reports the broken
+    contract.  Raw inspections per descent never exceed the lattice's
+    maximal predecessor sum.
     """
     # read once; the predecessor ids come from the lattice, so need no check
     table = hypothesis.dense().mask
+    length = table.bit_length()
     cache.setdefault(a, value)
     start, steps, inspections = a, 0, 0
     while True:
@@ -147,13 +151,19 @@ def descend_to_local_min(
             vb = cache.get(b)
             if vb is None:
                 vb = cache[b] = mq.query(b)
-            if vb != table >> b & 1:
+            # mask_bit's read, inlined: a call per inspection costs more
+            # than the read itself on tables of a few thousand bits
+            if b << 1 < length:
+                hb = 1 if table & (1 << b) else 0
+            else:
+                hb = table >> b & 1
+            if vb != hb:
                 a, value = b, vb
                 steps += 1
                 break
         else:
             break
-    if value == table >> a & 1:
+    if value == mask_bit(table, a):
         raise ValueError(
             f"no disagreement at or below {lattice.element_name(a)}: "
             "descent requires a counterexample"
@@ -203,7 +213,7 @@ def learn(
             stats.x0, stats.x1 = state.x0, state.x1
             return h, stats
         stats.counterexamples += 1
-        inferred = 1 - (h.dense().mask >> cex & 1)
+        inferred = 1 - mask_bit(h.dense().mask, cex)
         result = descend_to_local_min(lattice, cex, h, mq, inferred, cache)
         stats.max_descent_inspections = max(
             stats.max_descent_inspections, result.inspections

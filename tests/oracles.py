@@ -131,6 +131,26 @@ def brute_up_set(lat, points):
     return {x for x in lat.elements() if any(lat.leq(a, x) for a in points)}
 
 
+def brute_descent(lat, a, hypothesis, value):
+    """The descent's walk with definitional covers and pointwise values.
+
+    From ``a``, move to the first cover (ascending id) where ``value``
+    and ``hypothesis.evaluate`` disagree, until none does.  Returns
+    ``(element, value there, steps, inspections)``, counting every cover
+    looked at.
+    """
+    steps = inspections = 0
+    while True:
+        for b in brute_immediate_predecessors(lat, a):
+            inspections += 1
+            if value(b) != hypothesis.evaluate(b):
+                a = b
+                steps += 1
+                break
+        else:
+            return a, value(a), steps, inspections
+
+
 def brute_consistent_rounds(lat, d, x0, x1):
     """The d rounds of ``consistent`` on point sets, with order scans.
 

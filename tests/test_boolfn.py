@@ -92,10 +92,14 @@ class TestEvaluate:
         assert [f.evaluate(x) for x in cube2.elements()] == [int(ch) for ch in bits]
         assert f.bits() == bits
 
-    @pytest.mark.parametrize("bits", ["011", "01100", "01_1", " 011", "0121"])
+    @pytest.mark.parametrize("bits", ["011", "01100", "01_1", " 011", "0121", "01", "01100000"])
     def test_from_bits_rejects_malformed_tables(self, cube2, bits):
-        with pytest.raises(ValueError, match="exactly 4 characters of 0/1"):
+        with pytest.raises(ValueError, match=r"exactly 2\^2 characters of 0/1"):
             DenseFunction.from_bits(cube2, bits)
+
+    def test_from_bits_names_an_explicit_lattice_by_its_size(self, chain4):
+        with pytest.raises(ValueError, match="exactly 4 characters of 0/1"):
+            DenseFunction.from_bits(chain4, "01")
 
 
 DENSE_LATTICES = [

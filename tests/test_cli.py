@@ -819,6 +819,25 @@ class TestSizeCap:
         assert err.startswith("dmono: cube:50000000 has 2^50000000 elements; ")
         assert peak < 1 << 20
 
+    def test_dense_payload_over_a_huge_cube_is_checked_by_dimension(self, capsys, tmp_path):
+        # the payload length is compared with 2^n without building it: the
+        # int 2^1000000000 is 125 MB, and too long to print in decimal
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"lattice": {"cube": 1000000000}, "repr": "dense", "payload": "01"})
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "degree", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            f"dmono: {path}: dense payload must be exactly 2^1000000000 characters of 0/1\n"
+        )
+        assert peak < 1 << 20
+
     def test_malformed_env_value_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("DMONO_MAX_N", "abc")
         code, out, err = run_cli(capsys, "sigma", "cube:3")

@@ -130,7 +130,7 @@ class TestErrors:
             loads_function('{"lattice": {"cube": 2}, "repr": "bdd", "payload": ""}')
 
     def test_dense_length_mismatch(self):
-        with pytest.raises(FileFormatError, match="4"):
+        with pytest.raises(FileFormatError, match=r"exactly 2\^2 characters"):
             loads_function('{"lattice": {"cube": 2}, "repr": "dense", "payload": "01"}')
 
     def test_mdnf_not_an_antichain(self):
@@ -229,7 +229,7 @@ class TestBoundaryRejections:
         path.write_text(doc_text(payload="01"))
         with pytest.raises(FileFormatError) as exc:
             load_function(path)
-        assert str(exc.value) == f"{path}: dense payload must be exactly 4 characters of 0/1"
+        assert str(exc.value) == f"{path}: dense payload must be exactly 2^2 characters of 0/1"
 
 
 # lattice files beside the fuzzed function file; "" and "." name the directory

@@ -29,6 +29,7 @@ from oracles import (
     brute_join,
     brute_local_min,
     brute_mask_elements,
+    brute_up_set,
     sigma_downset_recursion,
 )
 
@@ -586,13 +587,23 @@ class TestDenseSweeps:
                 expected = any(lat.leq(a, x) for a in pts)
                 assert bool(closed >> x & 1) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_cube_up_closure_of_one_point_matches_pointwise(self, n):
-        # a single point takes its own doubling path, not the coordinate sweep
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cube_up_closure_of_one_point_matches_pointwise(self, n, monkeypatch):
+        # a point with at most n/2 set coordinates ORs their clear masks; one
+        # with more doubles itself and reads no mask.  Every n has points of
+        # both kinds: the bottom 0 and the top
         lat = CubeLattice(n)
-        for a in lat.elements():
-            up = elements_mask(x for x in lat.elements() if lat.leq(a, x))
-            assert lat.up_closure(1 << a) == up
+        masks = lat._coordinate_clear_masks()
+        reads = []
+        monkeypatch.setattr(lat, "_coordinate_clear_masks", lambda: reads.append(1) or masks)
+        assert lat.up_closure(1 << 0) == (1 << lat.size) - 1
+        assert len(reads) == 1
+        ored = 1
+        for a in range(1, lat.size):
+            assert lat.up_closure(1 << a) == elements_mask(brute_up_set(lat, [a]))
+            ored += a.bit_count() * 2 <= n
+        assert len(reads) == ored
+        assert 0 < ored < lat.size
 
     def test_cube_shadow_matches_pointwise(self):
         lat = CubeLattice(4)

@@ -32,6 +32,7 @@ from dmono.lattice import elements_mask, mask_elements
 
 from conftest import kernel_runs, moore_families
 from oracles import (
+    brute_descent,
     join_products,
     max_chain_alternations,
     maximal_chains,
@@ -162,6 +163,34 @@ class TestDescend:
         again = descend_to_local_min(cube2, 0b01, zero_hypothesis(cube2), mq, 1, cache)
         assert again == DescentResult(0b01, 0b01, 1, 0, 1)
         assert mq.mq_count == 2
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_cube_descents_match_the_brute_walk(self, n):
+        # starts in both halves of the ids read hypothesis bits on both sides
+        # of the table's middle, so by the AND and by the shift; at most four
+        # set coordinates keep the definitional covers cheap
+        lat = CubeLattice(n)
+        rng = random.Random(n)
+        read, sides = [], set()
+
+        class Recorded(DenseFunction):
+            def evaluate(self, x):
+                read.append(x)
+                return super().evaluate(x)
+
+        for _ in range(4):
+            target = DenseFunction(lat, rng.getrandbits(lat.size))
+            hd = Recorded(lat, rng.getrandbits(lat.size))
+            starts = [a for a in mask_elements(target.mask ^ hd.mask) if a.bit_count() <= 4]
+            low = [a for a in starts if a < lat.size // 2]
+            high = [a for a in starts if a >= lat.size // 2]
+            for a in rng.sample(low, 3) + rng.sample(high, 3):
+                mq = MembershipOracle.for_function(target)
+                got = descend_to_local_min(lat, a, hd, mq, target.evaluate(a), {})
+                assert got == DescentResult(a, *brute_descent(lat, a, hd, target.evaluate))
+            sides |= {b << 1 < hd.mask.bit_length() for b in read}
+            read.clear()
+        assert sides == {True, False}
 
 
 class RecordingOracle(EquivalenceOracle):
@@ -431,8 +460,9 @@ class TestAgainstReferenceLoop:
             takimoto_family(2, 1),
             takimoto_family(2, 2),
             takimoto_family(3, 1, uneven=True),
+            tightness_family(3, 4),
         ],
-        ids=["tight2x1", "tight2x3", "tight3x2", "taki2x1", "taki2x2", "taki3x1u"],
+        ids=["tight2x1", "tight2x3", "tight3x2", "taki2x1", "taki2x2", "taki3x1u", "tight3x4"],
     )
     def test_family_targets(self, target):
         assert_same_run(target.d, target)
@@ -474,6 +504,13 @@ class TestAgainstReferenceLoop:
         assert xor.dense().mask == target.dense().mask
         assert len(xor.levels) == max_chain_alternations(lat, target.evaluate, maximal_chains(lat))
         assert degree <= d + (outer & 1)
+
+    def test_twelve_dimensional_random_target_under_the_highest_id_order(self):
+        # descents move under this order, on a table wide enough that bit
+        # reads fall on both sides of its middle
+        target = random_composed(3, (4, 4, 4), 12, seed=21)
+        assert assert_same_run(target.d, target, HighestIdOracle)
+        assert not assert_same_run(target.d - 1, target, HighestIdOracle)
 
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_other_orders_on_family_and_random_targets(self, order):
