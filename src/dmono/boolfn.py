@@ -57,11 +57,19 @@ class MonotoneDNF:
     """Disjunction of the up-sets of an antichain of minimal elements.
 
     ``size`` is the number of minimal elements.  An empty antichain is the
-    constant-0 function.
+    constant-0 function.  The antichain has two forms: ``minimals``, its
+    elements in ascending order, and ``mask``, its dense indicator (not the
+    truth table, which is ``dense().mask``).  An instance keeps the form it
+    was built from, a tuple from the constructor or a mask from
+    ``from_mask``, and derives the other when first read, so a function
+    over a cube too large to hold a mask never builds one unless a dense
+    path asks for it.
     """
 
     lattice: Lattice
-    minimals: tuple[int, ...] = ()
+    # a factory, not a class attribute, so that ``__getattr__`` sees a
+    # ``from_mask`` function whose tuple is not derived yet
+    minimals: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         elems = sorted({self.lattice.check_element(a) for a in self.minimals})
@@ -80,25 +88,51 @@ class MonotoneDNF:
         """Trusted constructor from a dense antichain, skipping the pairwise check.
 
         Callers pass the output of ``lattice.minimal`` (or an equivalent
-        level), which is an antichain by construction.
+        level), which is an antichain by construction.  Only the mask is
+        kept; ``minimals`` is peeled from it when first read.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "lattice", lattice)
-        object.__setattr__(g, "minimals", tuple(mask_elements(mask)))
+        fields = g.__dict__
+        fields["lattice"], fields["mask"] = lattice, mask
         return g
+
+    def __getattr__(self, name: str):
+        # reached only while one antichain form is not derived yet
+        fields = self.__dict__
+        if name == "minimals" and "mask" in fields:
+            value = tuple(mask_elements(fields["mask"]))
+        elif name == "mask" and "minimals" in fields:
+            value = elements_mask(fields["minimals"])
+        else:
+            raise AttributeError(name)
+        fields[name] = value
+        return value
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
+            return False
+        mine, theirs = self.__dict__.get("mask"), other.__dict__.get("mask")
+        if mine is not None and theirs is not None:
+            return mine == theirs
+        return self.minimals == other.minimals
+
+    def __hash__(self) -> int:
+        # by the tuple, which equal functions share whatever their forms
+        return hash((self.lattice, self.minimals))
 
     @property
     def size(self) -> int:
-        return len(self.minimals)
+        mask = self.__dict__.get("mask")
+        return len(self.minimals) if mask is None else mask.bit_count()
 
     def evaluate(self, x: int) -> int:
         self.lattice.check_element(x)
         return int(any(self.lattice.leq(a, x) for a in self.minimals))
 
     def dense(self) -> DenseFunction:
-        return DenseFunction(
-            self.lattice, self.lattice.up_closure(elements_mask(self.minimals))
-        )
+        return DenseFunction(self.lattice, self.lattice.up_closure(self.mask))
 
 
 @dataclass(frozen=True)
@@ -314,6 +348,6 @@ def nested_disjoint_violation(x: XorHypothesis) -> str | None:
             return f"level {i + 2} does not imply level {i + 1}"
         if hi == lo:
             return f"levels {i + 1} and {i + 2} are identical"
-        if set(lo.minimals) & set(hi.minimals):
+        if lo.mask & hi.mask:
             return f"levels {i + 1} and {i + 2} share minimal elements"
     return None

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis, strict_decompose
 from .errors import GenerationError
-from .lattice import CubeLattice, elements_mask
+from .lattice import CubeLattice, elements_mask, mask_bit
 
 
 def parity_table(d: int) -> int:
@@ -161,7 +161,7 @@ def chain_witness_check(
     x = 0
     for k, (j, blk) in enumerate(zip(indices, blocks)):
         x |= 1 << blk[j]
-        if k >= len(levels.levels) or x not in levels.levels[k].minimals:
+        if k >= len(levels.levels) or not mask_bit(levels.levels[k].mask, x):
             return False
     return True
 

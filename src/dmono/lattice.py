@@ -50,10 +50,21 @@ def mask_bit(mask: int, i: int) -> int:
 
 
 def elements_mask(elems: Iterable[int]) -> int:
-    m = 0
+    """Dense indicator of the non-negative ``elems``; inverse of ``mask_elements``."""
+    elems = list(elems)
+    if len(elems) <= 16:
+        # each OR copies the growing mask, while the byte buffer below
+        # makes one pass.  Measured on 2^12- to 2^22-bit masks, the ORs win
+        # up to 10-48 elements, fewer the wider the mask: past 16, the
+        # buffer loses a few µs on narrow masks and saves ms on wide ones
+        m = 0
+        for a in elems:
+            m |= 1 << a
+        return m
+    buf = bytearray((max(elems) >> 3) + 1)
     for a in elems:
-        m |= 1 << a
-    return m
+        buf[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(buf, "little")
 
 
 class Lattice:
@@ -199,7 +210,7 @@ class CubeLattice(Lattice):
     def up_closure(self, mask: int) -> int:
         a = mask.bit_length() - 1
         if a >= 0 and mask == 1 << a:  # far cheaper than bit_count on a dense mask
-            if a.bit_count() << 1 <= self.n:
+            if a.bit_count() <= 5:
                 # the up-set of a is every element set wherever a is: the
                 # complement of the clear masks of a's set coordinates, one
                 # full-width OR per set coordinate
@@ -210,14 +221,17 @@ class CubeLattice(Lattice):
                     out |= clear[j]
                     a ^= 1 << j
                 return self._full ^ out
-            # with more set coordinates than clear ones, double the point
-            # once per clear coordinate instead; the copies never overlap,
-            # and small shifts come first, so the int grows to full width
-            # only in the last passes
-            for j in range(self.n):
-                if not a >> j & 1:
-                    mask |= mask << (1 << j)
-            return mask
+            # otherwise the up-set is the subsets of a's clear coordinates,
+            # shifted once by a: double element 0 once per clear coordinate,
+            # smallest first, so the int only grows to the width of those
+            # subsets, and every shift-or before the last is short.  Measured
+            # at n = 12-22, this beats the ORs from about 6 set coordinates on
+            up, rest = 1, self.top ^ a
+            while rest:
+                low = rest & -rest
+                up |= up << low
+                rest ^= low
+            return up << a
         # bit-parallel sweep: one pass per coordinate propagates 0 -> 1
         for j, zeros in enumerate(self._coordinate_clear_masks()):
             mask |= (mask & zeros) << (1 << j)

@@ -15,6 +15,7 @@ from dmono import (
     MonotoneDNF,
     XorHypothesis,
     chain_alternations,
+    dumps_function,
     global_min,
     implies,
     local_min,
@@ -25,6 +26,7 @@ from dmono import (
     strict_decompose,
 )
 from dmono.errors import InternalError, InvalidChainError
+from dmono.fileio import function_to_doc
 from dmono.lattice import elements_mask, mask_elements
 
 from conftest import (
@@ -33,11 +35,14 @@ from conftest import (
     PENTAGON_COVERS,
     PENTAGON_NAMES,
     moore_families,
+    top_down_chain,
 )
 from oracles import (
     brute_closure_value,
     brute_global_min,
     brute_local_min,
+    brute_mask_elements,
+    brute_up_set,
     join_products,
     max_chain_alternations,
     maximal_chains_cube,
@@ -128,6 +133,83 @@ class TestComposedDense:
         outer = data.draw(st.integers(0, (1 << (1 << d)) - 1)) & ~1 | origin
         f = ComposedTarget(lat, outer, inner)
         assert f.dense().mask == elements_mask(x for x in lat.elements() if f.evaluate(x))
+
+
+class TestAntichainForms:
+    """A monotone DNF built from a mask and one built from a tuple are one function."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mask_and_tuple_forms_agree(self, data):
+        lat = data.draw(
+            st.integers(1, 8).map(CubeLattice)
+            | st.sampled_from(DENSE_LATTICES + [top_down_chain(5)])
+            | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
+        )
+        mins = lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1)))
+        elems = tuple(brute_mask_elements(mins))
+
+        def fresh():
+            # neither form derived yet; the constructor gets them unsorted
+            return MonotoneDNF.from_mask(lat, mins), MonotoneDNF(lat, elems[::-1])
+
+        by_mask, by_tuple = fresh()
+        assert by_mask.size == by_tuple.size == len(elems)
+        by_mask, by_tuple = fresh()
+        assert by_mask == by_tuple and by_tuple == by_mask
+        assert hash(by_mask) == hash(by_tuple)
+        by_mask, by_tuple = fresh()
+        assert by_mask.minimals == by_tuple.minimals == elems
+        assert by_mask.mask == by_tuple.mask == mins
+        up = elements_mask(brute_up_set(lat, elems))
+        assert by_mask.dense().mask == by_tuple.dense().mask == up
+        for x in lat.elements():
+            assert by_mask.evaluate(x) == by_tuple.evaluate(x) == up >> x & 1
+        # both forms known on both sides now: masks are compared
+        assert by_mask == by_tuple and hash(by_mask) == hash(by_tuple)
+        if isinstance(lat, CubeLattice):
+            docs = [function_to_doc(g) for g in fresh()]
+            assert docs[0] == docs[1] == {
+                "lattice": {"cube": lat.n},
+                "repr": "mdnf",
+                "payload": [lat.element_name(a) for a in elems],
+            }
+            assert MonotoneDNF.from_mask(CubeLattice(lat.n + 1), mins) != by_mask
+
+        # moving one element (or adding one to an empty antichain) is a
+        # different function, whichever forms meet
+        outside = [x for x in lat.elements() if not mins >> x & 1]
+        if not outside:
+            return
+        b = data.draw(st.sampled_from(outside))
+        a = data.draw(st.sampled_from(elems)) if elems else None
+        moved = mins & ~(0 if a is None else 1 << a) | 1 << b
+        for g in fresh() + tuple(fresh()[::-1]):
+            assert MonotoneDNF.from_mask(lat, moved) != g
+            assert g != MonotoneDNF.from_mask(lat, moved)
+            if lat.minimal(moved) == moved:
+                assert MonotoneDNF(lat, tuple(brute_mask_elements(moved))) != g
+
+    @pytest.mark.parametrize("n", [30, 64])
+    def test_constructor_form_builds_no_mask(self, n):
+        # a mask reaching the top coordinates would take 2^(n-1) bits
+        lat = CubeLattice(n)
+        points = tuple(1 << j for j in range(n - 4, n))
+        tracemalloc.start()
+        try:
+            g, same = MonotoneDNF(lat, points[::-1]), MonotoneDNF(lat, points)
+            other = MonotoneDNF(lat, points[1:] + (1,))
+            assert g.size == 4 and g.minimals == points
+            assert g == same and g != other and hash(g) == hash(same)
+            target = ComposedTarget(lat, parity_table(2), (g, other))
+            text = dumps_function(target, {"family": "random", "n": n})
+            assert f'"1{"0" * (n - 1)}"' in dumps_function(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert all("mask" not in f.__dict__ for f in (g, same, other))
+        assert '"repr": "composed"' in text
 
 
 class TestValidation:

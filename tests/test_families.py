@@ -124,6 +124,18 @@ class TestTakimoto:
             for picks in itertools.product(range(t), repeat=d):
                 assert chain_witness_check(tk, picks, levels=levels)
 
+    def test_chain_witnesses_read_minimal_elements_of_either_form(self):
+        tk = takimoto_family(2, 2)
+        levels = strict_decompose(tk).levels
+        as_tuples = tuple(MonotoneDNF(tk.lattice, lv.minimals[::-1]) for lv in levels)
+        # the chain's second element lies above the first level's minima
+        # but is not one of them, and the first is not a minimum of level 2
+        for wrong in [(levels[0], levels[0]), levels[::-1], (as_tuples[0],) * 2]:
+            for picks in itertools.product(range(2), repeat=2):
+                assert not chain_witness_check(tk, picks, levels=XorHypothesis(tk.lattice, wrong))
+        for picks in itertools.product(range(2), repeat=2):
+            assert chain_witness_check(tk, picks, levels=XorHypothesis(tk.lattice, as_tuples))
+
     def test_witness_index_validation(self):
         tk = takimoto_family(2, 2)
         with pytest.raises(IndexError):

@@ -589,9 +589,9 @@ class TestDenseSweeps:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_cube_up_closure_of_one_point_matches_pointwise(self, n, monkeypatch):
-        # a point with at most n/2 set coordinates ORs their clear masks; one
-        # with more doubles itself and reads no mask.  Every n has points of
-        # both kinds: the bottom 0 and the top
+        # a point with at most 5 set coordinates ORs their clear masks; one
+        # with more doubles element 0 over its clear coordinates and reads
+        # no mask.  From n = 6 on, both kinds occur: the bottom 0 and the top
         lat = CubeLattice(n)
         masks = lat._coordinate_clear_masks()
         reads = []
@@ -601,9 +601,19 @@ class TestDenseSweeps:
         ored = 1
         for a in range(1, lat.size):
             assert lat.up_closure(1 << a) == elements_mask(brute_up_set(lat, [a]))
-            ored += a.bit_count() * 2 <= n
+            ored += a.bit_count() <= 5
         assert len(reads) == ored
-        assert 0 < ored < lat.size
+        assert (ored < lat.size) == (n > 5)
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_cube_up_closure_of_one_point_at_every_set_count(self, n):
+        # one point per set-coordinate count, the set coordinates drawn at
+        # random, so both paths see low and high coordinates clear
+        lat = CubeLattice(n)
+        rng = random.Random(n)
+        for k in range(n + 1):
+            a = elements_mask(rng.sample(range(n), k))
+            assert lat.up_closure(1 << a) == elements_mask(brute_up_set(lat, [a]))
 
     def test_cube_shadow_matches_pointwise(self):
         lat = CubeLattice(4)
