@@ -335,13 +335,18 @@ def implies(g: Representation, h: Representation) -> bool:
     return g.dense().mask & ~h.dense().mask == 0
 
 
-def nested_disjoint_violation(x: XorHypothesis) -> str | None:
+def nested_disjoint_violation(
+    x: XorHypothesis, tables: Sequence[int] | None = None
+) -> str | None:
     """Why the levels fail the shrinking, minim-disjoint shape, if they do.
 
     Returns None when every level implies its predecessor, differs from it,
     and shares no minimal element with it; otherwise a one-line reason.
+    ``tables`` takes the levels' truth tables, in order, from a caller that
+    has built them already.
     """
-    tables = [lv.dense().mask for lv in x.levels]
+    if tables is None:
+        tables = [lv.dense().mask for lv in x.levels]
     for i in range(len(x.levels) - 1):
         lo, hi = x.levels[i], x.levels[i + 1]
         if tables[i + 1] & ~tables[i]:

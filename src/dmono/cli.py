@@ -142,10 +142,6 @@ def _emit(record: dict | int, args) -> None:
         print(line)
 
 
-def _names(lattice: Lattice, elems) -> list[str]:
-    return [lattice.element_name(a) for a in elems]
-
-
 def cmd_learn(args) -> int:
     target, _meta = load_function(args.target)
     lat = target.lattice
@@ -174,22 +170,25 @@ def cmd_learn(args) -> int:
         "mq_bound": stats.mq_bound,
         "sigma": stats.sigma,
         "max_descent_inspections": stats.max_descent_inspections,
-        "x0": _names(lat, stats.x0),
-        "x1": _names(lat, stats.x1),
+        "x0": lat.element_names(stats.x0),
+        "x1": lat.element_names(stats.x1),
         "hypothesis": function_to_doc(hypothesis),
         "wall_ms": round(wall * 1000, 3),
         "rebuild_ms": round(stats.rebuild_seconds * 1000, 3),
     }
     if args.trace:
+        trace = stats.trace
+        starts = lat.element_names([r.counterexample for r in trace])
+        settled = lat.element_names([r.element for r in trace])
         record["trace"] = [
             {
-                "counterexample": lat.element_name(r.counterexample),
-                "settled": lat.element_name(r.element),
+                "counterexample": start,
+                "settled": end,
                 "label": r.value,
                 "steps": r.steps,
                 "inspections": r.inspections,
             }
-            for r in stats.trace
+            for r, start, end in zip(trace, starts, settled)
         ]
     _emit(record, args)
     return 0
@@ -205,8 +204,8 @@ def cmd_consistent(args) -> int:
         "command": "consistent",
         "lattice": lat.describe(),
         "d": args.d,
-        "x0": sorted(_names(lat, x0)),
-        "x1": sorted(_names(lat, x1)),
+        "x0": sorted(lat.element_names(x0)),
+        "x1": sorted(lat.element_names(x1)),
         "level_sizes": [lv.size for lv in hypothesis.levels],
         "hypothesis": function_to_doc(hypothesis),
     }
@@ -230,7 +229,7 @@ def cmd_decompose(args) -> int:
         "level_sizes": [lv.size for lv in xor.levels],
         "size_xor_m": xor.size,
         "roundtrip_ok": xor.dense().mask == table.mask,
-        "levels": [_names(lat, lv.minimals) for lv in xor.levels],
+        "levels": [lat.element_names(lv.minimals) for lv in xor.levels],
         "wall_ms": round(wall * 1000, 3),
     }
     _emit(record, args)
@@ -313,8 +312,14 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     table = target.dense()
     xor = strict_decompose(table)
-    checks.append(("decompose-roundtrip", xor.dense().mask == table.mask, ""))
-    violation = nested_disjoint_violation(xor)
+    # each level's closure, rebuilt once from its minimal mask, serves both
+    # shape checks
+    tables = [lv.dense().mask for lv in xor.levels]
+    parity = 0
+    for level_table in tables:
+        parity ^= level_table
+    checks.append(("decompose-roundtrip", parity == table.mask, ""))
+    violation = nested_disjoint_violation(xor, tables)
     checks.append(("levels-strict", violation is None, violation or ""))
     if isinstance(target, ComposedTarget):
         limit = target.d + (1 if target.outer_at_origin else 0)

@@ -6,13 +6,12 @@ least significant bit, so witnesses and serialized goldens are byte-stable.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Sequence
 
 from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis, strict_decompose
 from .errors import GenerationError
-from .lattice import CubeLattice, elements_mask, mask_bit
+from .lattice import CubeLattice, mask_bit
 
 
 def parity_table(d: int) -> int:
@@ -104,17 +103,19 @@ def prefix_levels(d: int, t: int) -> XorHypothesis:
     if d < 1 or t < 1:
         raise ValueError("prefix levels need d >= 1 and t >= 1")
     lat = CubeLattice(d * t)
-    levels = []
-    for k in range(1, d + 1):
-        minimals = []
-        for combo in itertools.combinations(range(d), k):
-            for choice in itertools.product(range(t), repeat=k):
-                x = 0
-                for blk, j in zip(combo, choice):
-                    x |= 1 << (blk * t + j)
-                minimals.append(x)
-        levels.append(MonotoneDNF.from_mask(lat, elements_mask(minimals)))
-    return XorHypothesis(lat, tuple(levels))
+    # rows[k]: the dense set of points taking one variable from each of k
+    # blocks seen so far.  Adding a block moves every point of rows[k-1]
+    # up by one of the block's variables: a shift by 2^b sets bit b of
+    # each point, which is clear since the block is new.  Descending k
+    # reads rows[k-1] before this block joins it
+    rows = [1] + [0] * d
+    for blk in range(d):
+        for k in range(blk + 1, 0, -1):
+            below, row = rows[k - 1], rows[k]
+            for b in range(blk * t, blk * t + t):
+                row |= below << (1 << b)
+            rows[k] = row
+    return XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, row) for row in rows[1:]))
 
 
 def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:

@@ -52,7 +52,7 @@ def resolve_lattice(desc, base_dir: str | Path = ".") -> Lattice:
 
 
 def _mdnf_payload(g: MonotoneDNF) -> list[str]:
-    return [g.lattice.element_name(a) for a in g.minimals]
+    return g.lattice.element_names(g.minimals)
 
 
 def _mdnf_from_payload(lattice: Lattice, payload) -> MonotoneDNF:

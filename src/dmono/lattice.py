@@ -105,6 +105,14 @@ class Lattice:
     def element_name(self, a: int) -> str:
         raise NotImplementedError
 
+    def element_names(self, elems: Iterable[int]) -> list[str]:
+        """Names of ids this lattice issued, with no check per id.
+
+        For writers of ids read from the lattice's own masks or from
+        points already checked; ``element_name`` checks its id.
+        """
+        raise NotImplementedError
+
     def parse_element(self, name: str) -> int:
         raise NotImplementedError
 
@@ -186,6 +194,10 @@ class CubeLattice(Lattice):
     def element_name(self, a: int) -> str:
         self.check_element(a)
         return format(a, f"0{self.n}b")
+
+    def element_names(self, elems: Iterable[int]) -> list[str]:
+        spec = f"0{self.n}b"
+        return [format(a, spec) for a in elems]
 
     def parse_element(self, name: str) -> int:
         if len(name) != self.n or set(name) - {"0", "1"}:
@@ -427,6 +439,10 @@ class ExplicitLattice(Lattice):
     def element_name(self, a: int) -> str:
         self.check_element(a)
         return self.names[a]
+
+    def element_names(self, elems: Iterable[int]) -> list[str]:
+        names = self.names
+        return [names[a] for a in elems]
 
     def parse_element(self, name: str) -> int:
         try:

@@ -9,7 +9,7 @@ validated samples, so it shares the rebuild rounds and the descent but
 none of the loop's mask bookkeeping.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from dmono import (
     DenseState,
@@ -190,6 +190,25 @@ def brute_local_min(lat, value):
 def brute_closure_value(lat, value, x):
     """Least monotone upper bound, evaluated pointwise by down-set scan."""
     return int(any(value(y) for y in lat.elements() if lat.leq(y, x)))
+
+
+def brute_prefix_levels(d, t):
+    """Minimal-element masks of the tightness family's levels, one minterm at a time.
+
+    Level k holds the joins of one variable from each of k distinct
+    t-wide blocks, block i owning bits i*t .. i*t+t-1.
+    """
+    levels = []
+    for k in range(1, d + 1):
+        mask = 0
+        for combo in combinations(range(d), k):
+            for choice in product(range(t), repeat=k):
+                x = 0
+                for blk, j in zip(combo, choice):
+                    x |= 1 << (blk * t + j)
+                mask |= 1 << x
+        levels.append(mask)
+    return levels
 
 
 def maximal_chains_cube(n):

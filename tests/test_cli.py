@@ -16,9 +16,11 @@ from dmono import (
     XorHypothesis,
     learn,
     save_function,
+    strict_decompose,
     tightness_family,
 )
 from dmono.cli import build_parser, main
+from dmono.errors import InvalidElementError
 from dmono.fileio import function_to_doc, load_function
 
 from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text
@@ -216,23 +218,30 @@ class TestLearn:
 
     @pytest.mark.parametrize("fixture", ["parity_file", "diamond_file"])
     def test_trace_names_the_runs_descents(self, capsys, request, fixture):
+        # the record's names, written a batch at a time, are element_name's
         path = request.getfixturevalue(fixture)
         target, _ = load_function(path)
         lat = target.lattice
-        _, stats = learn(2, lat, MembershipOracle.for_function(target), EquivalenceOracle(target))
+        name = lat.element_name
+        h, stats = learn(2, lat, MembershipOracle.for_function(target), EquivalenceOracle(target))
         assert any(r.steps for r in stats.trace) == (fixture == "diamond_file")
+        assert stats.x0 and stats.x1
         code, out, _ = run_cli(capsys, "learn", str(path), "-d", "2", "--trace")
         assert code == 0
-        assert record_of(out)["trace"] == [
+        rec = record_of(out)
+        assert rec["trace"] == [
             {
-                "counterexample": lat.element_name(r.counterexample),
-                "settled": lat.element_name(r.element),
+                "counterexample": name(r.counterexample),
+                "settled": name(r.element),
                 "label": r.value,
                 "steps": r.steps,
                 "inspections": r.inspections,
             }
             for r in stats.trace
         ]
+        assert rec["x0"] == [name(a) for a in stats.x0]
+        assert rec["x1"] == [name(a) for a in stats.x1]
+        assert rec["hypothesis"]["payload"] == [[name(a) for a in lv.minimals] for lv in h.levels]
 
     def test_records_identical_up_to_timing(self, capsys, parity_file):
         _, first, _ = run_cli(capsys, "learn", str(parity_file), "-d", "2")
@@ -451,6 +460,53 @@ class TestVerify:
         assert out.count(" pointwise-equal\n") == k
         assert (len(loads), len(tables)) == (k + 1, k + 1)
 
+    def test_verify_builds_each_level_closure_once(self, capsys, tmp_path, monkeypatch):
+        # d inner closures for the target's table, L for its decomposition,
+        # and one per level shared by decompose-roundtrip and levels-strict
+        d, t = 4, 4
+        path = tmp_path / "t44.json"
+        save_function(tightness_family(d, t), path, meta={"family": "tightness", "d": d, "t": t})
+        levels = len(strict_decompose(tightness_family(d, t)).levels)
+        calls = []
+        up_closure = CubeLattice.up_closure
+        monkeypatch.setattr(
+            CubeLattice, "up_closure", lambda lat, mask: calls.append(mask) or up_closure(lat, mask)
+        )
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and "FAIL" not in out
+        assert len(calls) <= d + 2 * levels == 12
+
+    @pytest.mark.parametrize(
+        "edit, roundtrip, strict",
+        [
+            (lambda lvs: lvs[:-1], "FAIL", "PASS"),
+            (lambda lvs: lvs[::-1], "PASS", "FAIL"),
+            (lambda lvs: lvs[:1] + lvs, "FAIL", "FAIL"),
+        ],
+        ids=["last-dropped", "reversed", "first-twice"],
+    )
+    def test_shape_checks_read_the_levels_they_are_given(
+        self, capsys, tmp_path, monkeypatch, edit, roundtrip, strict
+    ):
+        # the shared level tables are built from the decomposition verify
+        # checks, so a broken one fails the check that covers its fault
+        import dmono.cli
+
+        path = tmp_path / "t33.json"
+        save_function(tightness_family(3, 3), path)
+        decompose = dmono.cli.strict_decompose
+
+        def broken(f):
+            xor = decompose(f)
+            return XorHypothesis(xor.lattice, edit(xor.levels))
+
+        monkeypatch.setattr(dmono.cli, "strict_decompose", broken)
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == f"{roundtrip} {path} decompose-roundtrip"
+        assert lines[1].startswith(f"{strict} {path} levels-strict")
+
     def test_against_file_past_the_cap_exits_3_before_any_check(self, capsys, tmp_path):
         path, other = tmp_path / "t.json", tmp_path / "big.json"
         save_function(DenseFunction(CubeLattice(2), 0b0110), path)
@@ -459,6 +515,32 @@ class TestVerify:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("dmono: cube:5 has 2^5 elements; ")
+
+
+class TestRecordNames:
+    """Records name lattice-issued ids in batches, each as ``element_name`` does.
+
+    ``TestLearn.test_trace_names_the_runs_descents`` checks learn records.
+    """
+
+    @pytest.mark.parametrize("fixture", ["parity_file", "diamond_file"])
+    def test_decompose_levels(self, capsys, request, fixture):
+        path = request.getfixturevalue(fixture)
+        target, _ = load_function(path)
+        name = target.lattice.element_name
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0
+        assert record_of(out)["levels"] == [
+            [name(a) for a in lv.minimals] for lv in strict_decompose(target).levels
+        ]
+
+    @pytest.mark.parametrize("fixture", ["parity_file", "diamond_file"])
+    def test_element_name_still_checks_its_id(self, request, fixture):
+        lat = load_function(request.getfixturevalue(fixture))[0].lattice
+        assert lat.element_names(lat.elements()) == [lat.element_name(a) for a in lat.elements()]
+        for a in (-1, lat.size):
+            with pytest.raises(InvalidElementError):
+                lat.element_name(a)
 
 
 def lattice_reference(name):

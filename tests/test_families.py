@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from dmono import (
 from dmono.boolfn import MonotoneDNF, XorHypothesis
 from dmono.errors import GenerationError
 from dmono.families import _distinct_draws, takimoto_blocks
+
+from oracles import brute_prefix_levels
 
 
 class TestTightness:
@@ -81,6 +84,15 @@ class TestPrefixLevels:
                 and all((x >> (b * t) & block).bit_count() <= 1 for b in range(d))
             )
             assert level == MonotoneDNF(lat, words)
+
+    @pytest.mark.parametrize(
+        "d, t", [(d, t) for d in range(1, 17) for t in range(1, 17) if d * t <= 16]
+    )
+    def test_shift_levels_equal_per_minterm_construction(self, d, t):
+        # every cube up to 16 dimensions, (1,1), (1,16) and (16,1) included
+        levels = prefix_levels(d, t).levels
+        assert [lv.mask for lv in levels] == brute_prefix_levels(d, t)
+        assert [lv.size for lv in levels] == [math.comb(d, k) * t**k for k in range(1, d + 1)]
 
     def test_satisfies_nested_disjoint_shape(self):
         for d, t in [(2, 2), (3, 1), (3, 2)]:
