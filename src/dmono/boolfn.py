@@ -73,9 +73,10 @@ class MonotoneDNF:
 
     def __post_init__(self):
         elems = sorted({self.lattice.check_element(a) for a in self.minimals})
+        leq = self.lattice._leq
         for i, a in enumerate(elems):
             for b in elems[i + 1 :]:
-                if self.lattice.leq(a, b) or self.lattice.leq(b, a):
+                if leq(a, b) or leq(b, a):
                     raise ValueError(
                         "minimals are not an antichain: "
                         f"{self.lattice.element_name(a)} and {self.lattice.element_name(b)} "
@@ -129,7 +130,7 @@ class MonotoneDNF:
 
     def evaluate(self, x: int) -> int:
         self.lattice.check_element(x)
-        return int(any(self.lattice.leq(a, x) for a in self.minimals))
+        return int(any(self.lattice._leq(a, x) for a in self.minimals))
 
     def dense(self) -> DenseFunction:
         return DenseFunction(self.lattice, self.lattice.up_closure(self.mask))
@@ -184,6 +185,7 @@ class XorHypothesis:
         return sum(lv.size for lv in self.levels)
 
     def evaluate(self, x: int) -> int:
+        self.lattice.check_element(x)
         v = 0
         for lv in self.levels:
             v ^= lv.evaluate(x)
@@ -315,7 +317,7 @@ def chain_alternations(f: Representation, chain: Sequence[int]) -> int:
     lat = f.lattice
     xs = [lat.check_element(x) for x in chain]
     for a, b in zip(xs, xs[1:]):
-        if a == b or not lat.leq(a, b):
+        if a == b or not lat._leq(a, b):
             raise InvalidChainError(
                 f"{lat.element_name(a)} followed by {lat.element_name(b)} "
                 "is not strictly ascending"

@@ -75,7 +75,14 @@ class DenseState:
         return tuple(mask_elements(self.s1))
 
     def add(self, q: int, label: int) -> None:
-        """Fit any filed point, then file q, not yet in the sample, under ``label``."""
+        """Fit any filed point, then file q, not yet in the sample, under ``label``.
+
+        Raises InvalidElementError for a q off the lattice and ValueError
+        for a label other than 0 or 1, before it fits or files anything.
+        """
+        self.lattice.check_element(q)
+        if label not in (0, 1) or not isinstance(label, int):
+            raise ValueError(f"a label is 0 or 1, not {label!r}")
         self.fit()
         self._filed = q, label
 

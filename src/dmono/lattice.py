@@ -74,14 +74,16 @@ class Lattice:
     top: int
 
     # ---- primitives -------------------------------------------------
+    # the cores take ids already checked or issued by the lattice; the
+    # public queries below check once and call them
 
-    def leq(self, a: int, b: int) -> bool:
+    def _leq(self, a: int, b: int) -> bool:
         raise NotImplementedError
 
-    def join(self, a: int, b: int) -> int:
+    def _join(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
+    def _preds(self, a: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def sigma(self) -> int:
@@ -100,9 +102,6 @@ class Lattice:
         antichain of minimal elements.  ``up = mask`` gives the local
         minima instead.
         """
-        raise NotImplementedError
-
-    def element_name(self, a: int) -> str:
         raise NotImplementedError
 
     def element_names(self, elems: Iterable[int]) -> list[str]:
@@ -129,6 +128,22 @@ class Lattice:
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
 
+    def leq(self, a: int, b: int) -> bool:
+        self.check_element(a)
+        self.check_element(b)
+        return self._leq(a, b)
+
+    def join(self, a: int, b: int) -> int:
+        self.check_element(a)
+        self.check_element(b)
+        return self._join(a, b)
+
+    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
+        return self._preds(self.check_element(a))
+
+    def element_name(self, a: int) -> str:
+        return self.element_names((self.check_element(a),))[0]
+
 
 class CubeLattice(Lattice):
     """{0,1}^n under the coordinatewise order; join is bitwise OR."""
@@ -140,9 +155,8 @@ class CubeLattice(Lattice):
         self._clear_masks: list[int] | None = None
         self._full = 0  # every element's bit, set beside the clear masks
 
-    # computed on each read, so that building even a huge cube is O(1); not
-    # cached, since caching would give every cube an instance dict and slow
-    # each attribute load in the hot queries
+    # computed on each read, not stored at construction, so that building
+    # even a cube too large to hold a table is O(1)
     @property
     def size(self) -> int:
         return 1 << self.n
@@ -169,18 +183,13 @@ class CubeLattice(Lattice):
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
 
-    def leq(self, a: int, b: int) -> bool:
-        self.check_element(a)
-        self.check_element(b)
+    def _leq(self, a: int, b: int) -> bool:
         return a | b == b
 
-    def join(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
+    def _join(self, a: int, b: int) -> int:
         return a | b
 
-    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
-        self.check_element(a)
+    def _preds(self, a: int) -> tuple[int, ...]:
         # peel set bits high first: clearing a higher bit gives a smaller word
         preds, rest = [], a
         while rest:
@@ -190,10 +199,6 @@ class CubeLattice(Lattice):
 
     def sigma(self) -> int:
         return self.n * (self.n + 1) // 2
-
-    def element_name(self, a: int) -> str:
-        self.check_element(a)
-        return format(a, f"0{self.n}b")
 
     def element_names(self, elems: Iterable[int]) -> list[str]:
         spec = f"0{self.n}b"
@@ -355,7 +360,7 @@ class ExplicitLattice(Lattice):
         for a in range(self.size):
             for c in up_covers[a]:
                 preds[c].append(a)
-        self._preds = tuple(map(tuple, preds))
+        self._lower_covers = tuple(map(tuple, preds))
 
         # a pair has a least upper bound exactly when its common up-set is
         # itself the up-set of one element, which is then the join.  Under a
@@ -401,19 +406,14 @@ class ExplicitLattice(Lattice):
     def describe(self) -> str:
         return self.source_path or f"explicit:{self.size}"
 
-    def leq(self, a: int, b: int) -> bool:
-        self.check_element(a)
-        self.check_element(b)
+    def _leq(self, a: int, b: int) -> bool:
         return bool(self._ups[a] >> b & 1)
 
-    def join(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
+    def _join(self, a: int, b: int) -> int:
         return self._by_up[self._ups[a] & self._ups[b]]
 
-    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
-        self.check_element(a)
-        return self._preds[a]
+    def _preds(self, a: int) -> tuple[int, ...]:
+        return self._lower_covers[a]
 
     def sigma(self) -> int:
         return self._sigma
@@ -429,16 +429,12 @@ class ExplicitLattice(Lattice):
         # test only the mask's own points, each against its lower covers
         if up is None:
             up = self.up_closure(mask)
-        preds = self._preds
+        preds = self._lower_covers
         out = 0
         for a in mask_elements(mask):
             if not any(up >> b & 1 for b in preds[a]):
                 out |= 1 << a
         return out
-
-    def element_name(self, a: int) -> str:
-        self.check_element(a)
-        return self.names[a]
 
     def element_names(self, elems: Iterable[int]) -> list[str]:
         names = self.names

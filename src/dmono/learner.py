@@ -140,13 +140,13 @@ def descend_to_local_min(
     contract.  Raw inspections per descent never exceed the lattice's
     maximal predecessor sum.
     """
+    start, steps, inspections = lattice.check_element(a), 0, 0
     # read once; the predecessor ids come from the lattice, so need no check
     table = hypothesis.dense().mask
     length = table.bit_length()
     cache.setdefault(a, value)
-    start, steps, inspections = a, 0, 0
     while True:
-        for b in lattice.immediate_predecessors(a):
+        for b in lattice._preds(a):
             inspections += 1
             vb = cache.get(b)
             if vb is None:

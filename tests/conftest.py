@@ -59,6 +59,19 @@ def kernel_runs():
         yield runs
 
 
+def checked_ids(monkeypatch, lat):
+    """List that records every id ``lat.check_element`` is asked about."""
+    seen = []
+    check = lat.check_element
+
+    def counted(a):
+        seen.append(a)
+        return check(a)
+
+    monkeypatch.setattr(lat, "check_element", counted)
+    return seen
+
+
 def top_down_chain(n):
     """An n-element chain whose ids run from the top down."""
     names = [f"c{i}" for i in reversed(range(n))]

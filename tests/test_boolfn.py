@@ -25,8 +25,8 @@ from dmono import (
     parity_table,
     strict_decompose,
 )
-from dmono.errors import InternalError, InvalidChainError
-from dmono.fileio import function_to_doc
+from dmono.errors import InternalError, InvalidChainError, InvalidElementError
+from dmono.fileio import function_to_doc, load_function
 from dmono.lattice import elements_mask, mask_elements
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     DIAMOND_NAMES,
     PENTAGON_COVERS,
     PENTAGON_NAMES,
+    checked_ids,
     moore_families,
     top_down_chain,
 )
@@ -79,6 +80,26 @@ class TestEvaluate:
     def test_empty_xor_is_zero(self, cube2):
         h = XorHypothesis(cube2, ())
         assert all(h.evaluate(x) == 0 for x in cube2.elements())
+
+    def test_off_lattice_ids_rejected(self, cube2, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text('{"lattice": {"cube": 2}, "repr": "xor", "payload": []}')
+        g = MonotoneDNF(cube2, (0b01,))
+        functions = [
+            DenseFunction(cube2, 0b0110),
+            g,
+            MonotoneDNF(cube2, ()),
+            MonotoneDNF.from_mask(cube2, 0b0010),
+            XorHypothesis(cube2, (g,)),
+            XorHypothesis.from_table(cube2, 0b1010, 1),
+            strict_decompose(DenseFunction(cube2, 0)),
+            load_function(path)[0],
+            xor12(cube2),
+        ]
+        for f in functions:
+            for bad in (-1, cube2.size, None):
+                with pytest.raises(InvalidElementError, match="is not an element of cube:2"):
+                    f.evaluate(bad)
 
     def test_outer_origin_bit_applies_at_real_elements(self, cube2):
         # no special-casing of the all-zero inner tuple away from the bottom
@@ -216,6 +237,18 @@ class TestValidation:
     def test_non_antichain_rejected(self, cube2):
         with pytest.raises(ValueError, match="antichain"):
             MonotoneDNF(cube2, (0b01, 0b11))
+
+    @pytest.mark.parametrize(
+        "lat, points",
+        [(CubeLattice(k), tuple(1 << j for j in range(k))) for k in (1, 2, 6)]
+        + [(ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS), (1, 2))],
+        ids=["cube1", "cube2", "cube6", "diamond"],
+    )
+    def test_each_point_is_checked_once(self, monkeypatch, lat, points):
+        # the pairwise antichain test asks the unchecked order
+        checked = checked_ids(monkeypatch, lat)
+        MonotoneDNF(lat, points)
+        assert sorted(checked) == sorted(points)
 
     def test_duplicates_collapse(self, cube2):
         assert MonotoneDNF(cube2, (0b01, 0b01)).minimals == (0b01,)

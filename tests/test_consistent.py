@@ -403,6 +403,27 @@ class TestOnePointExtension:
         assert (state.s0, state.s1, state.closures, state.table) == before
         assert outcome(2, state) == outcome(2, DenseState(cube3, 2, {0b011}, {0b001}))
 
+    @pytest.mark.parametrize(
+        "q, label, error, message",
+        [
+            (5, 1, InvalidElementError, "^5 is not an element of cube:2$"),
+            (4, 1, InvalidElementError, "^4 is not an element of cube:2$"),
+            (-1, 1, InvalidElementError, "^-1 is not an element of cube:2$"),
+            (None, 0, InvalidElementError, "^None is not an element of cube:2$"),
+            (0b01, 2, ValueError, "^a label is 0 or 1, not 2$"),
+            (0b01, -1, ValueError, "^a label is 0 or 1, not -1$"),
+            (0b01, 1.0, ValueError, r"^a label is 0 or 1, not 1\.0$"),
+        ],
+    )
+    def test_a_bad_add_is_refused_before_anything_is_filed(self, cube2, q, label, error, message):
+        state = DenseState(cube2, 2, {0b00}, {0b10})
+        state.add(0b11, 0)  # filed, and fitted only by the next add or consistent
+        before = (state.s0, state.s1, list(state.closures), state.table)
+        with pytest.raises(error, match=message):
+            state.add(q, label)
+        assert (state.s0, state.s1, state.closures, state.table) == before
+        assert outcome(2, state) == outcome(2, DenseState(cube2, 2, {0b00, 0b11}, {0b10}))
+
     def test_state_of_another_degree_is_rejected(self, cube3):
         with pytest.raises(ValueError, match="built for degree 2, not 3"):
             consistent(3, DenseState(cube3, 2))

@@ -98,11 +98,21 @@ class TestCubeOrder:
                 scan = tuple(a & ~(1 << j) for j in reversed(range(n)) if a >> j & 1)
                 assert cube.immediate_predecessors(a) == scan
 
-    def test_unknown_element_rejected(self, cube3):
-        with pytest.raises(InvalidElementError):
-            cube3.leq(0, 8)
-        with pytest.raises(InvalidElementError):
-            cube3.immediate_predecessors(-1)
+    def test_unknown_element_rejected(self, cube3, diamond):
+        for lat in (cube3, diamond):
+            queries = [
+                lambda a: lat.leq(a, 0),
+                lambda a: lat.leq(0, a),
+                lambda a: lat.join(a, 0),
+                lambda a: lat.join(0, a),
+                lat.immediate_predecessors,
+                lat.element_name,
+            ]
+            for bad in (-1, lat.size, 1.0, "3", None):
+                message = f"{bad!r} is not an element of {lat.describe()}"
+                for query in queries:
+                    with pytest.raises(InvalidElementError, match=f"^{re.escape(message)}$"):
+                        query(bad)
 
     @pytest.mark.parametrize("value", [-(2**70), -1, 0, 7, 8, 2**70, True, 1.0, "3", None])
     def test_check_element_matches_range_test(self, cube3, value):
@@ -144,6 +154,26 @@ class TestCubeOrder:
         for a in lat.elements():
             for b in lat.elements():
                 assert lat.join(a, b) == brute_join(lat, a, b)
+
+
+def assert_cores_answer_as_queries(lat):
+    """Each unchecked core equals its checked query on every element or pair."""
+    for a in lat.elements():
+        assert lat._preds(a) == lat.immediate_predecessors(a)
+        assert lat.element_name(a) == lat.element_names([a])[0]
+        for b in lat.elements():
+            assert lat._leq(a, b) == lat.leq(a, b)
+            assert lat._join(a, b) == lat.join(a, b)
+
+
+CORE_LATTICES = {f"cube{n}": CubeLattice(n) for n in range(1, 7)} | {
+    name: KERNEL_LATTICES[name] for name in ("diamond", "pentagon", "chain5-top-down")
+}
+
+
+@pytest.mark.parametrize("name", CORE_LATTICES)
+def test_cores_answer_as_checked_queries(name):
+    assert_cores_answer_as_queries(CORE_LATTICES[name])
 
 
 class TestSigma:
@@ -346,6 +376,7 @@ class TestMooreFamilies:
                 assert lat.leq(a, b) == (sets[a] & sets[b] == sets[a])
                 assert lat.join(a, b) == brute_join(lat, a, b)
             assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
+        assert_cores_answer_as_queries(lat)
         assert sets[lat.top] == max(sets)
         if lat.size <= 10:
             assert lat.sigma() == sigma_downset_recursion(lat)

@@ -30,7 +30,7 @@ from dmono import (
 from dmono.errors import DegreeTooSmallError, InvalidElementError
 from dmono.lattice import elements_mask, mask_elements
 
-from conftest import kernel_runs, moore_families
+from conftest import checked_ids, kernel_runs, moore_families
 from oracles import (
     brute_descent,
     join_products,
@@ -151,6 +151,18 @@ class TestDescend:
                 lat.check_element(a)
             assert str(info.value) == str(expected.value)
         assert mq.mq_count == 0
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_a_descent_checks_only_its_start(self, monkeypatch, n):
+        # every element but the bottom is 1, so the walk from the top
+        # clears one bit per step down to a single set coordinate
+        lat = CubeLattice(n)
+        table = (1 << lat.size) - 2
+        mq = MembershipOracle(lambda x: table >> x & 1)
+        checked = checked_ids(monkeypatch, lat)
+        res = descend_to_local_min(lat, lat.top, zero_hypothesis(lat), mq, 1, {})
+        assert (res.steps, res.element.bit_count()) == (n - 1, 1)
+        assert checked == [lat.top]
 
     def test_start_and_inspected_values_join_the_cache(self, cube2):
         target = parity_target(cube2)
