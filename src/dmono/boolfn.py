@@ -37,7 +37,7 @@ class DenseFunction:
             count = f"2^{lattice.n}"
         else:
             fits, count = len(bits) == lattice.size, lattice.size
-        if not fits or set(bits) - {"0", "1"}:
+        if not fits or bits.count("0") + bits.count("1") != len(bits):
             raise ValueError(f"dense payload must be exactly {count} characters of 0/1")
         return cls(lattice, int(bits[::-1], 2))  # character i is bit i
 
@@ -244,6 +244,11 @@ class ComposedTarget:
         return self.outer >> idx & 1
 
     def dense(self) -> DenseFunction:
+        # built once per target: kept in the instance dict, beside the
+        # fields, so equality, hashing and repr never see it
+        known = self.__dict__.get("_dense")
+        if known is not None:
+            return known
         # the elements whose inner-value tuple is idx, OR-ed over outer's ones
         full = (1 << self.lattice.size) - 1
         gmasks = [g.dense().mask for g in self.inner]
@@ -253,7 +258,8 @@ class ComposedTarget:
             for i, gm in enumerate(gmasks):
                 cell &= gm if idx >> i & 1 else full ^ gm
             out |= cell
-        return DenseFunction(self.lattice, out)
+        table = self.__dict__["_dense"] = DenseFunction(self.lattice, out)
+        return table
 
 
 Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget]
@@ -298,8 +304,8 @@ def strict_decompose(f: Representation) -> XorHypothesis:
         if len(levels) == lat.size:
             raise InternalError(f"decomposition did not terminate within {lat.size} levels")
         # the minimal elements of cur, keeping the closure for the next residue
-        reach = lat.up_closure(cur)
-        levels.append(MonotoneDNF.from_mask(lat, lat.minimal(cur, reach)))
+        reach, low = lat.up_and_minimal(cur)
+        levels.append(MonotoneDNF.from_mask(lat, low))
         cur ^= reach
     return XorHypothesis(lat, tuple(levels))
 

@@ -104,6 +104,11 @@ class Lattice:
         """
         raise NotImplementedError
 
+    def up_and_minimal(self, mask: int) -> tuple[int, int]:
+        """The up-closure of ``mask`` and its antichain of minimal elements."""
+        up = self.up_closure(mask)
+        return up, self.minimal(mask, up)
+
     def element_names(self, elems: Iterable[int]) -> list[str]:
         """Names of ids this lattice issued, with no check per id.
 
@@ -212,14 +217,15 @@ class CubeLattice(Lattice):
     def _coordinate_clear_masks(self) -> list[int]:
         # mask j marks every element whose j-th coordinate is 0
         if self._clear_masks is None:
-            masks = []
-            for j in range(self.n):
-                # 2^j ones then 2^j zeros, doubled until it spans the cube
-                m, width = (1 << (1 << j)) - 1, 2 << j
-                while width < self.size:
-                    m |= m << width
-                    width <<= 1
+            # top-down: mask n-1 is the lower half, and mask j is mask j+1
+            # with each of its blocks of 2^(j+1) ones split in two halves,
+            # one shift and one XOR each
+            m = (1 << (self.size >> 1)) - 1
+            masks = [m]
+            for j in reversed(range(self.n - 1)):
+                m ^= m << (1 << j)
                 masks.append(m)
+            masks.reverse()
             self._full = (1 << self.size) - 1
             self._clear_masks = masks
         return self._clear_masks
@@ -254,6 +260,18 @@ class CubeLattice(Lattice):
             mask |= (mask & zeros) << (1 << j)
         return mask
 
+    def up_and_minimal(self, mask: int) -> tuple[int, int]:
+        # the closure sweep, also collecting what each pass adds: a point
+        # reached from below over coordinate j lies strictly above some
+        # point of the mask, and every such point is reached so over the
+        # highest coordinate where the two differ
+        up, above = mask, 0
+        for j, zeros in enumerate(self._coordinate_clear_masks()):
+            step = (up & zeros) << (1 << j)
+            up |= step
+            above |= step
+        return up, mask & ~above
+
     def shadow(self, mask: int) -> int:
         """Elements having at least one immediate predecessor inside mask."""
         out = 0
@@ -263,7 +281,7 @@ class CubeLattice(Lattice):
 
     def minimal(self, mask: int, up: int | None = None) -> int:
         if up is None:
-            up = self.up_closure(mask)
+            return self.up_and_minimal(mask)[1]
         return mask & ~self.shadow(up)
 
 

@@ -27,6 +27,7 @@ from dmono import (
 )
 from dmono.errors import InternalError, InvalidChainError, InvalidElementError
 from dmono.fileio import function_to_doc, load_function
+from dmono.learner import EquivalenceOracle, MembershipOracle
 from dmono.lattice import elements_mask, mask_elements
 
 from conftest import (
@@ -118,7 +119,10 @@ class TestEvaluate:
         assert [f.evaluate(x) for x in cube2.elements()] == [int(ch) for ch in bits]
         assert f.bits() == bits
 
-    @pytest.mark.parametrize("bits", ["011", "01100", "01_1", " 011", "0121", "01", "01100000"])
+    # int(..., 2) reads the last two as well: fullwidth and Arabic-Indic digits
+    @pytest.mark.parametrize(
+        "bits", ["011", "01100", "01_1", " 011", "0121", "01", "01100000", "０１１０", "01١0"]
+    )
     def test_from_bits_rejects_malformed_tables(self, cube2, bits):
         with pytest.raises(ValueError, match=r"exactly 2\^2 characters of 0/1"):
             DenseFunction.from_bits(cube2, bits)
@@ -154,6 +158,30 @@ class TestComposedDense:
         outer = data.draw(st.integers(0, (1 << (1 << d)) - 1)) & ~1 | origin
         f = ComposedTarget(lat, outer, inner)
         assert f.dense().mask == elements_mask(x for x in lat.elements() if f.evaluate(x))
+
+    def test_table_is_built_once_per_target(self, monkeypatch):
+        # both oracles of a learn run read one target's table, so its inner
+        # closures are built once, not once per oracle
+        lat = CubeLattice(6)
+        inner = tuple(MonotoneDNF(lat, (1 << i,)) for i in range(3))
+        t = ComposedTarget(lat, parity_table(3), inner)
+        assert t.dense() is t.dense()
+        fresh = ComposedTarget(lat, t.outer, t.inner)
+        calls = []
+        dense = MonotoneDNF.dense
+        monkeypatch.setattr(MonotoneDNF, "dense", lambda g: calls.append(g) or dense(g))
+        oracles = EquivalenceOracle(fresh), MembershipOracle.for_function(fresh)
+        assert len(calls) == fresh.d == 3
+        assert oracles[0].table is fresh.dense()
+
+    def test_read_table_leaves_equality_hash_and_copies_alone(self, cube3):
+        t, fresh = xor12(cube3), xor12(cube3)
+        table = t.dense()
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        copied = copy.deepcopy(t)
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert copied.dense() == table
+        assert copy.deepcopy(fresh) == t
 
 
 class TestAntichainForms:
@@ -452,7 +480,7 @@ class TestStrictDecompose:
         # a closure of nothing never shrinks the residue, so the guard
         # trips once the levels reach the element count
         calls = []
-        monkeypatch.setattr(cube2, "up_closure", lambda mask: calls.append(mask) or 0)
+        monkeypatch.setattr(cube2, "up_and_minimal", lambda mask: calls.append(mask) or (0, 0))
         with pytest.raises(InternalError, match="within 4 levels"):
             strict_decompose(DenseFunction.from_bits(cube2, "0110"))
         assert len(calls) == 4

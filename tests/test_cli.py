@@ -461,20 +461,26 @@ class TestVerify:
         assert (len(loads), len(tables)) == (k + 1, k + 1)
 
     def test_verify_builds_each_level_closure_once(self, capsys, tmp_path, monkeypatch):
-        # d inner closures for the target's table, L for its decomposition,
-        # and one per level shared by decompose-roundtrip and levels-strict
+        # d inner closures for the target's table, one fused sweep per level
+        # for its decomposition, and one closure per level, rebuilt from its
+        # minimal mask, shared by decompose-roundtrip and levels-strict
         d, t = 4, 4
         path = tmp_path / "t44.json"
         save_function(tightness_family(d, t), path, meta={"family": "tightness", "d": d, "t": t})
         levels = len(strict_decompose(tightness_family(d, t)).levels)
-        calls = []
-        up_closure = CubeLattice.up_closure
-        monkeypatch.setattr(
-            CubeLattice, "up_closure", lambda lat, mask: calls.append(mask) or up_closure(lat, mask)
-        )
+        calls = {"up_closure": [], "up_and_minimal": []}
+        for name, log in calls.items():
+            kernel = getattr(CubeLattice, name)
+
+            def counted(lat, mask, kernel=kernel, log=log):
+                log.append(mask)
+                return kernel(lat, mask)
+
+            monkeypatch.setattr(CubeLattice, name, counted)
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0 and "FAIL" not in out
-        assert len(calls) <= d + 2 * levels == 12
+        assert len(calls["up_closure"]) == d + levels == 8
+        assert len(calls["up_and_minimal"]) == levels == 4
 
     @pytest.mark.parametrize(
         "edit, roundtrip, strict",

@@ -245,7 +245,8 @@ class TestRandomComposed:
         def refuse(*args):
             raise AssertionError("dense sweep during generation")
 
-        for attr in ("up_closure", "shadow", "minimal", "_coordinate_clear_masks"):
+        kernels = ("up_closure", "up_and_minimal", "shadow", "minimal", "_coordinate_clear_masks")
+        for attr in kernels:
             monkeypatch.setattr(CubeLattice, attr, refuse)
         t = tightness_family(8, 5)
         assert t.lattice.n == 40 and t.size == 40

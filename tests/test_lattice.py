@@ -212,6 +212,35 @@ def assert_minimal_matches_brute(lat, mask):
     assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, lambda x: mask >> x & 1)
 
 
+def assert_up_and_minimal_matches_brute(lat, mask):
+    """The fused kernel against the order scan and against its two parts."""
+    up, low = lat.up_and_minimal(mask)
+    assert up == elements_mask(brute_up_set(lat, mask_elements(mask)))
+    assert mask_elements(low) == brute_global_min(lat, lambda x: mask >> x & 1)
+    closure = lat.up_closure(mask)
+    assert (up, low) == (closure, lat.minimal(mask, closure))
+
+
+class TestUpAndMinimal:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cube_matches_brute(self, n):
+        # the empty and full masks, every single point up to n = 6 and a
+        # spread of them past it, then random masks of every density
+        lat = CubeLattice(n)
+        rng = random.Random(200 + n)
+        points = lat.elements() if n <= 6 else rng.sample(lat.elements(), 40)
+        masks = [0, (1 << lat.size) - 1] + [1 << a for a in points]
+        masks += [rng.getrandbits(lat.size) & rng.getrandbits(lat.size) for _ in range(10)]
+        masks += [rng.getrandbits(lat.size) for _ in range(10)]
+        for mask in masks:
+            assert_up_and_minimal_matches_brute(lat, mask)
+
+    def test_explicit_matches_brute_on_every_mask(self):
+        for lat in EXPLICIT_SWEEP_LATTICES:
+            for mask in range(1 << lat.size):
+                assert_up_and_minimal_matches_brute(lat, mask)
+
+
 class TestMinimal:
     def test_examples(self, cube2):
         assert cube2.minimal(elements_mask({0b01, 0b10, 0b11})) == elements_mask({0b01, 0b10})
@@ -656,7 +685,7 @@ class TestDenseSweeps:
                 expected = any(mask >> b & 1 for b in lat.immediate_predecessors(x))
                 assert bool(sh >> x & 1) == expected
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 14))
     def test_cube_clear_masks_match_definition(self, n):
         lat = CubeLattice(n)
         masks = lat._coordinate_clear_masks()
