@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import InternalError, InvalidChainError
-from .lattice import CubeLattice, Lattice, elements_mask, mask_elements
+from .lattice import CubeLattice, Lattice, elements_mask, is_bit_string, mask_elements
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class DenseFunction:
             count = f"2^{lattice.n}"
         else:
             fits, count = len(bits) == lattice.size, lattice.size
-        if not fits or bits.count("0") + bits.count("1") != len(bits):
+        if not fits or not is_bit_string(bits):
             raise ValueError(f"dense payload must be exactly {count} characters of 0/1")
         return cls(lattice, int(bits[::-1], 2))  # character i is bit i
 

@@ -72,6 +72,13 @@ def _add_flags(parser: argparse.ArgumentParser, seed=False, trace=False, out=Tru
         parser.add_argument("--out", type=Path, default=None, help="output path")
 
 
+def _int_list(text: str) -> list[int]:
+    try:  # argparse makes the error a usage error naming the flag
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
 def _resolved_max_n(args) -> int:
     if args.max_n is not None:
         max_n, source = args.max_n, f"--max-n {args.max_n}"
@@ -199,7 +206,7 @@ def cmd_consistent(args) -> int:
     _check_degree(lat, args.d)
     x0 = frozenset(lat.parse_element(nm) for nm in args.x0 or [])
     x1 = frozenset(lat.parse_element(nm) for nm in args.x1 or [])
-    hypothesis = consistent(args.d, DenseState(lat, args.d, x0, x1))
+    hypothesis = consistent(args.d, DenseState(lat, x0, x1))
     record = {
         "command": "consistent",
         "lattice": lat.describe(),
@@ -272,7 +279,7 @@ def cmd_family(args) -> int:
     else:
         if args.sizes is None or args.n is None:
             raise DmonoError("random needs --sizes and -n")
-        sizes = [int(tok) for tok in args.sizes.split(",")]
+        sizes = args.sizes
         _check_cap(CubeLattice(random_dimension(args.d, sizes, args.n)), args.max_n)
         if args.d > args.max_n:
             raise SizeCapExceededError(
@@ -458,7 +465,7 @@ def build_parser() -> _Parser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-t", type=int, default=None, help="block width (tightness/takimoto)")
     p.add_argument("-n", type=int, default=None, help="cube dimension (random)")
-    p.add_argument("--sizes", default=None, help="comma list of inner sizes (random)")
+    p.add_argument("--sizes", type=_int_list, help="comma list of inner sizes (random)")
     p.add_argument("--uneven", action="store_true", help="decreasing block widths (takimoto)")
     _add_flags(p, seed=True)
     p.set_defaults(func=cmd_family, seed=0)

@@ -1,4 +1,4 @@
-"""Build a d-level XOR-of-monotone hypothesis consistent with labeled points."""
+"""Build an XOR-of-monotone hypothesis consistent with labeled points."""
 
 from __future__ import annotations
 
@@ -9,62 +9,49 @@ from .errors import InconsistentSampleError, InternalError, InvalidSampleError
 from .lattice import Lattice, elements_mask, mask_bit, mask_elements
 
 
-def consistent_masks(lattice: Lattice, d: int, s0: int, s1: int) -> tuple[list[int], int]:
-    """Mask kernel of ``consistent``: the d rounds' up-closures and the truth table.
+def consistent_masks(lattice: Lattice, s0: int, s1: int) -> tuple[list[int], int]:
+    """Mask kernel of ``consistent``: the rounds' up-closures and the truth table.
 
     ``s0`` and ``s1`` are the negative and positive points as disjoint
     dense masks, trusted as given.  Round i takes the up-closure U_i of the
     current positives, then swaps the roles: the negatives outside U_i
     (where level i is already 0) are parked, the rest become the next
     positives, and the old positives (plus the parked points) become the
-    next negatives.  The closures are nested, U_1 ⊇ ... ⊇ U_d; level i is
-    the set of minimal elements of U_i, and the XOR of the closures is the
-    hypothesis's truth table.
-
-    Raises InconsistentSampleError when positives survive all d rounds,
-    naming the lowest such point.
+    next negatives, until no positives remain.  The minimal elements of
+    U_i are positives of round i, so U_1 ⊋ U_2 ⊋ ...; level i is the set
+    of minimal elements of U_i, and the closures' XOR is the table.
     """
-    closures = []
-    table = 0
-    for _ in range(d):
+    closures, table = [], 0
+    while s1:
         up = lattice.up_closure(s1)
         closures.append(up)
         table ^= up
         s0, s1 = s1 | (s0 & ~up), s0 & up
-    if s1:
-        point = (s1 & -s1).bit_length() - 1
-        raise InconsistentSampleError(
-            f"no {d}-monotone function matches the sample "
-            f"(violated at {lattice.element_name(point)})",
-            point=point,
-        )
     return closures, table
 
 
 class DenseState:
-    """A growing sample and the d nested closures that the rounds build on it.
+    """A growing sample and the nested closures that the rounds build on it.
 
     ``s0``/``s1`` hold the negative/positive points, ``closures`` the
-    up-closures U_1 ⊇ ... ⊇ U_d of ``consistent_masks`` and ``table``
-    their XOR, all dense masks.  The constructor validates every point of
-    ``x0`` and ``x1`` and rejects a point labeled both ways before it
-    checks d.  ``add`` files one more point and ``fit`` joins it, keeping
-    the state equal to the full rounds on the sample.
+    up-closures U_1 ⊋ U_2 ⊋ ... of ``consistent_masks`` and ``table``
+    their XOR, all dense masks, which depend on the sample alone.  The
+    constructor validates every point of ``x0`` and ``x1`` and rejects a
+    point labeled both ways.  ``add`` files a point and ``fit`` joins it,
+    keeping the state equal to the full rounds on the sample.
     """
 
-    __slots__ = ("lattice", "d", "s0", "s1", "closures", "table", "_filed")
+    __slots__ = ("lattice", "s0", "s1", "closures", "table", "_filed")
 
-    def __init__(self, lattice: Lattice, d: int, x0: Iterable[int] = (), x1: Iterable[int] = ()):
+    def __init__(self, lattice: Lattice, x0: Iterable[int] = (), x1: Iterable[int] = ()):
         s0 = elements_mask(lattice.check_element(a) for a in x0)
         s1 = elements_mask(lattice.check_element(a) for a in x1)
         overlap = s0 & s1
         if overlap:
             name = lattice.element_name((overlap & -overlap).bit_length() - 1)
             raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        self.lattice, self.d, self.s0, self.s1, self._filed = lattice, d, s0, s1, None
-        self.closures, self.table = consistent_masks(lattice, d, s0, s1)
+        self.lattice, self.s0, self.s1, self._filed = lattice, s0, s1, None
+        self.closures, self.table = consistent_masks(lattice, s0, s1)
 
     @property
     def x0(self) -> tuple[int, ...]:
@@ -95,12 +82,12 @@ class DenseState:
         of the points above it.  The closures are nested, so q's count is
         the prefix of them that holds q: one ``mask_bit`` read each, up to
         the first closure without q.  If q's rank is the count of closures
-        holding it, nothing changes; if one more, at most d, with every old
-        point above q already in closure ``rank``, only that closure grows,
-        by up(q).  Otherwise the full rounds run on the grown sample.
+        holding it, nothing changes; if one more, with every old point
+        above q already in closure ``rank``, only that closure grows, by
+        up(q), and a rank one past every closure opens a new one.
+        Otherwise the full rounds run on the grown sample.
 
-        Raises InconsistentSampleError as those rounds do, and InternalError
-        when q is already a sample point; either way q is dropped.
+        Raises InternalError, dropping q, when q is already a sample point.
         """
         if self._filed is None:
             return
@@ -118,14 +105,14 @@ class DenseState:
             held += 1
         rank = held + (label - held) % 2
         if rank > held:
-            fresh = None
-            if rank <= self.d:
-                old = closures[rank - 1]
-                grown = old | self.lattice.up_closure(bit)
-                fresh = grown ^ old
-            if fresh is None or points & fresh:
-                # rank beyond d, or an old point above q would change its rank
-                self.closures, self.table = consistent_masks(self.lattice, self.d, s0, s1)
+            if held == len(closures):
+                closures.append(0)
+            old = closures[rank - 1]
+            grown = old | self.lattice.up_closure(bit)
+            fresh = grown ^ old
+            if points & fresh:
+                # an old point above q would change its rank
+                self.closures, self.table = consistent_masks(self.lattice, s0, s1)
             else:
                 closures[rank - 1] = grown
                 self.table ^= fresh
@@ -135,16 +122,25 @@ class DenseState:
 def consistent(d: int, state: DenseState) -> XorHypothesis:
     """Return h = F_1 xor ... xor F_d agreeing with every sample label.
 
-    Fits the state, of degree d, usually by one closure instead of d
-    rounds.  The output keeps only the state's table and d; its levels
-    are the table's strict decomposition (a minimal element of closure i
-    never lies in closure i+1), padded with all-zero levels to exactly d
-    so the shape is stable; evaluation ignores them.
+    Fits the state, then keeps only its table and d: the levels are the
+    table's strict decomposition (a minimal element of closure i never
+    lies in closure i+1), padded with all-zero levels to exactly d so the
+    shape is stable; evaluation ignores them.
 
-    Raises InconsistentSampleError when no d-monotone function fits the
-    sample, naming a point the output would misclassify.
+    Raises ValueError for a d below 1, and InconsistentSampleError when
+    the state, which keeps its sample, holds more than d closures, naming
+    the lowest point that d rounds leave unexplained.
     """
-    if state.d != d:
-        raise ValueError(f"the state was built for degree {state.d}, not {d}")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     state.fit()
+    if len(state.closures) > d:
+        # round i's positives are the points of U_{i-1} labeled i mod 2
+        left = state.closures[d - 1] & (state.s0 if d & 1 else state.s1)
+        point = (left & -left).bit_length() - 1
+        raise InconsistentSampleError(
+            f"no {d}-monotone function matches the sample "
+            f"(violated at {state.lattice.element_name(point)})",
+            point=point,
+        )
     return XorHypothesis.from_table(state.lattice, state.table, d)

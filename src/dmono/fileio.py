@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .boolfn import ComposedTarget, DenseFunction, MonotoneDNF, Representation, XorHypothesis
 from .errors import DmonoError, FileFormatError
-from .lattice import CubeLattice, ExplicitLattice, Lattice, parse_lattice
+from .lattice import CubeLattice, ExplicitLattice, Lattice, is_bit_string, parse_lattice
 
 
 def lattice_descriptor(lattice: Lattice) -> dict:
@@ -123,14 +123,8 @@ def doc_to_function(doc, base_dir: str | Path = ".") -> tuple[Representation, di
             raise FileFormatError("composed payload needs at least one inner function")
         inner = tuple(_mdnf_from_payload(lattice, g) for g in gs)
         table = payload["F"]
-        if (
-            not isinstance(table, str)
-            or len(table) != 1 << len(inner)
-            or set(table) - {"0", "1"}
-        ):
-            raise FileFormatError(
-                f"outer table must be a bit string of length {1 << len(inner)}"
-            )
+        if not isinstance(table, str) or len(table) != 1 << len(inner) or not is_bit_string(table):
+            raise FileFormatError(f"outer table must be a bit string of length {1 << len(inner)}")
         return ComposedTarget(lattice, int(table[::-1], 2), inner), meta
     raise FileFormatError(f"unknown repr kind {kind!r}")
 

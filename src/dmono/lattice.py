@@ -67,6 +67,11 @@ def elements_mask(elems: Iterable[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+def is_bit_string(s: str) -> bool:
+    """Whether ``s`` holds only 0s and 1s; ``isascii`` first, as a lone surrogate cannot encode."""
+    return s.isascii() and not s.encode().translate(None, b"01")
+
+
 class Lattice:
     """Shared machinery; concrete orders supply the primitive queries."""
 
@@ -210,7 +215,7 @@ class CubeLattice(Lattice):
         return [format(a, spec) for a in elems]
 
     def parse_element(self, name: str) -> int:
-        if len(name) != self.n or set(name) - {"0", "1"}:
+        if len(name) != self.n or not is_bit_string(name):
             raise InvalidElementError(f"{name!r} is not a {self.n}-bit word")
         return int(name, 2)
 
@@ -272,17 +277,13 @@ class CubeLattice(Lattice):
             above |= step
         return up, mask & ~above
 
-    def shadow(self, mask: int) -> int:
-        """Elements having at least one immediate predecessor inside mask."""
-        out = 0
-        for j, zeros in enumerate(self._coordinate_clear_masks()):
-            out |= (mask & zeros) << (1 << j)
-        return out
-
     def minimal(self, mask: int, up: int | None = None) -> int:
         if up is None:
             return self.up_and_minimal(mask)[1]
-        return mask & ~self.shadow(up)
+        shadow = 0  # every element with an immediate predecessor in up
+        for j, zeros in enumerate(self._coordinate_clear_masks()):
+            shadow |= (up & zeros) << (1 << j)
+        return mask & ~shadow
 
 
 class ExplicitLattice(Lattice):

@@ -185,7 +185,7 @@ def learn(
     file that point under its label in the run's ``DenseState``, and
     rebuild the hypothesis with ``consistent`` on that state.  The sample
     grew by one point, so the state usually extends one level's up-closure
-    by that point instead of running d rounds.  Each query and each
+    by that point instead of running the full rounds.  Each query and each
     descent reads the hypothesis's truth table, and the levels are derived
     only when the caller reads them.
     Membership answers are memoized per run, so the raw inspection count
@@ -202,7 +202,7 @@ def learn(
         stats.eq_bound = bound
         stats.mq_bound = stats.sigma * bound
 
-    state = DenseState(lattice, d)
+    state = DenseState(lattice)
     h = consistent(d, state)
     cache: dict[int, int] = {}
 

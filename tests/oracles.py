@@ -290,7 +290,7 @@ def reference_learn(d, lattice, mq, eq):
         stats.eq_bound = bound
         stats.mq_bound = stats.sigma * bound
     x0, x1 = set(), set()
-    h = consistent(d, DenseState(lattice, d, frozenset(), frozenset()))
+    h = consistent(d, DenseState(lattice, frozenset(), frozenset()))
     cache = {}
     for _ in range(lattice.size + 1):
         hd = XorHypothesis(lattice, h.levels).dense()
@@ -308,7 +308,7 @@ def reference_learn(d, lattice, mq, eq):
         stats.trace.append(result)
         (x1 if result.value else x0).add(result.element)
         try:
-            h = consistent(d, DenseState(lattice, d, frozenset(x0), frozenset(x1)))
+            h = consistent(d, DenseState(lattice, frozenset(x0), frozenset(x1)))
         except InconsistentSampleError as exc:
             raise DegreeTooSmallError(
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point

@@ -178,7 +178,6 @@ def test_criterion_9_consistent_outputs():
         points = rng.sample(range(lat.size), rng.randint(1, min(lat.size, 12)))
         sample = DenseState(
             lat,
-            d,
             frozenset(x for x in points if not target.evaluate(x)),
             frozenset(x for x in points if target.evaluate(x)),
         )

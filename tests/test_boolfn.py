@@ -119,9 +119,12 @@ class TestEvaluate:
         assert [f.evaluate(x) for x in cube2.elements()] == [int(ch) for ch in bits]
         assert f.bits() == bits
 
-    # int(..., 2) reads the last two as well: fullwidth and Arabic-Indic digits
+    # int(..., 2) reads fullwidth and Arabic-Indic digits and underscores;
+    # a lone surrogate, as a JSON escape can give, cannot be encoded
     @pytest.mark.parametrize(
-        "bits", ["011", "01100", "01_1", " 011", "0121", "01", "01100000", "０１１０", "01١0"]
+        "bits",
+        ["011", "01100", "01_1", " 011", "0121", "01", "01100000", "０１１０", "01١0"]
+        + ["０１", "0_1", "01\ud800", " 01", "01\ud8000"],
     )
     def test_from_bits_rejects_malformed_tables(self, cube2, bits):
         with pytest.raises(ValueError, match=r"exactly 2\^2 characters of 0/1"):

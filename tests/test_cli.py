@@ -136,6 +136,15 @@ class TestFamilyAndDecompose:
         code, out, err = run_cli(capsys, "family", "random", "-d", "2", *argv)
         assert (code, out, err) == (1, "", "dmono: random needs --sizes and -n\n")
 
+    @pytest.mark.parametrize("sizes", ["1,x", "", "1,,2"])
+    def test_random_family_sizes_are_a_usage_error(self, capsys, tmp_path, sizes):
+        out_path = tmp_path / "r.json"
+        argv = ("family", "random", "-d", "2", "--sizes", sizes, "-n", "5", "--out", str(out_path))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"argument --sizes: not a comma list of integers: {sizes!r}\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("n", ["64", "4"])
     def test_random_family_refuses_a_negative_size(self, capsys, tmp_path, n):
         out_path = tmp_path / "neg.json"

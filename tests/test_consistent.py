@@ -42,35 +42,35 @@ class TestSample:
     def test_points_round_trip_through_masks(self, x0, x1):
         x0 -= x1
         lat = CubeLattice(4)
-        # every labeling of the 4-cube is 5-monotone: its chains have 5 elements
-        sample = DenseState(lat, 5, x0, x1)
+        sample = DenseState(lat, x0, x1)
         assert (sample.x0, sample.x1) == (tuple(sorted(x0)), tuple(sorted(x1)))
         assert (sample.s0, sample.s1) == (elements_mask(x0), elements_mask(x1))
 
     def test_points_read_back_as_ascending_tuples(self, cube3):
-        state = DenseState(cube3, 4, [0b110, 0b001], iter((0b111, 0b010)))
+        state = DenseState(cube3, [0b110, 0b001], iter((0b111, 0b010)))
         assert (state.x0, state.x1) == ((0b001, 0b110), (0b010, 0b111))
 
     def test_points_are_checked_before_the_degree(self, cube2):
+        # the state validates its points; only ``consistent`` reads d
         with pytest.raises(InvalidElementError):
-            DenseState(cube2, 0, (), {0b100})
+            consistent(0, DenseState(cube2, (), {0b100}))
         with pytest.raises(InvalidSampleError, match="^point 01 is labeled both 0 and 1$"):
-            DenseState(cube2, 0, {0b01}, {0b01})
+            consistent(0, DenseState(cube2, {0b01}, {0b01}))
 
 
 class TestWorkedExamples:
     def test_single_positive_point(self, cube2):
-        h = consistent(1, DenseState(cube2, 1, (), {0b01}))
+        h = consistent(1, DenseState(cube2, (), {0b01}))
         assert [lv.minimals for lv in h.levels] == [(0b01,)]
 
     def test_parity_sample(self, cube2):
-        h = consistent(2, DenseState(cube2, 2, {0b11}, {0b01, 0b10}))
+        h = consistent(2, DenseState(cube2, {0b11}, {0b01, 0b10}))
         assert [lv.minimals for lv in h.levels] == [(0b01, 0b10), (0b11,)]
         assert h.evaluate(0b11) == 0
         assert h.evaluate(0b01) == 1 and h.evaluate(0b10) == 1
 
     def test_empty_sample_keeps_d_levels(self, cube2):
-        h = consistent(2, DenseState(cube2, 2, (), ()))
+        h = consistent(2, DenseState(cube2))
         assert [lv.minimals for lv in h.levels] == [(), ()]
         assert all(h.evaluate(x) == 0 for x in cube2.elements())
 
@@ -78,25 +78,25 @@ class TestWorkedExamples:
 class TestErrors:
     def test_overlap_rejected(self, cube2):
         with pytest.raises(InvalidSampleError):
-            DenseState(cube2, 1, {0b01}, {0b01})
+            DenseState(cube2, {0b01}, {0b01})
 
     def test_overlap_names_the_lowest_shared_point(self, cube3):
         with pytest.raises(InvalidSampleError, match="^point 011 is labeled both 0 and 1$"):
-            DenseState(cube3, 1, {0b101, 0b011, 0b001}, {0b111, 0b101, 0b011})
+            DenseState(cube3, {0b101, 0b011, 0b001}, {0b111, 0b101, 0b011})
 
     def test_out_of_lattice_point_rejected(self, cube2):
         with pytest.raises(InvalidElementError):
-            DenseState(cube2, 1, (), {0b100})
+            DenseState(cube2, (), {0b100})
         with pytest.raises(InvalidElementError):
-            DenseState(cube2, 1, {-1}, ())
+            DenseState(cube2, {-1}, ())
         with pytest.raises(InvalidElementError):
-            DenseState(cube2, 1, {0b01}, {0b01, 0b100})
+            DenseState(cube2, {0b01}, {0b01, 0b100})
 
     def test_degree_must_be_positive(self, cube2):
-        with pytest.raises(ValueError):
-            consistent(0, DenseState(cube2, 0, (), ()))
-        with pytest.raises(ValueError, match="at least 1"):
-            DenseState(cube2, 0)
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            consistent(0, DenseState(cube2))
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            consistent(-1, DenseState(cube2, (), {0b01}))
         target = MonotoneDNF(cube2, (0b01,))
         with pytest.raises(ValueError, match="at least 1"):
             learn(0, cube2, MembershipOracle.for_function(target), ReplayingOracle([]))
@@ -104,14 +104,14 @@ class TestErrors:
     def test_unsatisfiable_sample_names_point(self, cube2):
         # x1 xor x2 labels are not monotone-realizable
         with pytest.raises(InconsistentSampleError) as exc:
-            consistent(1, DenseState(cube2, 1, {0b11}, {0b01, 0b10}))
+            consistent(1, DenseState(cube2, {0b11}, {0b01, 0b10}))
         assert exc.value.point == 0b11
         assert "11" in str(exc.value)
 
     def test_violation_names_the_lowest_surviving_point(self, cube3):
         # both negatives lie above the positive 001; the error names 011
         with pytest.raises(InconsistentSampleError) as exc:
-            consistent(1, DenseState(cube3, 1, {0b011, 0b101}, {0b001}))
+            consistent(1, DenseState(cube3, {0b011, 0b101}, {0b001}))
         assert exc.value.point == 0b011
 
 
@@ -127,7 +127,7 @@ class TestProperties:
         points = rng.sample(range(lat.size), min(lat.size, rng.randint(1, 15)))
         x0 = {x for x in points if not target.evaluate(x)}
         x1 = {x for x in points if target.evaluate(x)}
-        return d, lat, DenseState(lat, d, x0, x1)
+        return d, lat, DenseState(lat, x0, x1)
 
     def test_agrees_with_every_label(self):
         rng = random.Random(2024)
@@ -198,37 +198,53 @@ class TestKernel:
     @given(data=st.data())
     def test_agrees_with_public_consistent(self, data):
         lat = data.draw(KERNEL_LATTICES)
-        d = data.draw(st.integers(1, 3))
         s0, s1 = draw_sample_masks(data, lat)
         x0, x1 = mask_elements(s0), mask_elements(s1)
-        try:
-            closures, table = consistent_masks(lat, d, s0, s1)
-        except InconsistentSampleError as exc:
-            with pytest.raises(InconsistentSampleError) as public:
-                consistent(d, DenseState(lat, d, x0, x1))
-            assert public.value.point == exc.point
-            assert str(public.value) == str(exc)
-            assert (s0 | s1) >> exc.point & 1
-            return
-        h = consistent(d, DenseState(lat, d, x0, x1))
+        closures, table = consistent_masks(lat, s0, s1)
+        d = max(1, len(closures)) + data.draw(st.integers(0, 1))
+        h = consistent(d, DenseState(lat, x0, x1))
         levels = [lat.minimal(up) for up in closures]
-        assert [lv.minimals for lv in h.levels] == [tuple(mask_elements(m)) for m in levels]
+        padded = levels + [0] * (d - len(levels))
+        assert [lv.minimals for lv in h.levels] == [tuple(mask_elements(m)) for m in padded]
         assert h.dense().mask == table
         # the table is the XOR of the wrapped levels' up-closures, which are
-        # the kernel's closures, nested
+        # the kernel's closures, strictly nested
         wrapped = XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, m) for m in levels))
         assert table == wrapped.dense().mask
         assert closures == [lv.dense().mask for lv in wrapped.levels]
-        assert all(lo & hi == hi for lo, hi in zip(closures, closures[1:]))
+        assert all(lo & hi == hi != lo for lo, hi in zip(closures, closures[1:]))
+        assert all(closures)
         assert table & s1 == s1 and table & s0 == 0
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_rounds_match_brute_rounds(self, data):
         lat = data.draw(KERNEL_LATTICES)
-        d = data.draw(st.integers(1, 3))
         s0, s1 = draw_sample_masks(data, lat)
-        assert_kernel_matches_brute(lat, d, s0, s1)
+        assert_kernel_matches_brute(lat, s0, s1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_degree_matches_brute_rounds(self, data):
+        # the state holds as many closures as the sample needs levels: the
+        # degree of its table; every d reads the same state, refusing below it
+        lat = data.draw(KERNEL_LATTICES)
+        s0, s1 = draw_sample_masks(data, lat)
+        x0, x1 = mask_elements(s0), mask_elements(s1)
+        state = DenseState(lat, x0, x1)
+        assert len(state.closures) == monotone_degree(DenseFunction(lat, state.table))
+        for d in range(1, len(state.closures) + 2):
+            levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
+            got = outcome(d, state)
+            if violated is None:
+                assert got == ([tuple(lv) for lv in levels], elements_mask(table))
+            else:
+                message = (
+                    f"no {d}-monotone function matches the sample "
+                    f"(violated at {lat.element_name(violated)})"
+                )
+                assert got == ("error", violated, message)
+            assert (violated is None) == (d >= len(state.closures))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -237,10 +253,9 @@ class TestKernel:
         # test on the mask's own points; there is no dense shadow to take
         assert not hasattr(ExplicitLattice, "shadow")
         lat = data.draw(EXPLICIT_KERNEL_LATTICES)
-        d = data.draw(st.integers(1, 3))
         s0, s1 = draw_sample_masks(data, lat)
         f = DenseFunction(lat, data.draw(st.integers(0, (1 << lat.size) - 1)))
-        assert_kernel_matches_brute(lat, d, s0, s1)
+        assert_kernel_matches_brute(lat, s0, s1)
         levels = [list(lv.minimals) for lv in strict_decompose(f).levels]
         assert levels == brute_strict_levels(lat, f.evaluate)
 
@@ -257,7 +272,7 @@ class TestKernel:
         for _ in range(d):
             labels ^= lat.up_closure(data.draw(st.integers(0, (1 << lat.size) - 1)))
         x0, x1 = mask_elements(points & ~labels), mask_elements(points & labels)
-        h = consistent(d, DenseState(lat, d, x0, x1))
+        h = consistent(d, DenseState(lat, x0, x1))
         decomposed = strict_decompose(DenseFunction(lat, h.dense().mask)).levels
         assert len(decomposed) <= d
         assert h.levels == decomposed + (MonotoneDNF(lat),) * (d - len(decomposed))
@@ -266,15 +281,16 @@ class TestKernel:
         assert [list(lv.minimals) for lv in h.levels] == levels
 
 
-def assert_kernel_matches_brute(lat, d, s0, s1):
+def assert_kernel_matches_brute(lat, s0, s1):
     x0, x1 = mask_elements(s0), mask_elements(s1)
-    levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
-    if violated is not None:
-        with pytest.raises(InconsistentSampleError) as exc:
-            consistent_masks(lat, d, s0, s1)
-        assert exc.value.point == violated
-        return
-    closures, got_table = consistent_masks(lat, d, s0, s1)
+    closures, got_table = consistent_masks(lat, s0, s1)
+    # each round's level holds at least one sample point, so as many rounds
+    # as points explain the sample, the last ones empty
+    rounds = len(x0) + len(x1)
+    levels, table, violated = brute_consistent_rounds(lat, rounds, x0, x1)
+    assert violated is None
+    assert not any(levels[len(closures):])
+    levels = levels[: len(closures)]
     # level i is the minimal elements of closure i, which is its up-set
     got_levels = [lat.minimal(up) for up in closures]
     assert [mask_elements(m) for m in got_levels] == levels
@@ -293,17 +309,13 @@ def outcome(d, sample):
 
 def sample_outcome(lat, d, x0, x1):
     """``outcome`` of a fresh state holding the sample, which runs the full rounds."""
-    try:
-        state = DenseState(lat, d, x0, x1)
-    except InconsistentSampleError as exc:
-        return ("error", exc.point, str(exc))
-    return outcome(d, state)
+    return outcome(d, DenseState(lat, x0, x1))
 
 
-def add_outcome(state, q, label):
-    """``outcome`` of ``consistent`` on the state after ``state.add(q, label)``."""
+def add_outcome(d, state, q, label):
+    """``outcome`` of ``consistent`` at d on the state after ``state.add(q, label)``."""
     state.add(q, label)
-    return outcome(state.d, state)
+    return outcome(d, state)
 
 
 def draw_labels(data, lat, d):
@@ -323,24 +335,25 @@ def labeled(points, labels):
     return [p for p in points if not labels >> p & 1], [p for p in points if labels >> p & 1]
 
 
-def rule_applies(lat, d, old_points, labels, q):
+def rule_applies(lat, old_points, labels, q):
     """The one-point rule, decided by order scans on the old sample's rounds.
 
     True when q's rank equals the number of old closures holding it, or is
-    one more, at most d, with every old point above q inside that closure.
+    one more with every old point above q inside that closure; a rank one
+    past every old closure opens an empty one, so no old point may lie
+    above q.
     """
     x0 = [p for p in old_points if not labels >> p & 1]
     x1 = [p for p in old_points if labels >> p & 1]
-    levels, _, violated = brute_consistent_rounds(lat, d, x0, x1)
+    levels, _, violated = brute_consistent_rounds(lat, len(old_points), x0, x1)
     assert violated is None
-    closures = [brute_up_set(lat, lv) for lv in levels]
+    closures = [brute_up_set(lat, lv) for lv in levels if lv]
     held = sum(q in up for up in closures)
     rank = held + ((labels >> q & 1) - held) % 2
     if rank == held:
         return True
-    return rank <= d and all(
-        p in closures[rank - 1] for p in old_points if lat.leq(q, p)
-    )
+    closure = closures[rank - 1] if rank <= len(closures) else set()
+    return all(p in closure for p in old_points if lat.leq(q, p))
 
 
 class TestOnePointExtension:
@@ -353,27 +366,32 @@ class TestOnePointExtension:
         d = data.draw(st.integers(1, 3))
         labels = draw_labels(data, lat, d)
         order = data.draw(st.permutations(range(lat.size)))
-        state = DenseState(lat, d)
+        state = DenseState(lat)
         for k, q in enumerate(order):
             x0, x1 = labeled(order[: k + 1], labels)
-            before = (state.s0, state.s1, list(state.closures), state.table)
             with kernel_runs() as runs:
-                got = add_outcome(state, q, labels >> q & 1)
+                got = add_outcome(d, state, q, labels >> q & 1)
             assert got == sample_outcome(lat, d, x0, x1)
-            levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
-            if violated is not None:
-                assert got[:2] == ("error", violated)
-                # a failed fit leaves the state as it was before the add
-                assert (state.s0, state.s1, state.closures, state.table) == before
-                assert outcome(d, state) == sample_outcome(lat, d, *labeled(order[:k], labels))
-                return
-            assert got == ([tuple(lv) for lv in levels], elements_mask(table))
-            assert (state.s0, state.s1) == (elements_mask(x0), elements_mask(x1))
+            # refused or not, the state is the full rounds on the grown sample
+            fresh = DenseState(lat, x0, x1)
+            assert (state.s0, state.s1, state.closures, state.table) == (
+                fresh.s0, fresh.s1, fresh.closures, fresh.table
+            )
             # the full rounds run exactly when the one-point rule fails
-            assert bool(runs) != rule_applies(lat, d, order[:k], labels, q)
+            assert bool(runs) != rule_applies(lat, order[:k], labels, q)
+            levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
+            if violated is None:
+                assert got == ([tuple(lv) for lv in levels], elements_mask(table))
+                continue
+            assert got[:2] == ("error", violated)
+            # the refused state answers one degree up without a rebuild
+            with kernel_runs() as runs:
+                again = outcome(d + 1, state)
+            assert runs == []
+            assert again == sample_outcome(lat, d + 1, x0, x1)
 
     def test_earlier_hypotheses_stay_as_they_were(self, cube3):
-        state = DenseState(cube3, 2)
+        state = DenseState(cube3)
         state.add(0b011, 1)
         h = consistent(2, state)
         # 001 takes rank 1 too, so closure 1 grows in place to up(001);
@@ -387,21 +405,21 @@ class TestOnePointExtension:
         assert h.dense().mask == cube3.up_closure(1 << 0b011)
 
     def test_a_second_add_fits_the_first_point(self, cube3):
-        state = DenseState(cube3, 2)
+        state = DenseState(cube3)
         state.add(0b011, 1)
         assert (state.s0, state.s1, state.table) == (0, 0, 0)
         state.add(0b001, 0)
         assert state.s1 == 1 << 0b011 and state.s0 == 0
-        assert outcome(2, state) == outcome(2, DenseState(cube3, 2, {0b001}, {0b011}))
+        assert outcome(2, state) == outcome(2, DenseState(cube3, {0b001}, {0b011}))
 
     def test_a_sample_point_is_refused_and_dropped(self, cube3):
-        state = DenseState(cube3, 2, {0b011}, {0b001})
+        state = DenseState(cube3, {0b011}, {0b001})
         before = (state.s0, state.s1, list(state.closures), state.table)
         state.add(0b011, 1)
         with pytest.raises(InternalError, match="^point 011 is already in the sample$"):
             consistent(2, state)
         assert (state.s0, state.s1, state.closures, state.table) == before
-        assert outcome(2, state) == outcome(2, DenseState(cube3, 2, {0b011}, {0b001}))
+        assert outcome(2, state) == outcome(2, DenseState(cube3, {0b011}, {0b001}))
 
     @pytest.mark.parametrize(
         "q, label, error, message",
@@ -416,42 +434,45 @@ class TestOnePointExtension:
         ],
     )
     def test_a_bad_add_is_refused_before_anything_is_filed(self, cube2, q, label, error, message):
-        state = DenseState(cube2, 2, {0b00}, {0b10})
+        state = DenseState(cube2, {0b00}, {0b10})
         state.add(0b11, 0)  # filed, and fitted only by the next add or consistent
         before = (state.s0, state.s1, list(state.closures), state.table)
         with pytest.raises(error, match=message):
             state.add(q, label)
         assert (state.s0, state.s1, state.closures, state.table) == before
-        assert outcome(2, state) == outcome(2, DenseState(cube2, 2, {0b00, 0b11}, {0b10}))
-
-    def test_state_of_another_degree_is_rejected(self, cube3):
-        with pytest.raises(ValueError, match="built for degree 2, not 3"):
-            consistent(3, DenseState(cube3, 2))
+        assert outcome(2, state) == outcome(2, DenseState(cube2, {0b00, 0b11}, {0b10}))
 
     def test_point_above_a_lower_rank_falls_back(self, cube2):
         # 11 is a negative of rank 0; the positive 01 below it takes rank 1
         # and lifts 11 to rank 2, which only the full rounds see
-        state = DenseState(cube2, 2, {0b11}, ())
+        state = DenseState(cube2, {0b11}, ())
         with kernel_runs() as runs:
-            got = add_outcome(state, 0b01, 1)
+            got = add_outcome(2, state, 0b01, 1)
         assert runs == [0b1010]
         assert got[0] == [(0b01,), (0b11,)]
 
     def test_counterexample_extends_one_closure(self, cube3):
-        state = DenseState(cube3, 2, (), {0b001})
+        # 011's rank is one past the only closure, so it opens a second one
+        state = DenseState(cube3, (), {0b001})
         with kernel_runs() as runs:
-            got = add_outcome(state, 0b011, 0)
+            got = add_outcome(2, state, 0b011, 0)
         assert runs == []
         assert got == ([(0b001,), (0b011,)], 0b00100010)
+        assert state.closures == [cube3.up_closure(1 << q) for q in (0b001, 0b011)]
 
     def test_rank_beyond_d_raises_as_the_full_rounds(self, cube3):
-        state = DenseState(cube3, 1, (), {0b001})
+        # 011 opens a second closure by itself; d = 1 refuses it at read-out,
+        # and the state keeps it, so d = 2 answers with no rebuild
+        state = DenseState(cube3, (), {0b001})
         with kernel_runs() as runs:
-            got = add_outcome(state, 0b011, 0)
-        assert runs == [0b1010]
+            got = add_outcome(1, state, 0b011, 0)
+            again = outcome(2, state)
+        assert runs == []
         assert got == sample_outcome(cube3, 1, {0b011}, {0b001}) == (
             "error", 0b011, "no 1-monotone function matches the sample (violated at 011)"
         )
+        assert (state.x0, state.x1) == ((0b011,), (0b001,))
+        assert again == sample_outcome(cube3, 2, {0b011}, {0b001})
 
 
 class ReplayingOracle:

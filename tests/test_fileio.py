@@ -148,7 +148,10 @@ class TestErrors:
         with pytest.raises(FileFormatError, match="length 4"):
             loads_function(doc)
 
-    @pytest.mark.parametrize("table", ["01101", "01_1", " 011", "0121"])
+    @pytest.mark.parametrize(
+        "table",
+        ["01101", "01_1", " 011", "0121", "０１", "0_1", "01\ud800", " 01", "０１１０", "01\ud8000"],
+    )
     def test_malformed_outer_table(self, table):
         payload = {"F": table, "g": [["01"], ["10"]]}
         doc = json.dumps({"lattice": {"cube": 2}, "repr": "composed", "payload": payload})

@@ -125,6 +125,15 @@ class TestCubeOrder:
         expected = verdict(lambda a: Lattice.check_element(cube3, a))
         assert verdict(cube3.check_element) == expected
 
+    # each name has the cube's length, so only its characters are at fault;
+    # int(..., 2) reads fullwidth digits, underscores and a leading space
+    @pytest.mark.parametrize("name", ["０１", "0_1", "01\ud800", " 01", "012"])
+    def test_cube_parse_element_rejects_malformed_words(self, name):
+        lat = CubeLattice(len(name))
+        message = f"{name!r} is not a {len(name)}-bit word"
+        with pytest.raises(InvalidElementError, match=f"^{re.escape(message)}$"):
+            lat.parse_element(name)
+
     @given(st.integers(0, 1023), st.integers(0, 1023))
     def test_join_is_least_upper_bound(self, a, b):
         lat = CubeLattice(10)
@@ -676,14 +685,17 @@ class TestDenseSweeps:
             assert lat.up_closure(1 << a) == elements_mask(brute_up_set(lat, [a]))
 
     def test_cube_shadow_matches_pointwise(self):
+        # minimal(full, up) keeps exactly the elements outside up's shadow:
+        # those with no immediate predecessor in up
         lat = CubeLattice(4)
+        full = (1 << lat.size) - 1
         rng = random.Random(7)
         for _ in range(25):
-            mask = rng.getrandbits(lat.size)
-            sh = lat.shadow(mask)
+            up = rng.getrandbits(lat.size)
+            kept = lat.minimal(full, up)
             for x in lat.elements():
-                expected = any(mask >> b & 1 for b in lat.immediate_predecessors(x))
-                assert bool(sh >> x & 1) == expected
+                shadowed = any(up >> b & 1 for b in lat.immediate_predecessors(x))
+                assert bool(kept >> x & 1) != shadowed
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_cube_clear_masks_match_definition(self, n):

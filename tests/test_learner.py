@@ -340,9 +340,7 @@ class TestLearnerProperties:
             x0, x1 = set(), set()
             for entry in stats.trace:
                 (x1 if entry.value else x0).add(entry.element)
-                h = consistent(
-                    target.d, DenseState(lat, target.d, frozenset(x0), frozenset(x1))
-                )
+                h = consistent(target.d, DenseState(lat, frozenset(x0), frozenset(x1)))
                 assert all(h.evaluate(u) == 0 for u in x0)
                 assert all(h.evaluate(u) == 1 for u in x1)
 
