@@ -16,6 +16,22 @@ from .errors import InternalError, InvalidChainError
 from .lattice import CubeLattice, Lattice, elements_mask, is_bit_string, mask_elements
 
 
+def _built_once(build):
+    """Make ``build`` a ``dense()`` that builds the truth table at most once.
+
+    The table is kept in the instance dict, beside the dataclass fields,
+    where equality, hashing and ``repr`` never see it.
+    """
+
+    def dense(self) -> DenseFunction:
+        table = self.__dict__.get("_dense")
+        if table is None:
+            table = self.__dict__["_dense"] = build(self)
+        return table
+
+    return dense
+
+
 @dataclass(frozen=True)
 class DenseFunction:
     """Explicit truth table: bit i of ``mask`` is the value at element i."""
@@ -62,8 +78,8 @@ class MonotoneDNF:
     truth table, which is ``dense().mask``).  An instance keeps the form it
     was built from, a tuple from the constructor or a mask from
     ``from_mask``, and derives the other when first read, so a function
-    over a cube too large to hold a mask never builds one unless a dense
-    path asks for it.
+    over a cube too large to hold a mask never builds one, nor a table,
+    unless a dense path asks for it.
     """
 
     lattice: Lattice
@@ -132,6 +148,7 @@ class MonotoneDNF:
         self.lattice.check_element(x)
         return int(any(self.lattice._leq(a, x) for a in self.minimals))
 
+    @_built_once
     def dense(self) -> DenseFunction:
         return DenseFunction(self.lattice, self.lattice.up_closure(self.mask))
 
@@ -155,10 +172,10 @@ class XorHypothesis:
     def from_table(cls, lattice: Lattice, table: int, d: int) -> "XorHypothesis":
         """Trusted constructor from the truth table of a d-monotone function.
 
-        ``dense()`` returns ``table`` as a ``DenseFunction`` that skips the
-        size check.  The levels are its strict decomposition padded with
-        empty levels to d, derived when first read, so a learner that only
-        queries the table never derives them.
+        ``dense()`` starts out holding ``table``, as a ``DenseFunction``
+        that skips the size check.  The levels are its strict decomposition
+        padded with empty levels to d, derived when first read, so a
+        learner that only queries the table never derives them.
         """
         # the learner makes one per round: filling both frozen instances'
         # dicts directly skips ``__post_init__`` and the per-field setattr
@@ -191,10 +208,8 @@ class XorHypothesis:
             v ^= lv.evaluate(x)
         return v
 
+    @_built_once
     def dense(self) -> DenseFunction:
-        known = self.__dict__.get("_dense")
-        if known is not None:
-            return known
         m = 0
         for lv in self.levels:
             m ^= lv.dense().mask
@@ -243,23 +258,19 @@ class ComposedTarget:
             idx |= g.evaluate(x) << i
         return self.outer >> idx & 1
 
+    @_built_once
     def dense(self) -> DenseFunction:
-        # built once per target: kept in the instance dict, beside the
-        # fields, so equality, hashing and repr never see it
-        known = self.__dict__.get("_dense")
-        if known is not None:
-            return known
-        # the elements whose inner-value tuple is idx, OR-ed over outer's ones
+        # the elements whose inner-value tuple is idx, OR-ed over outer's
+        # ones; the inner closures are built here, not kept on the inner functions
         full = (1 << self.lattice.size) - 1
-        gmasks = [g.dense().mask for g in self.inner]
+        gmasks = [self.lattice.up_closure(g.mask) for g in self.inner]
         out = 0
         for idx in mask_elements(self.outer):
             cell = full
             for i, gm in enumerate(gmasks):
                 cell &= gm if idx >> i & 1 else full ^ gm
             out |= cell
-        table = self.__dict__["_dense"] = DenseFunction(self.lattice, out)
-        return table
+        return DenseFunction(self.lattice, out)
 
 
 Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget]
@@ -343,21 +354,15 @@ def implies(g: Representation, h: Representation) -> bool:
     return g.dense().mask & ~h.dense().mask == 0
 
 
-def nested_disjoint_violation(
-    x: XorHypothesis, tables: Sequence[int] | None = None
-) -> str | None:
+def nested_disjoint_violation(x: XorHypothesis) -> str | None:
     """Why the levels fail the shrinking, minim-disjoint shape, if they do.
 
     Returns None when every level implies its predecessor, differs from it,
     and shares no minimal element with it; otherwise a one-line reason.
-    ``tables`` takes the levels' truth tables, in order, from a caller that
-    has built them already.
     """
-    if tables is None:
-        tables = [lv.dense().mask for lv in x.levels]
     for i in range(len(x.levels) - 1):
         lo, hi = x.levels[i], x.levels[i + 1]
-        if tables[i + 1] & ~tables[i]:
+        if hi.dense().mask & ~lo.dense().mask:
             return f"level {i + 2} does not imply level {i + 1}"
         if hi == lo:
             return f"levels {i + 1} and {i + 2} are identical"

@@ -319,14 +319,8 @@ def _verify_checks(target, meta, against) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     table = target.dense()
     xor = strict_decompose(table)
-    # each level's closure, rebuilt once from its minimal mask, serves both
-    # shape checks
-    tables = [lv.dense().mask for lv in xor.levels]
-    parity = 0
-    for level_table in tables:
-        parity ^= level_table
-    checks.append(("decompose-roundtrip", parity == table.mask, ""))
-    violation = nested_disjoint_violation(xor, tables)
+    checks.append(("decompose-roundtrip", xor.dense().mask == table.mask, ""))
+    violation = nested_disjoint_violation(xor)
     checks.append(("levels-strict", violation is None, violation or ""))
     if isinstance(target, ComposedTarget):
         limit = target.d + (1 if target.outer_at_origin else 0)

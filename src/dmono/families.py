@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis, strict_decompose
+from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis
 from .errors import GenerationError
 from .lattice import CubeLattice, mask_bit
 
@@ -123,8 +123,11 @@ def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:
 
     Block i holds the variables of g_i that g_{i+1} lacks; raises
     ValueError when the inner minterms are not single variables or some
-    g_i's variables are not a proper superset of g_{i+1}'s.
+    g_i's variables are not a proper superset of g_{i+1}'s, or when the
+    target does not lie on a cube, where ids are not bit vectors.
     """
+    if not isinstance(target.lattice, CubeLattice):
+        raise ValueError(f"target lies on {target.lattice.describe()}, not a cube")
     per = []
     for g in target.inner:
         bits = set()
@@ -140,16 +143,14 @@ def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:
 
 
 def chain_witness_check(
-    target: ComposedTarget,
-    indices: Sequence[int],
-    levels: XorHypothesis | None = None,
+    target: ComposedTarget, indices: Sequence[int], levels: XorHypothesis
 ) -> bool:
     """Check that the chain picked by one column per block hits every level.
 
     ``indices[i]`` chooses a column (0-based) inside block i+1; the chain's
     k-th element sets the chosen bit of blocks 1..k and must be a minimal
-    element of the k-th strict-decomposition level.  ``levels`` accepts a
-    precomputed decomposition of the target.
+    element of the k-th level of ``levels``, the target's strict
+    decomposition.
     """
     blocks = takimoto_blocks(target)
     if len(indices) != len(blocks):
@@ -157,8 +158,6 @@ def chain_witness_check(
     for j, blk in zip(indices, blocks):
         if not 0 <= j < len(blk):
             raise IndexError(f"column {j} out of range for a block of {len(blk)}")
-    if levels is None:
-        levels = strict_decompose(target)
     x = 0
     for k, (j, blk) in enumerate(zip(indices, blocks)):
         x |= 1 << blk[j]

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from contextlib import contextmanager
 from unittest import mock
@@ -76,6 +77,27 @@ def top_down_chain(n):
     """An n-element chain whose ids run from the top down."""
     names = [f"c{i}" for i in reversed(range(n))]
     return ExplicitLattice(names, [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+
+
+def _point_name(p):
+    return "p" + "-".join(map(str, p))
+
+
+def shuffled_chain_product(dims, rng):
+    """Product of chains 0 < 1 < ... < k-1, declared and covered in shuffled order.
+
+    Returns the points by id and the lattice.
+    """
+    points = list(itertools.product(*(range(k) for k in dims)))
+    rng.shuffle(points)
+    covers = [
+        (_point_name(p), _point_name(p[:j] + (p[j] + 1,) + p[j + 1 :]))
+        for p in points
+        for j, k in enumerate(dims)
+        if p[j] + 1 < k
+    ]
+    rng.shuffle(covers)
+    return points, ExplicitLattice([_point_name(p) for p in points], covers)
 
 
 def lattice_file_text(names, covers):

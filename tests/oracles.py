@@ -6,13 +6,17 @@ predecessor sum.  None of it shares code with the package's production
 paths, so agreement is meaningful; the one exception is
 ``reference_learn``, which reruns the learner's loop on point sets and
 validated samples, so it shares the rebuild rounds and the descent but
-none of the loop's mask bookkeeping.
+none of the loop's mask bookkeeping, and ``worst_case_run``, which plays
+the learner's own hypotheses and descents against every counterexample
+order.
 """
 
 from itertools import combinations, permutations, product
 
 from dmono import (
+    DenseFunction,
     DenseState,
+    MembershipOracle,
     QueryStats,
     XorHypothesis,
     consistent,
@@ -314,3 +318,44 @@ def reference_learn(d, lattice, mq, eq):
                 f"the target is not {d}-monotone: {exc}", degree=d, point=exc.point
             ) from exc
     raise AssertionError("learning loop exceeded the lattice size")
+
+
+def worst_case_run(lattice, f_mask):
+    """The learner's worst case over every counterexample order, by exhaustive game.
+
+    A game state is the sample, as ``(s0, s1)`` masks, and its hypothesis
+    is the table of a ``DenseState`` on that sample.  A move answers any
+    disagreement x as the counterexample and walks it down with
+    ``descend_to_local_min``, a fresh membership cache each time, to the
+    point the learner files; moves that settle on the same point share one
+    edge.  Returns ``(counterexamples, inspections, states)``: the longest
+    path from the empty sample to a hypothesis equal to ``f_mask``, the
+    most inspections of any descent in any reachable state, and the count
+    of reachable states.
+    """
+    mq = MembershipOracle.for_function(DenseFunction(lattice, f_mask))
+    longest = {}
+    inspections = 0
+
+    def play(s0, s1):
+        nonlocal inspections
+        key = s0, s1
+        if key not in longest:
+            state = DenseState(lattice, brute_mask_elements(s0), brute_mask_elements(s1))
+            h = DenseFunction(lattice, state.table)
+            settled = {}
+            for x in brute_mask_elements(state.table ^ f_mask):
+                r = descend_to_local_min(lattice, x, h, mq, f_mask >> x & 1, {})
+                inspections = max(inspections, r.inspections)
+                settled[r.element] = r.value
+            longest[key] = max(
+                (
+                    1 + (play(s0, s1 | 1 << q) if v else play(s0 | 1 << q, s1))
+                    for q, v in settled.items()
+                ),
+                default=0,
+            )
+        return longest[key]
+
+    counterexamples = play(0, 0)
+    return counterexamples, inspections, len(longest)

@@ -171,8 +171,8 @@ class TestComposedDense:
         assert t.dense() is t.dense()
         fresh = ComposedTarget(lat, t.outer, t.inner)
         calls = []
-        dense = MonotoneDNF.dense
-        monkeypatch.setattr(MonotoneDNF, "dense", lambda g: calls.append(g) or dense(g))
+        closure = lat.up_closure
+        monkeypatch.setattr(lat, "up_closure", lambda m: calls.append(m) or closure(m))
         oracles = EquivalenceOracle(fresh), MembershipOracle.for_function(fresh)
         assert len(calls) == fresh.d == 3
         assert oracles[0].table is fresh.dense()
@@ -185,6 +185,46 @@ class TestComposedDense:
         assert copied == fresh and hash(copied) == hash(fresh)
         assert copied.dense() == table
         assert copy.deepcopy(fresh) == t
+
+
+# each builds one function on cube:3, by one of the four representations'
+# constructors; a second call builds an equal instance
+BUILDS = {
+    "dense": lambda lat: DenseFunction(lat, 0b10110110),
+    "mdnf": lambda lat: MonotoneDNF(lat, (0b011, 0b101)),
+    "mdnf-from-mask": lambda lat: MonotoneDNF.from_mask(lat, 1 << 0b011 | 1 << 0b101),
+    "xor-levels": lambda lat: XorHypothesis(
+        lat, (MonotoneDNF(lat, (0b001,)), MonotoneDNF(lat, (0b011,)))
+    ),
+    "xor-from-table": lambda lat: XorHypothesis.from_table(lat, 0b00100010, 2),
+    "composed": xor12,
+}
+
+
+class TestTableBuiltOnce:
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_second_read_returns_the_same_table(self, cube3, build):
+        f, fresh = build(cube3), build(cube3)
+        table = f.dense()
+        assert f.dense() is table
+        # the kept table is invisible to equality, hashing and repr
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+        assert fresh.dense() == table
+
+    def test_composed_table_keeps_no_inner_tables(self, cube3):
+        t = xor12(cube3)
+        t.dense()
+        assert all("_dense" not in g.__dict__ for g in t.inner)
+
+    def test_xor_levels_share_their_kept_tables(self, monkeypatch):
+        lat = CubeLattice(3)
+        h = BUILDS["xor-levels"](lat)
+        calls = []
+        closure = lat.up_closure
+        monkeypatch.setattr(lat, "up_closure", lambda m: calls.append(m) or closure(m))
+        h.dense()
+        assert nested_disjoint_violation(h) is None
+        assert len(calls) == len(h.levels) == 2
 
 
 class TestAntichainForms:

@@ -491,6 +491,29 @@ class TestVerify:
         assert len(calls["up_closure"]) == d + levels == 8
         assert len(calls["up_and_minimal"]) == levels == 4
 
+    def test_verify_against_builds_each_closure_once(self, capsys, tmp_path, monkeypatch):
+        # the learned file's levels, its decomposition's levels and the
+        # --against target's inner functions: one closure each, every
+        # check after the first reading the table kept on its function
+        d, t = 3, 2
+        target, hyp = tmp_path / "t32.json", tmp_path / "h32.json"
+        save_function(tightness_family(d, t), target)
+        _, out, _ = run_cli(capsys, "learn", str(target), "-d", str(d))
+        hyp.write_text(json.dumps(json.loads(out)["hypothesis"]))
+        calls = []
+        kernel = CubeLattice.up_closure
+        monkeypatch.setattr(
+            CubeLattice, "up_closure", lambda lat, mask: calls.append(mask) or kernel(lat, mask)
+        )
+        code, out, _ = run_cli(capsys, "verify", str(hyp), "--against", str(target))
+        assert code == 0
+        assert [ln.split()[2] for ln in out.splitlines()] == [
+            "decompose-roundtrip", "levels-strict", "strict-recovery", "pointwise-equal"
+        ]
+        levels = len(load_function(hyp)[0].levels)
+        assert levels == d
+        assert len(calls) == 2 * levels + d == 9
+
     @pytest.mark.parametrize(
         "edit, roundtrip, strict",
         [
@@ -661,6 +684,29 @@ class TestVerifyTakimotoMeta:
         assert all(ln.startswith("PASS") for ln in bad_lines[:-2])
         assert all(ln.startswith("PASS") for ln in good_lines)
         assert {"separation-size", "chain-witnesses"} <= {ln.split()[2] for ln in good_lines}
+
+    def test_takimoto_checks_refuse_an_explicit_lattice(self, capsys, tmp_path):
+        # the ids of p and q are not bit vectors, so no block can be read off them
+        names = ["z", "p", "q", "j", "top"]
+        covers = [("p", "j"), ("q", "j"), ("j", "top"), ("z", "top")]
+        (tmp_path / "e.lat").write_text(lattice_file_text(names, covers))
+        path = tmp_path / "k.json"
+        doc = {
+            "lattice": {"file": "e.lat"},
+            "repr": "composed",
+            "payload": {"F": "0110", "g": [["p", "q"], ["p"]]},
+            "meta": {"family": "takimoto"},
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, err) == (1, "")
+        detail = f"target lies on {load_function(path)[0].lattice.describe()}, not a cube"
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            f"FAIL {path} separation-size ({detail})",
+            f"FAIL {path} chain-witnesses ({detail})",
+        ]
+        assert all(ln.startswith("PASS") for ln in lines[:-2])
 
 
 class TestLatticeDescriptor:

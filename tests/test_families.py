@@ -150,10 +150,11 @@ class TestTakimoto:
 
     def test_witness_index_validation(self):
         tk = takimoto_family(2, 2)
+        levels = strict_decompose(tk)
         with pytest.raises(IndexError):
-            chain_witness_check(tk, (0, 2))
+            chain_witness_check(tk, (0, 2), levels=levels)
         with pytest.raises(ValueError):
-            chain_witness_check(tk, (0,))
+            chain_witness_check(tk, (0,), levels=levels)
 
     def test_blocks_need_single_variable_minterms(self):
         lat = CubeLattice(3)
@@ -170,6 +171,14 @@ class TestTakimoto:
             takimoto_blocks(target)
         assert str(exc.value) == "target blocks are not nested"
 
+    def test_blocks_need_a_cube(self, diamond):
+        # p and q have ids 1 and 2, single bits that name no variable
+        inner = (MonotoneDNF(diamond, (1, 2)), MonotoneDNF(diamond, (1,)))
+        target = ComposedTarget(diamond, parity_table(2), inner)
+        with pytest.raises(ValueError) as exc:
+            takimoto_blocks(target)
+        assert str(exc.value) == f"target lies on {diamond.describe()}, not a cube"
+
     def test_disjoint_blocks_are_not_nested(self):
         # the tightness blocks are disjoint, so no g_i contains the next
         with pytest.raises(ValueError, match="^target blocks are not nested$"):
@@ -182,7 +191,7 @@ class TestTakimoto:
         lat = CubeLattice(2)
         target = ComposedTarget(lat, 0b1010, (MonotoneDNF(lat, (0b01, 0b10)), MonotoneDNF(lat, (0b10,))))
         assert takimoto_blocks(target) == [[0], [1]]
-        assert not chain_witness_check(target, (0, 0))
+        assert not chain_witness_check(target, (0, 0), levels=strict_decompose(target))
         assert chain_witness_check(target, (0, 0), levels=prefix_levels(2, 1))
 
     def test_uneven_variant(self):

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 
@@ -19,6 +18,7 @@ from conftest import (
     lattice_file_text,
     moore_families,
     set_name,
+    shuffled_chain_product,
     single_top_orders,
     top_down_chain,
 )
@@ -502,31 +502,10 @@ class TestValidationAgainstBruteForce:
         assert_validation_matches_brute(names, covers)
 
 
-def _point_name(p):
-    return "p" + "-".join(map(str, p))
-
-
-def _shuffled_chain_product(dims, rng):
-    """Product of chains 0 < 1 < ... < k-1, declared and covered in shuffled order.
-
-    Returns the points by id and the lattice.
-    """
-    points = list(itertools.product(*(range(k) for k in dims)))
-    rng.shuffle(points)
-    covers = [
-        (_point_name(p), _point_name(p[:j] + (p[j] + 1,) + p[j + 1 :]))
-        for p in points
-        for j, k in enumerate(dims)
-        if p[j] + 1 < k
-    ]
-    rng.shuffle(covers)
-    return points, ExplicitLattice([_point_name(p) for p in points], covers)
-
-
 class TestChainProductAtScale:
     def test_shuffled_16_cubed(self):
         rng = random.Random(16)
-        points, lat = _shuffled_chain_product((16, 16, 16), rng)
+        points, lat = shuffled_chain_product((16, 16, 16), rng)
         ids = {p: i for i, p in enumerate(points)}
         assert lat.sigma() == 132
         assert points[lat.top] == (15, 15, 15)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -30,13 +31,23 @@ from dmono import (
 from dmono.errors import DegreeTooSmallError, InvalidElementError
 from dmono.lattice import elements_mask, mask_elements
 
-from conftest import checked_ids, kernel_runs, moore_families
+from conftest import (
+    DIAMOND_COVERS,
+    DIAMOND_NAMES,
+    PENTAGON_COVERS,
+    PENTAGON_NAMES,
+    checked_ids,
+    kernel_runs,
+    moore_families,
+    shuffled_chain_product,
+)
 from oracles import (
     brute_descent,
     join_products,
     max_chain_alternations,
     maximal_chains,
     reference_learn,
+    worst_case_run,
 )
 
 
@@ -600,3 +611,61 @@ class TestBoundHelper:
         assert counterexample_bound(lifted) is None
         assert counterexample_bound(DenseFunction(cube2, 5)) is None
         assert counterexample_bound(None) is None
+
+
+# lattices small enough to play every function's game, and larger ones to
+# play seeded functions on; the chain products' ids are shuffled
+EVERY_FUNCTION = {
+    "cube3": lambda: CubeLattice(3),
+    "diamond": lambda: ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS),
+    "pentagon": lambda: ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS),
+    "chains3x3": lambda: shuffled_chain_product((3, 3), random.Random(3))[1],
+}
+SEEDED_FUNCTIONS = {
+    "cube4": lambda: CubeLattice(4),
+    "chains2x2x3": lambda: shuffled_chain_product((2, 2, 3), random.Random(12))[1],
+}
+
+
+class TestEveryCounterexampleOrder:
+    """The counterexample and descent bounds under every order the query model allows.
+
+    The shipped oracle answers the lowest disagreeing id; ``worst_case_run``
+    answers every disagreement in every state, so its value bounds any
+    oracle's run.
+    """
+
+    @staticmethod
+    def check(lat, f_mask):
+        f = DenseFunction(lat, f_mask)
+        levels = strict_decompose(f).levels
+        cex, inspections, _ = worst_case_run(lat, f_mask)
+        assert cex <= math.prod(lv.size + 1 for lv in levels) - 1
+        assert inspections <= lat.sigma()
+        mq, eq = MembershipOracle.for_function(f), EquivalenceOracle(f)
+        _, stats = learn(len(levels), lat, mq, eq)
+        assert stats.counterexamples <= cex
+        # the game's premise: the hypothesis depends on the sample, not on
+        # the order its points came in
+        points = [(r.element, r.value) for r in stats.trace]
+        tables = set()
+        for order in (points, sorted(points), sorted(points, reverse=True)):
+            state = DenseState(lat)
+            for q, label in order:
+                state.add(q, label)
+            state.fit()
+            tables.add(state.table)
+        assert tables == {f_mask}
+
+    @pytest.mark.parametrize("make", EVERY_FUNCTION.values(), ids=EVERY_FUNCTION.keys())
+    def test_every_function(self, make):
+        lat = make()
+        for f_mask in range(1, 1 << lat.size):
+            self.check(lat, f_mask)
+
+    @pytest.mark.parametrize("make", SEEDED_FUNCTIONS.values(), ids=SEEDED_FUNCTIONS.keys())
+    def test_seeded_functions(self, make):
+        lat = make()
+        rng = random.Random(lat.size)
+        for _ in range(200):
+            self.check(lat, rng.randrange(1, 1 << lat.size))
