@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import InternalError, InvalidChainError
-from .lattice import CubeLattice, Lattice, elements_mask, is_bit_string, mask_elements
+from .lattice import CubeLattice, Lattice, elements_mask, is_bit_string, mask_bit, mask_elements
 
 
 def _built_once(build):
@@ -62,7 +62,7 @@ class DenseFunction:
 
     def evaluate(self, x: int) -> int:
         self.lattice.check_element(x)
-        return self.mask >> x & 1
+        return mask_bit(self.mask, x)
 
     def dense(self) -> "DenseFunction":
         return self
@@ -158,44 +158,13 @@ class XorHypothesis:
     """Parity of an ordered list of monotone levels; no levels means 0."""
 
     lattice: Lattice
-    # a factory, not a class attribute, so that ``__getattr__`` sees a
-    # ``from_table`` hypothesis whose levels are not derived yet
-    levels: tuple[MonotoneDNF, ...] = field(default_factory=tuple)
+    levels: tuple[MonotoneDNF, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         for lv in self.levels:
             if lv.lattice != self.lattice:
                 raise ValueError("level defined over a different lattice")
-
-    @classmethod
-    def from_table(cls, lattice: Lattice, table: int, d: int) -> "XorHypothesis":
-        """Trusted constructor from the truth table of a d-monotone function.
-
-        ``dense()`` starts out holding ``table``, as a ``DenseFunction``
-        that skips the size check.  The levels are its strict decomposition
-        padded with empty levels to d, derived when first read, so a
-        learner that only queries the table never derives them.
-        """
-        # the learner makes one per round: filling both frozen instances'
-        # dicts directly skips ``__post_init__`` and the per-field setattr
-        dense = object.__new__(DenseFunction)
-        fields = dense.__dict__
-        fields["lattice"], fields["mask"] = lattice, table
-        h = object.__new__(cls)
-        fields = h.__dict__
-        fields["lattice"], fields["_dense"], fields["_d"] = lattice, dense, d
-        return h
-
-    def __getattr__(self, name: str):
-        # reached only while a ``from_table`` hypothesis has no levels yet
-        d = self.__dict__.get("_d")
-        if name != "levels" or d is None:
-            raise AttributeError(name)
-        levels = strict_decompose(self._dense).levels
-        levels += (MonotoneDNF.from_mask(self.lattice, 0),) * (d - len(levels))
-        object.__setattr__(self, "levels", levels)
-        return levels
 
     @property
     def size(self) -> int:

@@ -19,6 +19,8 @@ from pathlib import Path
 
 from .boolfn import (
     ComposedTarget,
+    DenseFunction,
+    MonotoneDNF,
     XorHypothesis,
     nested_disjoint_violation,
     strict_decompose,
@@ -149,6 +151,16 @@ def _emit(record: dict | int, args) -> None:
         print(line)
 
 
+def _padded_levels(h: DenseFunction, d: int) -> XorHypothesis:
+    """h's strict decomposition, with empty levels appended up to d.
+
+    A record written at degree d shows d levels, whatever h's own degree.
+    """
+    lat = h.lattice
+    levels = strict_decompose(h).levels
+    return XorHypothesis(lat, levels + (MonotoneDNF.from_mask(lat, 0),) * (d - len(levels)))
+
+
 def cmd_learn(args) -> int:
     target, _meta = load_function(args.target)
     lat = target.lattice
@@ -179,7 +191,7 @@ def cmd_learn(args) -> int:
         "max_descent_inspections": stats.max_descent_inspections,
         "x0": lat.element_names(stats.x0),
         "x1": lat.element_names(stats.x1),
-        "hypothesis": function_to_doc(hypothesis),
+        "hypothesis": function_to_doc(_padded_levels(hypothesis, effective_d)),
         "wall_ms": round(wall * 1000, 3),
         "rebuild_ms": round(stats.rebuild_seconds * 1000, 3),
     }
@@ -206,7 +218,7 @@ def cmd_consistent(args) -> int:
     _check_degree(lat, args.d)
     x0 = frozenset(lat.parse_element(nm) for nm in args.x0 or [])
     x1 = frozenset(lat.parse_element(nm) for nm in args.x1 or [])
-    hypothesis = consistent(args.d, DenseState(lat, x0, x1))
+    hypothesis = _padded_levels(consistent(args.d, DenseState(lat, x0, x1)), args.d)
     record = {
         "command": "consistent",
         "lattice": lat.describe(),

@@ -1,10 +1,10 @@
-"""Build an XOR-of-monotone hypothesis consistent with labeled points."""
+"""Build a d-monotone hypothesis consistent with labeled points."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .boolfn import XorHypothesis
+from .boolfn import DenseFunction
 from .errors import InconsistentSampleError, InternalError, InvalidSampleError
 from .lattice import Lattice, elements_mask, mask_bit, mask_elements
 
@@ -119,13 +119,13 @@ class DenseState:
         self.s0, self.s1 = s0, s1
 
 
-def consistent(d: int, state: DenseState) -> XorHypothesis:
-    """Return h = F_1 xor ... xor F_d agreeing with every sample label.
+def consistent(d: int, state: DenseState) -> DenseFunction:
+    """Return the table of an h = F_1 xor ... xor F_d agreeing with every sample label.
 
-    Fits the state, then keeps only its table and d: the levels are the
+    Fits the state and returns its table.  The rounds' levels F_i are the
     table's strict decomposition (a minimal element of closure i never
-    lies in closure i+1), padded with all-zero levels to exactly d so the
-    shape is stable; evaluation ignores them.
+    lies in closure i+1), so ``strict_decompose`` of the result gives
+    them back, at most d of them.
 
     Raises ValueError for a d below 1, and InconsistentSampleError when
     the state, which keeps its sample, holds more than d closures, naming
@@ -143,4 +143,9 @@ def consistent(d: int, state: DenseState) -> XorHypothesis:
             f"(violated at {state.lattice.element_name(point)})",
             point=point,
         )
-    return XorHypothesis.from_table(state.lattice, state.table, d)
+    # the learner makes one per round: filling the frozen instance's dict
+    # directly skips ``__post_init__``, whose size check the closures meet
+    h = object.__new__(DenseFunction)
+    fields = h.__dict__
+    fields["lattice"], fields["mask"] = state.lattice, state.table
+    return h

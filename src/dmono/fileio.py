@@ -6,13 +6,15 @@ dense is a bit string in element-id order; mdnf is a list of element names;
 xor is a list of mdnf payloads; composed is {"F": bit string of 2^d, "g":
 [mdnf...]}.  Writers emit minimals in canonical order so outputs are
 byte-stable.  A relative lattice file path resolves against the function
-file's directory.  Input files are read here only: every way a load fails
-is a ``DmonoError`` that names the file.
+file's directory, as ``save_function`` writes it; ``dumps_function`` and
+records keep it relative to the working directory.  Input files are read
+here only: every way a load fails is a ``DmonoError`` that names the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .boolfn import ComposedTarget, DenseFunction, MonotoneDNF, Representation, XorHypothesis
@@ -20,16 +22,20 @@ from .errors import DmonoError, FileFormatError
 from .lattice import CubeLattice, ExplicitLattice, Lattice, is_bit_string, parse_lattice
 
 
-def lattice_descriptor(lattice: Lattice) -> dict:
+def lattice_descriptor(lattice: Lattice, base_dir: str | Path | None = None) -> dict:
     if isinstance(lattice, CubeLattice):
         return {"cube": lattice.n}
     if isinstance(lattice, ExplicitLattice):
-        if lattice.source_path is None:
+        path = lattice.source_path
+        if path is None:
             raise FileFormatError(
                 "explicit lattice was built in memory; load it from a file "
                 "to make functions over it serializable"
             )
-        return {"file": lattice.source_path}
+        # as loaded, relative to the working directory, unless rebased
+        if base_dir is not None and not os.path.isabs(path):
+            path = os.path.relpath(path, base_dir)
+        return {"file": path}
     raise FileFormatError(f"cannot describe lattice {lattice!r}")
 
 
@@ -65,8 +71,10 @@ def _mdnf_from_payload(lattice: Lattice, payload) -> MonotoneDNF:
         raise FileFormatError(f"bad mdnf payload: {exc}") from None
 
 
-def function_to_doc(f: Representation, meta: dict | None = None) -> dict:
-    doc: dict = {"lattice": lattice_descriptor(f.lattice)}
+def function_to_doc(
+    f: Representation, meta: dict | None = None, base_dir: str | Path | None = None
+) -> dict:
+    doc: dict = {"lattice": lattice_descriptor(f.lattice, base_dir)}
     if isinstance(f, DenseFunction):
         doc["repr"] = "dense"
         doc["payload"] = f.bits()
@@ -129,8 +137,10 @@ def doc_to_function(doc, base_dir: str | Path = ".") -> tuple[Representation, di
     raise FileFormatError(f"unknown repr kind {kind!r}")
 
 
-def dumps_function(f: Representation, meta: dict | None = None) -> str:
-    return json.dumps(function_to_doc(f, meta), indent=2) + "\n"
+def dumps_function(
+    f: Representation, meta: dict | None = None, base_dir: str | Path | None = None
+) -> str:
+    return json.dumps(function_to_doc(f, meta, base_dir), indent=2) + "\n"
 
 
 def loads_function(text: str, base_dir: str | Path = ".") -> tuple[Representation, dict]:
@@ -142,7 +152,9 @@ def loads_function(text: str, base_dir: str | Path = ".") -> tuple[Representatio
 
 
 def save_function(f: Representation, path: str | Path, meta: dict | None = None) -> None:
-    Path(path).write_text(dumps_function(f, meta))
+    """Write f to ``path``, naming a lattice file relative to ``path``'s directory."""
+    path = Path(path)
+    path.write_text(dumps_function(f, meta, path.parent))
 
 
 def _read_text(path: Path) -> str:

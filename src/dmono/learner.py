@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .boolfn import ComposedTarget, MonotoneDNF, Representation, XorHypothesis
+from .boolfn import ComposedTarget, DenseFunction, MonotoneDNF, Representation
 from .consistent import DenseState, consistent
 from .errors import DegreeTooSmallError, InconsistentSampleError
 from .lattice import Lattice, mask_bit
@@ -176,7 +176,7 @@ def learn(
     lattice: Lattice,
     mq: MembershipOracle,
     eq,
-) -> tuple[XorHypothesis, QueryStats]:
+) -> tuple[DenseFunction, QueryStats]:
     """Exactly learn a d-monotone target from the given oracles.
 
     Starts from the constant-0 hypothesis, and per counterexample: infer
@@ -185,9 +185,9 @@ def learn(
     file that point under its label in the run's ``DenseState``, and
     rebuild the hypothesis with ``consistent`` on that state.  The sample
     grew by one point, so the state usually extends one level's up-closure
-    by that point instead of running the full rounds.  Each query and each
-    descent reads the hypothesis's truth table, and the levels are derived
-    only when the caller reads them.
+    by that point instead of running the full rounds.  Each hypothesis is
+    its truth table, which every query and descent reads; the returned
+    one's XOR-of-monotone levels are ``strict_decompose`` of it.
     Membership answers are memoized per run, so the raw inspection count
     of a descent can exceed the real queries it costs.
 
@@ -213,7 +213,7 @@ def learn(
             stats.x0, stats.x1 = state.x0, state.x1
             return h, stats
         stats.counterexamples += 1
-        inferred = 1 - mask_bit(h.dense().mask, cex)
+        inferred = 1 - mask_bit(h.mask, cex)
         result = descend_to_local_min(lattice, cex, h, mq, inferred, cache)
         stats.max_descent_inspections = max(
             stats.max_descent_inspections, result.inspections

@@ -22,6 +22,7 @@ from dmono import (
     consistent,
     counterexample_bound,
     descend_to_local_min,
+    strict_decompose,
 )
 from dmono.errors import DegreeTooSmallError, InconsistentSampleError
 
@@ -285,7 +286,8 @@ def reference_learn(d, lattice, mq, eq):
 
     Every round validates the whole sample into a fresh ``DenseState``,
     which runs the full rounds, and recomputes the hypothesis's table from
-    its levels rather than reading the one ``consistent`` returns.  Returns the hypothesis and a
+    its levels, ``strict_decompose`` of the table ``consistent`` returns,
+    rather than reading that table.  Returns the hypothesis and a
     ``QueryStats`` filled as ``learn`` fills it.
     """
     stats = QueryStats(sigma=lattice.sigma())
@@ -297,7 +299,7 @@ def reference_learn(d, lattice, mq, eq):
     h = consistent(d, DenseState(lattice, frozenset(), frozenset()))
     cache = {}
     for _ in range(lattice.size + 1):
-        hd = XorHypothesis(lattice, h.levels).dense()
+        hd = XorHypothesis(lattice, strict_decompose(h).levels).dense()
         cex = eq.query(hd)
         stats.eq_used = eq.eq_count
         stats.mq_used = mq.mq_count

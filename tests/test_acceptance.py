@@ -33,7 +33,7 @@ from dmono import (
 )
 from dmono.boolfn import XorHypothesis, implies
 
-from oracles import maximal_chains_cube, sigma_downset_recursion
+from oracles import brute_consistent_rounds, maximal_chains_cube, sigma_downset_recursion
 
 MASTER_SEED = 0xD30
 
@@ -93,7 +93,7 @@ def test_criterion_2_worked_trace():
     assert stats.counterexamples == 3
     assert set(stats.x1) == {0b01, 0b10}
     assert set(stats.x0) == {0b11}
-    assert [lv.minimals for lv in hypothesis.levels] == [(0b01, 0b10), (0b11,)]
+    assert [lv.minimals for lv in strict_decompose(hypothesis).levels] == [(0b01, 0b10), (0b11,)]
     _report(2, "two-variable parity trace: 3 counterexamples, expected sample and levels")
 
 
@@ -185,11 +185,13 @@ def test_criterion_9_consistent_outputs():
         assert all(h.evaluate(x) == 0 for x in sample.x0)
         assert all(h.evaluate(x) == 1 for x in sample.x1)
         assert monotone_degree(h) <= d
-        trimmed = list(h.levels)
-        while trimmed and trimmed[-1].size == 0:
+        # the table's strict decomposition is the d rounds' levels, the
+        # empty trailing ones dropped
+        trimmed, _, _ = brute_consistent_rounds(lat, d, sample.x0, sample.x1)
+        while trimmed and not trimmed[-1]:
             trimmed.pop()
-        assert list(strict_decompose(h).levels) == trimmed
-    _report(9, "100 samples: consistent output fits labels and is its own strict decomposition")
+        assert [list(lv.minimals) for lv in strict_decompose(h).levels] == trimmed
+    _report(9, "100 samples: consistent output fits labels and decomposes into the rounds' levels")
 
 
 def test_criterion_10_recovery_both_directions():

@@ -11,10 +11,12 @@ from dmono import (
     ComposedTarget,
     CubeLattice,
     DenseFunction,
+    DenseState,
     ExplicitLattice,
     MonotoneDNF,
     XorHypothesis,
     chain_alternations,
+    consistent,
     dumps_function,
     global_min,
     implies,
@@ -92,7 +94,7 @@ class TestEvaluate:
             MonotoneDNF(cube2, ()),
             MonotoneDNF.from_mask(cube2, 0b0010),
             XorHypothesis(cube2, (g,)),
-            XorHypothesis.from_table(cube2, 0b1010, 1),
+            consistent(1, DenseState(cube2, (), {0b01})),
             strict_decompose(DenseFunction(cube2, 0)),
             load_function(path)[0],
             xor12(cube2),
@@ -196,7 +198,6 @@ BUILDS = {
     "xor-levels": lambda lat: XorHypothesis(
         lat, (MonotoneDNF(lat, (0b001,)), MonotoneDNF(lat, (0b011,)))
     ),
-    "xor-from-table": lambda lat: XorHypothesis.from_table(lat, 0b00100010, 2),
     "composed": xor12,
 }
 
@@ -384,54 +385,6 @@ class TestFromMask:
                 assert MonotoneDNF.from_mask(lat, mins) == MonotoneDNF(
                     lat, tuple(mask_elements(mins))
                 )
-
-    @given(st.lists(st.sets(st.integers(0, 63)), max_size=3), st.integers(0, 2))
-    def test_xor_from_table_reads_the_given_table(self, draws, pad):
-        # nested closures as the rounds of ``consistent`` build them: each
-        # one after the first is generated by non-minimal points of the last
-        lat = CubeLattice(6)
-        closures, allowed = [], (1 << lat.size) - 1
-        for p in draws:
-            up = lat.up_closure(elements_mask(p) & allowed)
-            closures.append(up)
-            allowed = up & ~lat.minimal(up)
-        table = 0
-        for up in closures:
-            table ^= up
-        d = len(closures) + pad
-        plain = XorHypothesis(
-            lat,
-            tuple(MonotoneDNF.from_mask(lat, lat.minimal(up)) for up in closures)
-            + (MonotoneDNF(lat),) * pad,
-        )
-        assert copy.deepcopy(XorHypothesis.from_table(lat, table, d)) == plain
-        trusted = XorHypothesis.from_table(lat, table, d)
-        assert trusted.dense() == plain.dense() == DenseFunction(lat, table)
-        # levels are derived on first read, and read the same afterwards
-        assert trusted.levels == plain.levels
-        assert trusted == plain and repr(trusted) == repr(plain)
-        assert copy.deepcopy(trusted) == plain
-
-    def test_xor_from_table_dense_computes_no_closure(self, monkeypatch):
-        lat = CubeLattice(3)
-        # levels {001} and {011}: closures 10101010 and 10001000
-        h = XorHypothesis.from_table(lat, 0b00100010, 3)
-
-        def no_closure(mask):
-            raise AssertionError("dense() recomputed a closure")
-
-        monkeypatch.setattr(lat, "up_closure", no_closure)
-        assert h.dense().mask == 0b00100010
-        monkeypatch.undo()
-        assert [lv.minimals for lv in h.levels] == [(0b001,), (0b011,), ()]
-
-    def test_xor_attribute_lookup_is_unchanged(self, cube2):
-        assert XorHypothesis(cube2).levels == ()
-        lazy = XorHypothesis.from_table(cube2, 0b1010, 1)
-        with pytest.raises(AttributeError):
-            lazy.minimals
-        assert not hasattr(XorHypothesis(cube2), "minimals")
-        assert lazy.size == 1 and lazy.evaluate(0b11) == 1
 
 
 class TestMinimalElements:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 import time
@@ -23,7 +24,8 @@ from dmono.cli import build_parser, main
 from dmono.errors import InvalidElementError
 from dmono.fileio import function_to_doc, load_function
 
-from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text
+from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text, shuffled_chain_product
+from oracles import brute_consistent_rounds
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +219,7 @@ class TestLearn:
         assert rec["d"] == 2
         assert rec["effective_d"] == 3
         assert rec["eq_bound"] is None
+        assert len(rec["hypothesis"]["payload"]) == 3
 
     def test_trace_flag_adds_named_trace(self, capsys, parity_file):
         code, out, _ = run_cli(capsys, "learn", str(parity_file), "-d", "2", "--trace")
@@ -250,7 +253,8 @@ class TestLearn:
         ]
         assert rec["x0"] == [name(a) for a in stats.x0]
         assert rec["x1"] == [name(a) for a in stats.x1]
-        assert rec["hypothesis"]["payload"] == [[name(a) for a in lv.minimals] for lv in h.levels]
+        levels = strict_decompose(h).levels
+        assert rec["hypothesis"]["payload"] == [[name(a) for a in lv.minimals] for lv in levels]
 
     def test_records_identical_up_to_timing(self, capsys, parity_file):
         _, first, _ = run_cli(capsys, "learn", str(parity_file), "-d", "2")
@@ -322,6 +326,51 @@ class TestConsistentCommand:
         rec = record_of(out)
         assert rec["hypothesis"]["payload"] == [["01", "10"], ["11"]]
         assert rec["level_sizes"] == [2, 1]
+
+    def test_empty_sample_keeps_d_levels(self, capsys):
+        code, out, _ = run_cli(capsys, "consistent", "--lattice", "cube:2", "-d", "2")
+        assert code == 0
+        rec = record_of(out)
+        assert rec["hypothesis"]["payload"] == [[], []]
+        assert rec["level_sizes"] == [0, 0]
+
+    @pytest.mark.parametrize("spec", ["cube:3", "chains"])
+    def test_payload_is_the_rounds_padded_to_d(self, capsys, tmp_path, spec):
+        # labels from an XOR of at most d closures always fit, and the
+        # record shows the d rounds' levels, the empty ones last
+        rng = random.Random(25)
+        if spec == "cube:3":
+            lat = CubeLattice(3)
+        else:
+            _, lat = shuffled_chain_product((2, 3, 2), rng)
+            covers = [
+                (lat.element_name(p), lat.element_name(x))
+                for x in lat.elements()
+                for p in lat.immediate_predecessors(x)
+            ]
+            spec = str(tmp_path / "chains.lat")
+            (tmp_path / "chains.lat").write_text(lattice_file_text(lat.names, covers))
+        padded = 0
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            labels = 0
+            for _ in range(rng.randint(0, d)):
+                labels ^= lat.up_closure(rng.getrandbits(lat.size) & rng.getrandbits(lat.size))
+            points = rng.sample(range(lat.size), rng.randint(0, lat.size))
+            x0 = [x for x in points if not labels >> x & 1]
+            x1 = [x for x in points if labels >> x & 1]
+            levels, _, violated = brute_consistent_rounds(lat, d, x0, x1)
+            assert violated is None
+            argv = ["consistent", "--lattice", spec, "-d", str(d)]
+            argv += [arg for x in x0 for arg in ("--x0", lat.element_name(x))]
+            argv += [arg for x in x1 for arg in ("--x1", lat.element_name(x))]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            rec = record_of(out)
+            assert rec["hypothesis"]["payload"] == [lat.element_names(lv) for lv in levels]
+            assert rec["level_sizes"] == [len(lv) for lv in levels]
+            padded += not levels[-1]
+        assert padded
 
     def test_unsatisfiable_sample_exits_2(self, capsys):
         code, _, err = run_cli(

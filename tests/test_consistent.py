@@ -58,21 +58,27 @@ class TestSample:
             consistent(0, DenseState(cube2, {0b01}, {0b01}))
 
 
+def padded_minimals(h, d):
+    """The minimals of h's strict decomposition, with empty levels up to d."""
+    levels = [lv.minimals for lv in strict_decompose(h).levels]
+    return levels + [()] * (d - len(levels))
+
+
 class TestWorkedExamples:
     def test_single_positive_point(self, cube2):
         h = consistent(1, DenseState(cube2, (), {0b01}))
-        assert [lv.minimals for lv in h.levels] == [(0b01,)]
+        assert [lv.minimals for lv in strict_decompose(h).levels] == [(0b01,)]
 
     def test_parity_sample(self, cube2):
         h = consistent(2, DenseState(cube2, {0b11}, {0b01, 0b10}))
-        assert [lv.minimals for lv in h.levels] == [(0b01, 0b10), (0b11,)]
+        assert [lv.minimals for lv in strict_decompose(h).levels] == [(0b01, 0b10), (0b11,)]
         assert h.evaluate(0b11) == 0
         assert h.evaluate(0b01) == 1 and h.evaluate(0b10) == 1
 
-    def test_empty_sample_keeps_d_levels(self, cube2):
+    def test_empty_sample_is_the_zero_table(self, cube2):
         h = consistent(2, DenseState(cube2))
-        assert [lv.minimals for lv in h.levels] == [(), ()]
-        assert all(h.evaluate(x) == 0 for x in cube2.elements())
+        assert h == DenseFunction(cube2, 0)
+        assert strict_decompose(h).levels == ()
 
 
 class TestErrors:
@@ -144,18 +150,15 @@ class TestProperties:
         for _ in range(40):
             d, lat, sample = self._random_case(rng)
             h = consistent(d, sample)
-            assert len(h.levels) == d
-            assert monotone_degree(h) <= d
+            assert len(strict_decompose(h).levels) == monotone_degree(h) <= d
 
     def test_output_is_its_own_strict_decomposition(self):
         rng = random.Random(2026)
         for _ in range(40):
             d, lat, sample = self._random_case(rng)
             h = consistent(d, sample)
-            trimmed = list(h.levels)
-            while trimmed and trimmed[-1].size == 0:
-                trimmed.pop()
-            assert list(strict_decompose(h).levels) == trimmed
+            levels, _, _ = brute_consistent_rounds(lat, d, sample.x0, sample.x1)
+            assert padded_minimals(h, d) == [tuple(lv) for lv in levels]
 
     def test_minterms_come_from_the_sample(self):
         rng = random.Random(2027)
@@ -163,22 +166,20 @@ class TestProperties:
             d, lat, sample = self._random_case(rng)
             h = consistent(d, sample)
             union = set(sample.x0) | set(sample.x1)
-            for lv in h.levels:
+            levels = strict_decompose(h).levels
+            for lv in levels:
                 assert set(lv.minimals) <= union
                 assert lv.size <= len(union)
-            assert sum(lv.size for lv in h.levels) <= d * len(union)
+            assert sum(lv.size for lv in levels) <= d * len(union)
 
     def test_zero_levels_only_trail(self):
         rng = random.Random(2028)
         for _ in range(40):
             d, lat, sample = self._random_case(rng)
             h = consistent(d, sample)
-            sizes = [lv.size for lv in h.levels]
-            seen_zero = False
-            for s in sizes:
-                if s == 0:
-                    seen_zero = True
-                assert not (seen_zero and s > 0)
+            # the decomposition holds no zero level, so a record's padding
+            # to d puts every zero level after the others
+            assert all(lv.size for lv in strict_decompose(h).levels)
 
 
 EXPLICIT_KERNEL_LATTICES = st.sampled_from(
@@ -205,7 +206,7 @@ class TestKernel:
         h = consistent(d, DenseState(lat, x0, x1))
         levels = [lat.minimal(up) for up in closures]
         padded = levels + [0] * (d - len(levels))
-        assert [lv.minimals for lv in h.levels] == [tuple(mask_elements(m)) for m in padded]
+        assert padded_minimals(h, d) == [tuple(mask_elements(m)) for m in padded]
         assert h.dense().mask == table
         # the table is the XOR of the wrapped levels' up-closures, which are
         # the kernel's closures, strictly nested
@@ -273,12 +274,13 @@ class TestKernel:
             labels ^= lat.up_closure(data.draw(st.integers(0, (1 << lat.size) - 1)))
         x0, x1 = mask_elements(points & ~labels), mask_elements(points & labels)
         h = consistent(d, DenseState(lat, x0, x1))
-        decomposed = strict_decompose(DenseFunction(lat, h.dense().mask)).levels
+        # the trusted table is one the checking constructor accepts
+        assert h == DenseFunction(lat, h.mask)
+        decomposed = strict_decompose(h).levels
         assert len(decomposed) <= d
-        assert h.levels == decomposed + (MonotoneDNF(lat),) * (d - len(decomposed))
         levels, _, violated = brute_consistent_rounds(lat, d, x0, x1)
         assert violated is None
-        assert [list(lv.minimals) for lv in h.levels] == levels
+        assert padded_minimals(h, d) == [tuple(lv) for lv in levels]
 
 
 def assert_kernel_matches_brute(lat, s0, s1):
@@ -299,12 +301,12 @@ def assert_kernel_matches_brute(lat, s0, s1):
 
 
 def outcome(d, sample):
-    """The hypothesis's levels and table, or the error's point and text."""
+    """The hypothesis's levels, padded to d, and table, or the error's point and text."""
     try:
         h = consistent(d, sample)
     except InconsistentSampleError as exc:
         return ("error", exc.point, str(exc))
-    return [lv.minimals for lv in h.levels], h.dense().mask
+    return padded_minimals(h, d), h.mask
 
 
 def sample_outcome(lat, d, x0, x1):
@@ -395,13 +397,13 @@ class TestOnePointExtension:
         state.add(0b011, 1)
         h = consistent(2, state)
         # 001 takes rank 1 too, so closure 1 grows in place to up(001);
-        # h's levels, read only afterwards, must come from its own table
+        # h, decomposed only afterwards, must keep its own table
         with kernel_runs() as runs:
             state.add(0b001, 1)
             grown = consistent(2, state)
         assert runs == []
-        assert [lv.minimals for lv in grown.levels] == [(0b001,), ()]
-        assert [lv.minimals for lv in h.levels] == [(0b011,), ()]
+        assert padded_minimals(grown, 2) == [(0b001,), ()]
+        assert padded_minimals(h, 2) == [(0b011,), ()]
         assert h.dense().mask == cube3.up_closure(1 << 0b011)
 
     def test_a_second_add_fits_the_first_point(self, cube3):

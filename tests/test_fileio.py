@@ -84,6 +84,42 @@ class TestRoundTrips:
         again, _ = load_function(out)
         assert again.minimals == loaded.minimals
 
+    def test_relative_lattice_path_is_saved_relative_to_the_file(self, tmp_path, monkeypatch):
+        # loaded from sub/, the lattice's path is sub/diamond.lat, relative
+        # to the working directory; a saved copy names it from its own directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "other").mkdir()
+        (tmp_path / "sub" / "diamond.lat").write_text(
+            lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS)
+        )
+        doc = {"lattice": {"file": "diamond.lat"}, "repr": "mdnf", "payload": ["p"]}
+        (tmp_path / "sub" / "g.json").write_text(json.dumps(doc))
+        loaded, _ = load_function("sub/g.json")
+        assert loaded.lattice.source_path == "sub/diamond.lat"
+        for path, named in (
+            ("sub/copy.json", "diamond.lat"),
+            ("other/copy.json", "../sub/diamond.lat"),
+        ):
+            save_function(loaded, path)
+            assert json.loads((tmp_path / path).read_text())["lattice"] == {"file": named}
+            again, _ = load_function(path)
+            assert again == loaded
+        # strings and records keep the path relative to the working directory
+        assert json.loads(dumps_function(loaded))["lattice"] == {"file": "sub/diamond.lat"}
+
+    def test_absolute_lattice_path_is_saved_as_it_is(self, tmp_path):
+        lat_path = tmp_path / "diamond.lat"
+        lat_path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        doc = {"lattice": {"file": str(lat_path)}, "repr": "mdnf", "payload": ["p"]}
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        loaded, _ = load_function(tmp_path / "g.json")
+        (tmp_path / "sub").mkdir()
+        save_function(loaded, tmp_path / "sub" / "copy.json")
+        saved = json.loads((tmp_path / "sub" / "copy.json").read_text())
+        assert saved["lattice"] == {"file": str(lat_path)}
+        assert load_function(tmp_path / "sub" / "copy.json")[0] == loaded
+
 
 class TestStability:
     def test_minimals_emitted_in_canonical_order(self, cube3):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dmono import CubeLattice, ExplicitLattice, load_lattice, parse_lattice
 from dmono.errors import FileFormatError, InvalidElementError, LatticeValidationError
-from dmono.lattice import Lattice, elements_mask, mask_elements
+from dmono.lattice import Lattice, elements_mask, mask_bit, mask_elements
 
 from conftest import (
     DIAMOND_COVERS,
@@ -620,6 +620,21 @@ class TestMaskHelpers:
     def test_matches_bitwise_reference(self, mask):
         # zero, single high bits, sparse and dense masks up to 2^12 bits wide
         assert mask_elements(mask) == brute_mask_elements(mask)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, (1 << 64) - 1)
+        | st.binary(max_size=(1 << 12) // 8).map(lambda b: int.from_bytes(b, "little")),
+        st.lists(st.integers(0, (1 << 12) + 64), max_size=8),
+    )
+    def test_mask_bit_matches_the_shift(self, mask, drawn):
+        # ids below the middle of the mask take the AND, the rest the shift;
+        # ids at and past its length read 0
+        length = mask.bit_length()
+        middle = length // 2
+        ids = {0, middle - 1, middle, middle + 1, length - 1, length, length + 1, 2 * length + 7}
+        for i in ids.union(drawn) - {-1}:
+            assert mask_bit(mask, i) == mask >> i & 1
 
 
 class TestDenseSweeps:

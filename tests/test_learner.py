@@ -263,7 +263,7 @@ class TestWorkedTrace:
         assert stats.eq_bound == 3  # met with equality
         assert stats.x1 == (0b01, 0b10)
         assert stats.x0 == (0b11,)
-        assert [lv.minimals for lv in h.levels] == [(0b01, 0b10), (0b11,)]
+        assert [lv.minimals for lv in strict_decompose(h).levels] == [(0b01, 0b10), (0b11,)]
         assert stats.within_bounds()
 
     def test_constant_zero_target(self, cube3):
@@ -281,7 +281,7 @@ class TestWorkedTrace:
         mq = MembershipOracle.for_function(target)
         eq = EquivalenceOracle(target)
         h, stats = learn(1, cube3, mq, eq)
-        assert [lv.minimals for lv in h.levels] == [(0b110,)]
+        assert [lv.minimals for lv in strict_decompose(h).levels] == [(0b110,)]
         assert stats.counterexamples == 1
         assert stats.eq_used == 2
         assert stats.eq_bound == 1
@@ -439,7 +439,8 @@ def assert_same_run(d, target, make_eq=EquivalenceOracle):
         assert got == want
         return False
     (h, stats), (ref_h, ref_stats) = got, want
-    assert [lv.minimals for lv in h.levels] == [lv.minimals for lv in ref_h.levels]
+    # the levels are the strict decomposition of the table
+    assert h == ref_h
     for field in (
         "x0",
         "x1",
@@ -630,9 +631,9 @@ SEEDED_FUNCTIONS = {
 class TestEveryCounterexampleOrder:
     """The counterexample and descent bounds under every order the query model allows.
 
-    The shipped oracle answers the lowest disagreeing id; ``worst_case_run``
-    answers every disagreement in every state, so its value bounds any
-    oracle's run.
+    The shipped oracle answers the lowest disagreeing id, and ``ORDERS``
+    the highest and a seeded random one; ``worst_case_run`` answers every
+    disagreement in every state, so its values bound each of their runs.
     """
 
     @staticmethod
@@ -642,20 +643,22 @@ class TestEveryCounterexampleOrder:
         cex, inspections, _ = worst_case_run(lat, f_mask)
         assert cex <= math.prod(lv.size + 1 for lv in levels) - 1
         assert inspections <= lat.sigma()
-        mq, eq = MembershipOracle.for_function(f), EquivalenceOracle(f)
-        _, stats = learn(len(levels), lat, mq, eq)
-        assert stats.counterexamples <= cex
-        # the game's premise: the hypothesis depends on the sample, not on
-        # the order its points came in
-        points = [(r.element, r.value) for r in stats.trace]
-        tables = set()
-        for order in (points, sorted(points), sorted(points, reverse=True)):
-            state = DenseState(lat)
-            for q, label in order:
-                state.add(q, label)
-            state.fit()
-            tables.add(state.table)
-        assert tables == {f_mask}
+        for make_eq in (EquivalenceOracle, *ORDERS.values()):
+            mq, eq = MembershipOracle.for_function(f), make_eq(f)
+            _, stats = learn(len(levels), lat, mq, eq)
+            assert stats.counterexamples <= cex
+            assert stats.max_descent_inspections <= inspections
+            # the game's premise: the hypothesis depends on the sample, not
+            # on the order its points came in
+            points = [(r.element, r.value) for r in stats.trace]
+            tables = set()
+            for order in (points, sorted(points), sorted(points, reverse=True)):
+                state = DenseState(lat)
+                for q, label in order:
+                    state.add(q, label)
+                state.fit()
+                tables.add(state.table)
+            assert tables == {f_mask}
 
     @pytest.mark.parametrize("make", EVERY_FUNCTION.values(), ids=EVERY_FUNCTION.keys())
     def test_every_function(self, make):
