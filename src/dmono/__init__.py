@@ -6,11 +6,6 @@ from .boolfn import (
     MonotoneDNF,
     XorHypothesis,
     chain_alternations,
-    global_min,
-    implies,
-    local_min,
-    monotone_closure,
-    monotone_degree,
     nested_disjoint_violation,
     strict_decompose,
 )
@@ -56,15 +51,10 @@ __all__ = [
     "counterexample_bound",
     "descend_to_local_min",
     "dumps_function",
-    "global_min",
-    "implies",
     "learn",
     "load_function",
     "load_lattice",
     "loads_function",
-    "local_min",
-    "monotone_closure",
-    "monotone_degree",
     "nested_disjoint_violation",
     "parity_table",
     "parse_lattice",

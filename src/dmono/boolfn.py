@@ -245,28 +245,6 @@ class ComposedTarget:
 Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget]
 
 
-def global_min(f: Representation) -> list[int]:
-    """Points of value 1 with value 0 strictly everywhere below."""
-    fd = f.dense()
-    return mask_elements(fd.lattice.minimal(fd.mask))
-
-
-def local_min(f: Representation) -> list[int]:
-    """Points of value 1 whose immediate predecessors all have value 0.
-
-    An element without in-lattice predecessors qualifies whenever its own
-    value is 1, since its only predecessor is the implicit bottom.
-    """
-    fd = f.dense()
-    return mask_elements(fd.lattice.minimal(fd.mask, fd.mask))
-
-
-def monotone_closure(f: Representation) -> MonotoneDNF:
-    """Least monotone function implied by f, as its minimal-element antichain."""
-    fd = f.dense()
-    return MonotoneDNF.from_mask(fd.lattice, fd.lattice.minimal(fd.mask))
-
-
 def strict_decompose(f: Representation) -> XorHypothesis:
     """Peel monotone closures off f until nothing remains.
 
@@ -290,11 +268,6 @@ def strict_decompose(f: Representation) -> XorHypothesis:
     return XorHypothesis(lat, tuple(levels))
 
 
-def monotone_degree(f: Representation) -> int:
-    """Least d for which f is d-monotone; 0 exactly for the constant-0 function."""
-    return len(strict_decompose(f).levels)
-
-
 def chain_alternations(f: Representation, chain: Sequence[int]) -> int:
     """Value changes along 0, f(x1), ..., f(xt) for a strictly ascending chain.
 
@@ -316,11 +289,6 @@ def chain_alternations(f: Representation, chain: Sequence[int]) -> int:
             changes += 1
             prev = v
     return changes
-
-
-def implies(g: Representation, h: Representation) -> bool:
-    """Pointwise g(x) <= h(x) over the whole lattice."""
-    return g.dense().mask & ~h.dense().mask == 0
 
 
 def nested_disjoint_violation(x: XorHypothesis) -> str | None:

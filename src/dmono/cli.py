@@ -12,7 +12,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -66,9 +65,8 @@ def _add_flags(parser: argparse.ArgumentParser, seed=False, trace=False, out=Tru
     parser.add_argument(
         "--max-n",
         type=int,
-        default=None,
-        help=f"refuse exhaustive work beyond this cube size (default {DEFAULT_MAX_N}, "
-        "env DMONO_MAX_N)",
+        default=DEFAULT_MAX_N,
+        help="refuse exhaustive work beyond this cube size (default %(default)s)",
     )
     if out:
         parser.add_argument("--out", type=Path, default=None, help="output path")
@@ -79,22 +77,6 @@ def _int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
-
-
-def _resolved_max_n(args) -> int:
-    if args.max_n is not None:
-        max_n, source = args.max_n, f"--max-n {args.max_n}"
-    else:
-        env = os.environ.get("DMONO_MAX_N")
-        if env is None:
-            return DEFAULT_MAX_N
-        try:
-            max_n, source = int(env), f"DMONO_MAX_N={env!r}"
-        except ValueError:
-            raise DmonoError(f"DMONO_MAX_N={env!r} is not an integer") from None
-    if max_n < 0:
-        raise DmonoError(f"{source} is negative")
-    return max_n
 
 
 def _check_cap(lattice: Lattice, max_n: int) -> None:
@@ -113,7 +95,7 @@ def _check_cap(lattice: Lattice, max_n: int) -> None:
         return
     raise SizeCapExceededError(
         f"{lattice.describe()} has {count} elements; exhaustive work is "
-        f"capped at 2^{max_n} (raise with --max-n or DMONO_MAX_N)"
+        f"capped at 2^{max_n} (raise with --max-n)"
     )
 
 
@@ -284,10 +266,8 @@ def cmd_family(args) -> int:
         meta = {"family": "tightness", "d": args.d, "t": args.t}
     elif args.family == "takimoto":
         _check_cap(CubeLattice(takimoto_dimension(args.d, args.t)), args.max_n)
-        target = takimoto_family(args.d, args.t, uneven=args.uneven)
+        target = takimoto_family(args.d, args.t)
         meta = {"family": "takimoto", "d": args.d, "t": args.t}
-        if args.uneven:
-            meta["uneven"] = True
     else:
         if args.sizes is None or args.n is None:
             raise DmonoError("random needs --sizes and -n")
@@ -296,7 +276,7 @@ def cmd_family(args) -> int:
         if args.d > args.max_n:
             raise SizeCapExceededError(
                 f"-d {args.d} needs an outer table of 2^{args.d} entries; exhaustive "
-                f"work is capped at 2^{args.max_n} (raise with --max-n or DMONO_MAX_N)"
+                f"work is capped at 2^{args.max_n} (raise with --max-n)"
             )
         target = random_composed(args.d, sizes, args.n, args.seed)
         meta = {"family": "random", "d": args.d, "sizes": sizes, "n": args.n, "seed": args.seed}
@@ -472,7 +452,6 @@ def build_parser() -> _Parser:
     p.add_argument("-t", type=int, default=None, help="block width (tightness/takimoto)")
     p.add_argument("-n", type=int, default=None, help="cube dimension (random)")
     p.add_argument("--sizes", type=_int_list, help="comma list of inner sizes (random)")
-    p.add_argument("--uneven", action="store_true", help="decreasing block widths (takimoto)")
     _add_flags(p, seed=True)
     p.set_defaults(func=cmd_family, seed=0)
 
@@ -495,7 +474,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        args.max_n = _resolved_max_n(args)
+        if args.max_n < 0:
+            raise DmonoError(f"--max-n {args.max_n} is negative")
         return args.func(args)
     except SizeCapExceededError as exc:
         print(f"dmono: {exc}", file=sys.stderr)

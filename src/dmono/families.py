@@ -23,14 +23,9 @@ def parity_table(d: int) -> int:
     return table
 
 
-def _block_layout(sizes: Sequence[int]) -> list[list[int]]:
-    """Bit positions per block, packed consecutively from bit 0."""
-    blocks = []
-    start = 0
-    for s in sizes:
-        blocks.append(list(range(start, start + s)))
-        start += s
-    return blocks
+def _block_layout(d: int, t: int) -> list[range]:
+    """Bit positions of d t-wide blocks, packed consecutively from bit 0."""
+    return [range(i * t, (i + 1) * t) for i in range(d)]
 
 
 def tightness_dimension(d: int, t: int) -> int:
@@ -47,7 +42,7 @@ def tightness_family(d: int, t: int) -> ComposedTarget:
     (t+1)^d - 1 minterms while the composed representation has d*t.
     """
     lat = CubeLattice(tightness_dimension(d, t))
-    blocks = _block_layout([t] * d)
+    blocks = _block_layout(d, t)
     inner = tuple(
         MonotoneDNF(lat, tuple(1 << b for b in blk)) for blk in blocks
     )
@@ -55,10 +50,7 @@ def tightness_family(d: int, t: int) -> ComposedTarget:
 
 
 def takimoto_dimension(d: int, t: int) -> int:
-    """Cube dimension of ``takimoto_family(d, t)``, after checking d and t.
-
-    The uneven variant lives on the same cube.
-    """
+    """Cube dimension of ``takimoto_family(d, t)``, after checking d and t."""
     if d < 2:
         raise ValueError("the nested family needs d >= 2")
     if t < 1:
@@ -66,23 +58,16 @@ def takimoto_dimension(d: int, t: int) -> int:
     return d * (d + 1) * t // 2
 
 
-def takimoto_family(d: int, t: int, uneven: bool = False) -> ComposedTarget:
+def takimoto_family(d: int, t: int) -> ComposedTarget:
     """XOR of nested unions of t-wide blocks on the cube of n = d(d+1)t/2.
 
     g_i is the union of blocks i..d, so the g_i form a strictly shrinking
     chain that shares minterms between consecutive levels; the strict
     decomposition of the target differs from [g_1..g_d] and its last level
-    alone has at least t^d minterms.  ``uneven`` switches block i to
-    max(1, n // (i*d)) variables, a variant with a slightly stronger
-    blowup; the equal-block construction is the default.
+    alone has at least t^d minterms.
     """
-    n = takimoto_dimension(d, t)
-    lat = CubeLattice(n)
-    if uneven:
-        sizes = [max(1, n // ((i + 1) * d)) for i in range(d)]
-    else:
-        sizes = [t] * d
-    blocks = _block_layout(sizes)
+    lat = CubeLattice(takimoto_dimension(d, t))
+    blocks = _block_layout(d, t)
     inner = tuple(
         MonotoneDNF(
             lat, tuple(1 << b for blk in blocks[i:] for b in blk)

@@ -99,13 +99,12 @@ class Lattice:
         """Dense indicator of the union of up-sets of the set bits of mask."""
         raise NotImplementedError
 
-    def minimal(self, mask: int, up: int | None = None) -> int:
+    def minimal(self, mask: int, up: int) -> int:
         """Points of ``mask`` with no immediate predecessor in ``up``.
 
-        ``up`` defaults to the up-closure of ``mask``: then nothing of
-        ``mask`` sits strictly below a kept point, so the result is the
-        antichain of minimal elements.  ``up = mask`` gives the local
-        minima instead.
+        With ``up`` the up-closure of ``mask``, nothing of ``mask`` sits
+        strictly below a kept point, so the result is the antichain of
+        minimal elements.  ``up = mask`` gives the local minima instead.
         """
         raise NotImplementedError
 
@@ -277,9 +276,7 @@ class CubeLattice(Lattice):
             above |= step
         return up, mask & ~above
 
-    def minimal(self, mask: int, up: int | None = None) -> int:
-        if up is None:
-            return self.up_and_minimal(mask)[1]
+    def minimal(self, mask: int, up: int) -> int:
         shadow = 0  # every element with an immediate predecessor in up
         for j, zeros in enumerate(self._coordinate_clear_masks()):
             shadow |= (up & zeros) << (1 << j)
@@ -444,10 +441,8 @@ class ExplicitLattice(Lattice):
             mask &= ~out  # points already covered add nothing new
         return out
 
-    def minimal(self, mask: int, up: int | None = None) -> int:
+    def minimal(self, mask: int, up: int) -> int:
         # test only the mask's own points, each against its lower covers
-        if up is None:
-            up = self.up_closure(mask)
         preds = self._lower_covers
         out = 0
         for a in mask_elements(mask):

@@ -94,13 +94,6 @@ class QueryStats:
     x1: tuple[int, ...] = ()
     trace: list[DescentResult] = field(default_factory=list)
 
-    def within_bounds(self) -> bool:
-        if self.eq_bound is not None and self.counterexamples > self.eq_bound:
-            return False
-        if self.mq_bound is not None and self.mq_used > self.mq_bound:
-            return False
-        return True
-
 
 def counterexample_bound(target) -> int | None:
     """Product bound on counterexamples, when the representation supports it."""

@@ -10,8 +10,6 @@ import random
 import time
 from functools import lru_cache
 
-import pytest
-
 from dmono import (
     CubeLattice,
     DenseFunction,
@@ -23,7 +21,6 @@ from dmono import (
     chain_witness_check,
     consistent,
     learn,
-    monotone_degree,
     nested_disjoint_violation,
     prefix_levels,
     random_composed,
@@ -31,7 +28,7 @@ from dmono import (
     takimoto_family,
     tightness_family,
 )
-from dmono.boolfn import XorHypothesis, implies
+from dmono.boolfn import XorHypothesis
 
 from oracles import brute_consistent_rounds, maximal_chains_cube, sigma_downset_recursion
 
@@ -105,7 +102,7 @@ def test_criterion_3_decomposition_identity_suite():
         xor = strict_decompose(f)
         assert xor.dense().mask == f.mask
         for lo, hi in zip(xor.levels, xor.levels[1:]):
-            assert implies(hi, lo)
+            assert hi.dense().mask & ~lo.dense().mask == 0
             assert hi != lo
             assert not set(lo.minimals) & set(hi.minimals)
     _report(3, "100 random dense functions: exact reconstruction, strictly nested levels")
@@ -119,7 +116,7 @@ def test_criterion_4_degree_oracle():
         lat = CubeLattice(n)
         f = DenseFunction(lat, rng.getrandbits(lat.size))
         worst = max(chain_alternations(f, chain) for chain in chains_by_n[n])
-        assert monotone_degree(f) == worst
+        assert len(strict_decompose(f).levels) == worst
     _report(4, "100 random functions: degree equals worst alternation over all maximal chains")
 
 
@@ -184,7 +181,7 @@ def test_criterion_9_consistent_outputs():
         h = consistent(d, sample)
         assert all(h.evaluate(x) == 0 for x in sample.x0)
         assert all(h.evaluate(x) == 1 for x in sample.x1)
-        assert monotone_degree(h) <= d
+        assert len(strict_decompose(h).levels) <= d
         # the table's strict decomposition is the d rounds' levels, the
         # empty trailing ones dropped
         trimmed, _, _ = brute_consistent_rounds(lat, d, sample.x0, sample.x1)

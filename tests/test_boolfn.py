@@ -1,7 +1,6 @@
 import copy
 import random
 import tracemalloc
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +17,6 @@ from dmono import (
     chain_alternations,
     consistent,
     dumps_function,
-    global_min,
-    implies,
-    local_min,
-    monotone_closure,
-    monotone_degree,
     nested_disjoint_violation,
     parity_table,
     strict_decompose,
@@ -56,7 +50,7 @@ from oracles import (
 def random_antichain(rng, lat, max_size=3):
     want = rng.randint(1, max_size)
     picks = rng.sample(range(1, lat.size), min(want, lat.size - 1))
-    return tuple(mask_elements(lat.minimal(elements_mask(picks))))
+    return tuple(mask_elements(lat.up_and_minimal(elements_mask(picks))[1]))
 
 
 def random_mdnf(rng, lat, max_size=3):
@@ -156,9 +150,9 @@ class TestComposedDense:
             | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
         )
         d = data.draw(st.integers(1, 3))
+        masks = st.integers(0, (1 << lat.size) - 1)
         inner = tuple(
-            MonotoneDNF.from_mask(lat, lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1))))
-            for _ in range(d)
+            MonotoneDNF.from_mask(lat, lat.up_and_minimal(data.draw(masks))[1]) for _ in range(d)
         )
         outer = data.draw(st.integers(0, (1 << (1 << d)) - 1)) & ~1 | origin
         f = ComposedTarget(lat, outer, inner)
@@ -239,7 +233,7 @@ class TestAntichainForms:
             | st.sampled_from(DENSE_LATTICES + [top_down_chain(5)])
             | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
         )
-        mins = lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1)))
+        mins = lat.up_and_minimal(data.draw(st.integers(0, (1 << lat.size) - 1)))[1]
         elems = tuple(brute_mask_elements(mins))
 
         def fresh():
@@ -280,7 +274,7 @@ class TestAntichainForms:
         for g in fresh() + tuple(fresh()[::-1]):
             assert MonotoneDNF.from_mask(lat, moved) != g
             assert g != MonotoneDNF.from_mask(lat, moved)
-            if lat.minimal(moved) == moved:
+            if lat.up_and_minimal(moved)[1] == moved:
                 assert MonotoneDNF(lat, tuple(brute_mask_elements(moved))) != g
 
     @pytest.mark.parametrize("n", [30, 64])
@@ -373,7 +367,7 @@ class TestFromMask:
     @given(st.sets(st.integers(0, 63)))
     def test_equals_validated_constructor_on_cube(self, points):
         lat = CubeLattice(6)
-        mins = lat.minimal(elements_mask(points))
+        mins = lat.up_and_minimal(elements_mask(points))[1]
         trusted = MonotoneDNF.from_mask(lat, mins)
         assert trusted == MonotoneDNF(lat, tuple(mask_elements(mins)))
         assert trusted.dense().mask == lat.up_closure(elements_mask(points))
@@ -381,41 +375,44 @@ class TestFromMask:
     def test_equals_validated_constructor_on_explicit(self, diamond, chain4):
         for lat in (diamond, chain4):
             for mask in range(1 << lat.size):
-                mins = lat.minimal(mask)
+                mins = lat.up_and_minimal(mask)[1]
                 assert MonotoneDNF.from_mask(lat, mins) == MonotoneDNF(
                     lat, tuple(mask_elements(mins))
                 )
 
 
 class TestMinimalElements:
+    # a function's minimal points are up_and_minimal(mask)[1], its local
+    # minima minimal(mask, mask)
     def test_global_min_examples(self, cube2):
         f = DenseFunction.from_bits(cube2, "0110")  # x1 xor x2
-        assert global_min(f) == [0b01, 0b10]
-        assert global_min(DenseFunction(cube2, 0)) == []
+        assert cube2.up_and_minimal(f.mask)[1] == elements_mask([0b01, 0b10])
+        assert cube2.up_and_minimal(0)[1] == 0
         g = MonotoneDNF(cube2, (0b01, 0b10))
-        assert global_min(g) == list(g.minimals)
+        assert cube2.up_and_minimal(g.dense().mask)[1] == g.mask
 
     def test_local_min_examples(self, cube2):
         f = DenseFunction.from_bits(cube2, "0110")
-        assert local_min(f) == [0b01, 0b10]
+        assert cube2.minimal(f.mask, f.mask) == elements_mask([0b01, 0b10])
         # value 1 exactly on {00, 11}: both are local minimal points
-        g = DenseFunction(cube2, 0b1001)
-        assert local_min(g) == [0b00, 0b11]
-        assert global_min(g) == [0b00]
+        mask = elements_mask([0b00, 0b11])
+        assert cube2.minimal(mask, mask) == mask
+        assert cube2.up_and_minimal(mask)[1] == elements_mask([0b00])
 
     def test_local_contains_global(self):
         lat = CubeLattice(4)
         rng = random.Random(11)
         for _ in range(50):
-            f = DenseFunction(lat, rng.getrandbits(lat.size))
-            assert set(global_min(f)) <= set(local_min(f))
+            mask = rng.getrandbits(lat.size)
+            assert lat.up_and_minimal(mask)[1] & ~lat.minimal(mask, mask) == 0
 
     def test_monotone_local_equals_global(self):
         lat = CubeLattice(5)
         rng = random.Random(12)
         for _ in range(30):
             g = random_mdnf(rng, lat)
-            assert local_min(g.dense()) == global_min(g.dense()) == list(g.minimals)
+            up = g.dense().mask
+            assert lat.minimal(up, up) == lat.up_and_minimal(up)[1] == g.mask
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force_on_cubes(self, n):
@@ -423,31 +420,35 @@ class TestMinimalElements:
         rng = random.Random(n * 31)
         for _ in range(20):
             f = DenseFunction(lat, rng.getrandbits(lat.size))
-            assert global_min(f) == brute_global_min(lat, f.evaluate)
-            assert local_min(f) == brute_local_min(lat, f.evaluate)
+            low = lat.up_and_minimal(f.mask)[1]
+            assert mask_elements(low) == brute_global_min(lat, f.evaluate)
+            assert mask_elements(lat.minimal(f.mask, f.mask)) == brute_local_min(lat, f.evaluate)
 
     def test_matches_brute_force_on_explicit(self, diamond, chain4):
         for lat in (diamond, chain4):
             for mask in range(1 << lat.size):
                 f = DenseFunction(lat, mask)
-                assert global_min(f) == brute_global_min(lat, f.evaluate)
-                assert local_min(f) == brute_local_min(lat, f.evaluate)
+                low = lat.up_and_minimal(mask)[1]
+                assert mask_elements(low) == brute_global_min(lat, f.evaluate)
+                assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, f.evaluate)
 
 
 class TestClosure:
+    # the least monotone function above f: the antichain of f's minimal points
     def test_examples(self, cube2):
         f = DenseFunction.from_bits(cube2, "0110")
-        assert monotone_closure(f).minimals == (0b01, 0b10)
-        assert monotone_closure(DenseFunction(cube2, 0)).minimals == ()
+        closed = MonotoneDNF.from_mask(cube2, cube2.up_and_minimal(f.mask)[1])
+        assert closed.minimals == (0b01, 0b10)
+        assert MonotoneDNF.from_mask(cube2, cube2.up_and_minimal(0)[1]).minimals == ()
         g = MonotoneDNF(cube2, (0b10,))
-        assert monotone_closure(g) == g
+        assert MonotoneDNF.from_mask(cube2, cube2.up_and_minimal(g.dense().mask)[1]) == g
 
     def test_pointwise_definition(self):
         lat = CubeLattice(4)
         rng = random.Random(4)
         for _ in range(20):
             f = DenseFunction(lat, rng.getrandbits(lat.size))
-            closed = monotone_closure(f).dense()
+            closed = MonotoneDNF.from_mask(lat, lat.up_and_minimal(f.mask)[1]).dense()
             for x in lat.elements():
                 assert closed.evaluate(x) == brute_closure_value(lat, f.evaluate, x)
 
@@ -456,7 +457,8 @@ class TestClosure:
         rng = random.Random(5)
         for _ in range(20):
             f = DenseFunction(lat, rng.getrandbits(lat.size))
-            assert implies(f, monotone_closure(f))
+            closed = MonotoneDNF.from_mask(lat, lat.up_and_minimal(f.mask)[1]).dense()
+            assert f.mask & ~closed.mask == 0
 
 
 class TestStrictDecompose:
@@ -491,7 +493,7 @@ class TestStrictDecompose:
             assert xor.dense().mask == f.mask
             assert nested_disjoint_violation(xor) is None
             for lo, hi in zip(xor.levels, xor.levels[1:]):
-                assert implies(hi, lo) and hi != lo
+                assert hi.dense().mask & ~lo.dense().mask == 0 and hi != lo
 
     def test_explicit_lattice_identity(self, diamond):
         for mask in range(1 << diamond.size):
@@ -508,21 +510,22 @@ class TestStrictDecompose:
         for mask in range(1 << lat.size):
             f = DenseFunction(lat, mask)
             assert strict_decompose(f).dense().mask == mask
-            assert global_min(f) == brute_global_min(lat, f.evaluate)
-            assert local_min(f) == brute_local_min(lat, f.evaluate)
+            low = lat.up_and_minimal(mask)[1]
+            assert mask_elements(low) == brute_global_min(lat, f.evaluate)
+            assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, f.evaluate)
 
     def test_multiple_bottom_most_elements_are_local_minimal(self):
         lat = ExplicitLattice(["p", "q", "t"], [("p", "t"), ("q", "t")])
-        f = DenseFunction(lat, 0b011)  # value 1 exactly at p and q
-        assert [lat.element_name(x) for x in local_min(f)] == ["p", "q"]
-        assert local_min(f) == global_min(f)
+        mask = 0b011  # value 1 exactly at p and q
+        assert lat.element_names(mask_elements(lat.minimal(mask, mask))) == ["p", "q"]
+        assert lat.minimal(mask, mask) == lat.up_and_minimal(mask)[1]
 
 
 class TestDegree:
     def test_examples(self, cube2, cube3):
-        assert monotone_degree(DenseFunction(cube2, 0)) == 0
-        assert monotone_degree(MonotoneDNF(cube3, (0b101,))) == 1
-        assert monotone_degree(DenseFunction.from_bits(cube2, "0110")) == 2
+        assert len(strict_decompose(DenseFunction(cube2, 0)).levels) == 0
+        assert len(strict_decompose(MonotoneDNF(cube3, (0b101,))).levels) == 1
+        assert len(strict_decompose(DenseFunction.from_bits(cube2, "0110")).levels) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_functions_monotonicity_characterization(self, n):
@@ -535,7 +538,7 @@ class TestDegree:
                 for y in lat.elements()
                 if lat.leq(y, x)
             )
-            assert (monotone_degree(f) <= 1) == pointwise_monotone
+            assert (len(strict_decompose(f).levels) <= 1) == pointwise_monotone
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_random_functions_monotonicity_characterization(self, n):
@@ -551,7 +554,7 @@ class TestDegree:
                 for y in lat.elements()
                 if lat.leq(y, x)
             )
-            assert (monotone_degree(f) <= 1) == pointwise_monotone
+            assert (len(strict_decompose(f).levels) <= 1) == pointwise_monotone
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_degree_equals_worst_chain_alternations(self, n):
@@ -561,7 +564,7 @@ class TestDegree:
         for _ in range(25):
             f = DenseFunction(lat, rng.getrandbits(lat.size))
             expected = max_chain_alternations(lat, f.evaluate, chains)
-            assert monotone_degree(f) == expected
+            assert len(strict_decompose(f).levels) == expected
 
 
 class TestChainAlternations:
@@ -594,7 +597,8 @@ class TestChainAlternations:
         lat = CubeLattice(3)
         chains = maximal_chains_cube(3)
         f = DenseFunction(lat, 0b10010110)  # three-bit parity
-        assert max(chain_alternations(f, c[1:]) for c in chains) == monotone_degree(f)
+        worst = max(chain_alternations(f, c[1:]) for c in chains)
+        assert worst == len(strict_decompose(f).levels)
 
 
 class TestMinAlgebra:
@@ -604,11 +608,11 @@ class TestMinAlgebra:
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         g = random_mdnf(rng, lat)
         h = random_mdnf(rng, lat)
-        g_or_h = DenseFunction(lat, g.dense().mask | h.dense().mask)
-        assert set(global_min(g_or_h)) <= set(g.minimals) | set(h.minimals)
-        g_and_h = DenseFunction(lat, g.dense().mask & h.dense().mask)
+        g_or_h = lat.up_and_minimal(g.dense().mask | h.dense().mask)[1]
+        assert set(mask_elements(g_or_h)) <= set(g.minimals) | set(h.minimals)
+        g_and_h = lat.up_and_minimal(g.dense().mask & h.dense().mask)[1]
         joins = {lat.join(v, w) for v in g.minimals for w in h.minimals}
-        assert set(global_min(g_and_h)) <= joins
+        assert set(mask_elements(g_and_h)) <= joins
 
     @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
     def test_term_conjunction_iff_join(self, u, v, w):
@@ -631,13 +635,13 @@ class TestComposedBounds:
         rng = random.Random(21)
         for _ in range(30):
             t = self._random_target(rng, rng.randint(2, 6), rng.randint(1, 3), 0)
-            assert monotone_degree(t) <= t.d
+            assert len(strict_decompose(t).levels) <= t.d
 
     def test_degree_bound_with_one_at_origin(self):
         rng = random.Random(22)
         for _ in range(30):
             t = self._random_target(rng, rng.randint(2, 6), rng.randint(1, 3), 1)
-            assert monotone_degree(t) <= t.d + 1
+            assert len(strict_decompose(t).levels) <= t.d + 1
 
     def test_local_min_inside_join_products(self):
         rng = random.Random(23)
@@ -646,7 +650,8 @@ class TestComposedBounds:
             d = rng.randint(1, 3)
             t = self._random_target(rng, n, d, 0)
             allowed = join_products(t.lattice, [g.minimals for g in t.inner])
-            assert set(local_min(t)) <= allowed
+            mask = t.dense().mask
+            assert set(mask_elements(t.lattice.minimal(mask, mask))) <= allowed
 
 
 class TestStrictShapeRecovery:
@@ -663,7 +668,7 @@ class TestStrictShapeRecovery:
             if not pool:
                 break
             picks = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
-            levels.append(MonotoneDNF.from_mask(lat, lat.minimal(elements_mask(picks))))
+            levels.append(MonotoneDNF.from_mask(lat, lat.up_and_minimal(elements_mask(picks))[1]))
         return XorHypothesis(lat, tuple(levels))
 
     def test_nested_disjoint_levels_are_recovered_exactly(self):

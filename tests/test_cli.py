@@ -872,14 +872,16 @@ class TestSizeCap:
         assert "--max-n" in err
 
     def test_env_mirror(self, capsys, tmp_path, monkeypatch):
+        # no environment variable moves the cap: only --max-n does
         target = tmp_path / "t5.json"
         save_function(DenseFunction(CubeLattice(5), 0), target)
         monkeypatch.setenv("DMONO_MAX_N", "4")
         code, _, _ = run_cli(capsys, "learn", str(target), "-d", "1")
-        assert code == 3
-        # explicit flag wins over the environment
-        code, _, _ = run_cli(capsys, "learn", str(target), "-d", "1", "--max-n", "5")
         assert code == 0
+        monkeypatch.setenv("DMONO_MAX_N", "30")
+        code, _, err = run_cli(capsys, "sigma", "cube:23")
+        assert code == 3
+        assert err.endswith("capped at 2^22 (raise with --max-n)\n")
 
     def test_consistent_is_capped(self, capsys):
         code, out, err = run_cli(
@@ -905,10 +907,9 @@ class TestSizeCap:
         [
             (("tightness", "-d", "2", "-t", "3"), 6),
             (("takimoto", "-d", "2", "-t", "1"), 3),
-            (("takimoto", "-d", "3", "-t", "1", "--uneven"), 6),
             (("random", "-d", "2", "--sizes", "1,1", "-n", "7"), 7),
         ],
-        ids=["tightness", "takimoto", "takimoto-uneven", "random"],
+        ids=["tightness", "takimoto", "random"],
     )
     def test_family_is_capped_on_cube_dimension(self, capsys, tmp_path, argv, n):
         out_path = tmp_path / "f.json"
@@ -919,7 +920,7 @@ class TestSizeCap:
         assert out == ""
         assert err == (
             f"dmono: cube:{n} has 2^{n} elements; exhaustive work is capped at "
-            f"2^{n - 1} (raise with --max-n or DMONO_MAX_N)\n"
+            f"2^{n - 1} (raise with --max-n)\n"
         )
         assert not out_path.exists()
         code, _, _ = run_cli(capsys, "family", *argv, "--max-n", str(n), "--out", str(out_path))
@@ -939,18 +940,12 @@ class TestSizeCap:
         code, out, err = run_cli(capsys, "family", *argv, "--max-n", "4")
         assert (code, out, err) == (1, "", f"dmono: {message}\n")
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_huge_cap_builds_nothing_of_its_size(self, capsys, tmp_path, monkeypatch, source):
+    def test_huge_cap_builds_nothing_of_its_size(self, capsys, tmp_path):
         path = tmp_path / "diamond.lat"
         path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
-        argv = ["sigma", str(path)]
-        if source == "flag":
-            argv += ["--max-n", "1000000000"]
-        else:
-            monkeypatch.setenv("DMONO_MAX_N", "1000000000")
         tracemalloc.start()
         try:
-            result = run_cli(capsys, *argv)
+            result = run_cli(capsys, "sigma", str(path), "--max-n", "1000000000")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -964,7 +959,7 @@ class TestSizeCap:
         assert (code, out) == (3, "")
         assert err == (
             "dmono: -d 5 needs an outer table of 2^5 entries; exhaustive work is "
-            "capped at 2^4 (raise with --max-n or DMONO_MAX_N)\n"
+            "capped at 2^4 (raise with --max-n)\n"
         )
         assert not out_path.exists()
         argv[3] = "1,1,1,1"
@@ -1031,15 +1026,9 @@ class TestSizeCap:
         assert peak < 1 << 20
 
     def test_malformed_env_value_is_an_input_error(self, capsys, monkeypatch):
+        # the cap is read from --max-n alone; a negative one is an input
+        # error, raised before any command runs, whatever the environment holds
         monkeypatch.setenv("DMONO_MAX_N", "abc")
-        code, out, err = run_cli(capsys, "sigma", "cube:3")
-        assert code == 1
-        assert out == ""
-        assert err == "dmono: DMONO_MAX_N='abc' is not an integer\n"
-        # a negative cap is refused where it is read, naming its source
-        monkeypatch.setenv("DMONO_MAX_N", "-2")
-        assert run_cli(capsys, "sigma", "cube:4") == (1, "", "dmono: DMONO_MAX_N='-2' is negative\n")
-        monkeypatch.delenv("DMONO_MAX_N")
         assert run_cli(capsys, "sigma", "cube:4", "--max-n", "-1") == (
             1,
             "",
@@ -1055,7 +1044,7 @@ ACCEPTED = {
     "decompose": {"target", "--max-n", "--out"},
     "degree": {"target", "--max-n", "--out"},
     "sigma": {"lattice", "--max-n", "--out"},
-    "family": {"family", "-d", "-t", "-n", "--sizes", "--uneven", "--seed", "--max-n", "--out"},
+    "family": {"family", "-d", "-t", "-n", "--sizes", "--seed", "--max-n", "--out"},
     "verify": {"paths", "--against", "--max-n"},
 }
 
@@ -1073,7 +1062,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert accepted == ACCEPTED
-        assert sum(len(flags) for flags in accepted.values()) == 33
+        assert sum(len(flags) for flags in accepted.values()) == 32
 
     @pytest.mark.parametrize(
         "argv",

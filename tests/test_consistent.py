@@ -14,7 +14,6 @@ from dmono import (
     XorHypothesis,
     consistent,
     learn,
-    monotone_degree,
     random_composed,
     strict_decompose,
 )
@@ -150,7 +149,7 @@ class TestProperties:
         for _ in range(40):
             d, lat, sample = self._random_case(rng)
             h = consistent(d, sample)
-            assert len(strict_decompose(h).levels) == monotone_degree(h) <= d
+            assert len(strict_decompose(h).levels) <= d
 
     def test_output_is_its_own_strict_decomposition(self):
         rng = random.Random(2026)
@@ -204,7 +203,7 @@ class TestKernel:
         closures, table = consistent_masks(lat, s0, s1)
         d = max(1, len(closures)) + data.draw(st.integers(0, 1))
         h = consistent(d, DenseState(lat, x0, x1))
-        levels = [lat.minimal(up) for up in closures]
+        levels = [lat.minimal(up, up) for up in closures]
         padded = levels + [0] * (d - len(levels))
         assert padded_minimals(h, d) == [tuple(mask_elements(m)) for m in padded]
         assert h.dense().mask == table
@@ -233,7 +232,7 @@ class TestKernel:
         s0, s1 = draw_sample_masks(data, lat)
         x0, x1 = mask_elements(s0), mask_elements(s1)
         state = DenseState(lat, x0, x1)
-        assert len(state.closures) == monotone_degree(DenseFunction(lat, state.table))
+        assert len(state.closures) == len(strict_decompose(DenseFunction(lat, state.table)).levels)
         for d in range(1, len(state.closures) + 2):
             levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
             got = outcome(d, state)
@@ -294,7 +293,7 @@ def assert_kernel_matches_brute(lat, s0, s1):
     assert not any(levels[len(closures):])
     levels = levels[: len(closures)]
     # level i is the minimal elements of closure i, which is its up-set
-    got_levels = [lat.minimal(up) for up in closures]
+    got_levels = [lat.minimal(up, up) for up in closures]
     assert [mask_elements(m) for m in got_levels] == levels
     assert [set(mask_elements(up)) for up in closures] == [brute_up_set(lat, lv) for lv in levels]
     assert set(mask_elements(got_table)) == table

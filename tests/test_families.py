@@ -8,8 +8,6 @@ from dmono import (
     ComposedTarget,
     CubeLattice,
     chain_witness_check,
-    implies,
-    monotone_degree,
     nested_disjoint_violation,
     parity_table,
     prefix_levels,
@@ -41,7 +39,7 @@ class TestTightness:
     def test_degree_one_is_plain_or(self):
         t = tightness_family(1, 3)
         assert t.size == 3
-        assert monotone_degree(t) == 1
+        assert len(strict_decompose(t).levels) == 1
 
     @pytest.mark.parametrize("d,t", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_decomposition_equals_prefix_levels(self, d, t):
@@ -113,7 +111,7 @@ class TestTakimoto:
             assert [g.size for g in tk.inner] == [(d - i) * t for i in range(d)]
             assert tk.size == tk.lattice.n
             for lo, hi in zip(tk.inner, tk.inner[1:]):
-                assert implies(hi, lo)
+                assert hi.dense().mask & ~lo.dense().mask == 0
                 assert set(hi.minimals) < set(lo.minimals)
 
     def test_violates_disjointness_and_is_not_recovered(self):
@@ -195,9 +193,14 @@ class TestTakimoto:
         assert chain_witness_check(target, (0, 0), levels=prefix_levels(2, 1))
 
     def test_uneven_variant(self):
-        tk = takimoto_family(3, 2, uneven=True)
-        assert tk.lattice.n == 12
-        # block i holds max(1, n // (i*d)) variables
+        # nested blocks of 4, 2 and 1 variables: the witnesses need no equal widths
+        lat = CubeLattice(12)
+        blocks = [[0, 1, 2, 3], [4, 5], [6]]
+        inner = tuple(
+            MonotoneDNF(lat, tuple(1 << b for blk in blocks[i:] for b in blk)) for i in range(3)
+        )
+        tk = ComposedTarget(lat, parity_table(3), inner)
+        assert takimoto_blocks(tk) == blocks
         assert [g.size for g in tk.inner] == [4 + 2 + 1, 2 + 1, 1]
         xor = strict_decompose(tk)
         assert xor.dense().mask == tk.dense().mask
@@ -236,12 +239,12 @@ class TestRandomComposed:
             d = rng.randint(1, 3)
             sizes = [rng.randint(1, 3) for _ in range(d)]
             t = random_composed(d, sizes, rng.randint(3, 7), seed=rng.randrange(10**9))
-            assert monotone_degree(t) <= d
+            assert len(strict_decompose(t).levels) <= d
 
     def test_single_minterm_request(self):
         t = random_composed(1, [1], 4, seed=3)
         assert t.inner[0].size == 1
-        assert monotone_degree(t) <= 1
+        assert len(strict_decompose(t).levels) <= 1
 
     def test_impossible_size_raises(self):
         with pytest.raises(GenerationError):

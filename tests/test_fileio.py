@@ -13,7 +13,6 @@ from dmono import (
     dumps_function,
     load_function,
     loads_function,
-    parity_table,
     save_function,
     tightness_family,
 )

@@ -209,15 +209,13 @@ class TestSigma:
 
 
 def assert_minimal_matches_brute(lat, mask):
-    """``minimal``, with and without the closure, against the order scan.
+    """``minimal`` with the closure, and with the mask, against the order scan.
 
     With the mask itself in place of the closure it must give the local
     minima: the points with no immediate predecessor in the mask.
     """
     expected = brute_global_min(lat, lambda x: mask >> x & 1)
-    up = lat.up_closure(mask)
-    assert mask_elements(lat.minimal(mask)) == expected
-    assert mask_elements(lat.minimal(mask, up)) == expected
+    assert mask_elements(lat.minimal(mask, lat.up_closure(mask))) == expected
     assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, lambda x: mask >> x & 1)
 
 
@@ -252,20 +250,23 @@ class TestUpAndMinimal:
 
 class TestMinimal:
     def test_examples(self, cube2):
-        assert cube2.minimal(elements_mask({0b01, 0b10, 0b11})) == elements_mask({0b01, 0b10})
-        assert cube2.minimal(0) == 0
-        assert CubeLattice(3).minimal(elements_mask({0b110})) == elements_mask({0b110})
+        mask = elements_mask({0b01, 0b10, 0b11})
+        assert cube2.minimal(mask, cube2.up_closure(mask)) == elements_mask({0b01, 0b10})
+        assert cube2.minimal(0, 0) == 0
+        cube3, mask = CubeLattice(3), elements_mask({0b110})
+        assert cube3.minimal(mask, cube3.up_closure(mask)) == mask
 
     @given(st.sets(st.integers(0, 63)))
     def test_output_is_undominated_and_covers_input(self, points):
         lat = CubeLattice(6)
-        mins = lat.minimal(elements_mask(points))
+        mask = elements_mask(points)
+        mins = lat.minimal(mask, lat.up_closure(mask))
         assert set(mask_elements(mins)) <= set(points)
         for a in mask_elements(mins):
             assert not any(b != a and lat.leq(b, a) for b in points)
         for b in points:
             assert any(lat.leq(a, b) for a in mask_elements(mins))
-        assert lat.minimal(mins) == mins
+        assert lat.minimal(mins, lat.up_closure(mins)) == mins
 
     @pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
     @settings(max_examples=60, deadline=None)
@@ -286,7 +287,7 @@ class TestMinimal:
     def test_given_closure_is_not_recomputed(self, name, monkeypatch):
         lat = KERNEL_LATTICES[name]
         masks = [1 << lat.top, (1 << lat.size) - 1, elements_mask(range(0, lat.size, 3))]
-        expected = [lat.minimal(m) for m in masks]
+        expected = [lat.up_and_minimal(m)[1] for m in masks]
         ups = [lat.up_closure(m) for m in masks]
 
         def refuse(mask):

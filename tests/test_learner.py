@@ -15,13 +15,11 @@ from dmono import (
     ExplicitLattice,
     MembershipOracle,
     MonotoneDNF,
-    QueryStats,
     XorHypothesis,
     consistent,
     counterexample_bound,
     descend_to_local_min,
     learn,
-    monotone_degree,
     parity_table,
     random_composed,
     strict_decompose,
@@ -59,6 +57,13 @@ def zero_hypothesis(lat):
     return XorHypothesis(lat, ())
 
 
+def nested_blocks_2_1_1():
+    """Parity of nested unions of blocks of 2, 1 and 1 variables on cube:6."""
+    lat = CubeLattice(6)
+    inner = ((0b0001, 0b0010, 0b0100, 0b1000), (0b0100, 0b1000), (0b1000,))
+    return ComposedTarget(lat, parity_table(3), tuple(MonotoneDNF(lat, g) for g in inner))
+
+
 LATTICES = st.sampled_from([CubeLattice(4)]) | moore_families(max_ground=5, max_draws=8).map(
     lambda fam: ExplicitLattice(fam[1], fam[2])
 )
@@ -67,7 +72,7 @@ LATTICES = st.sampled_from([CubeLattice(4)]) | moore_families(max_ground=5, max_
 def draw_representations(data, lat):
     """One function of each of the four representations over ``lat``."""
     mask = st.integers(0, (1 << lat.size) - 1)
-    g1, g2 = (MonotoneDNF.from_mask(lat, lat.minimal(data.draw(mask))) for _ in range(2))
+    g1, g2 = (MonotoneDNF.from_mask(lat, lat.up_and_minimal(data.draw(mask))[1]) for _ in range(2))
     return [
         DenseFunction(lat, data.draw(mask)),
         g1,
@@ -103,7 +108,7 @@ class TestMembershipOracle:
         # table, against one evaluating the target point by point
         lat = data.draw(LATTICES)
         target = draw_representations(data, lat)[3]
-        d = max(monotone_degree(target), 1)
+        d = max(len(strict_decompose(target).levels), 1)
         shared = EquivalenceOracle(target).table
         assert shared == target.dense()
         runs = []
@@ -237,7 +242,7 @@ class TestTrace:
         lat = data.draw(LATTICES)
         target = draw_representations(data, lat)[3]
         eq = RecordingOracle(target)
-        d = max(monotone_degree(target), 1)
+        d = max(len(strict_decompose(target).levels), 1)
         _, stats = learn(d, lat, MembershipOracle.for_function(target), eq)
         assert all(type(r) is DescentResult for r in stats.trace)
         assert [r.counterexample for r in stats.trace] == eq.answers
@@ -264,7 +269,8 @@ class TestWorkedTrace:
         assert stats.x1 == (0b01, 0b10)
         assert stats.x0 == (0b11,)
         assert [lv.minimals for lv in strict_decompose(h).levels] == [(0b01, 0b10), (0b11,)]
-        assert stats.within_bounds()
+        assert stats.counterexamples <= stats.eq_bound
+        assert stats.mq_used <= stats.mq_bound
 
     def test_constant_zero_target(self, cube3):
         target = DenseFunction(cube3, 0)
@@ -361,7 +367,7 @@ class TestLearnerProperties:
             lat = CubeLattice(rng.randint(4, 8))
             want = rng.randint(1, 6)
             picks = rng.sample(range(1, lat.size), min(lat.size - 1, want + 6))
-            mins = mask_elements(lat.minimal(elements_mask(picks)))[:want]
+            mins = mask_elements(lat.up_and_minimal(elements_mask(picks))[1])[:want]
             target = MonotoneDNF(lat, tuple(mins))
             mq = MembershipOracle.for_function(target)
             eq = EquivalenceOracle(target)
@@ -481,7 +487,7 @@ class TestAgainstReferenceLoop:
             tightness_family(3, 2),
             takimoto_family(2, 1),
             takimoto_family(2, 2),
-            takimoto_family(3, 1, uneven=True),
+            nested_blocks_2_1_1(),
             tightness_family(3, 4),
         ],
         ids=["tight2x1", "tight2x3", "tight3x2", "taki2x1", "taki2x2", "taki3x1u", "tight3x4"],
@@ -504,14 +510,14 @@ class TestAgainstReferenceLoop:
         _, names, covers = data.draw(moore_families(max_ground=5, max_draws=8))
         lat = ExplicitLattice(names, covers)
         d = data.draw(st.integers(1, 3))
+        masks = st.integers(0, (1 << lat.size) - 1)
         inner = tuple(
-            MonotoneDNF.from_mask(lat, lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1))))
-            for _ in range(d)
+            MonotoneDNF.from_mask(lat, lat.up_and_minimal(data.draw(masks))[1]) for _ in range(d)
         )
         outer = data.draw(st.integers(0, (1 << (1 << d)) - 1))
         target = ComposedTarget(lat, outer, inner)
 
-        degree = monotone_degree(target)
+        degree = len(strict_decompose(target).levels)
         assert_same_run(max(degree, 1), target)
         if degree > 1:
             assert_same_run(degree - 1, target)
@@ -544,7 +550,7 @@ class TestAgainstReferenceLoop:
             tightness_family(2, 3),
             tightness_family(3, 2),
             takimoto_family(2, 2),
-            takimoto_family(3, 1, uneven=True),
+            nested_blocks_2_1_1(),
         ] + [random_target(rng) for _ in range(25)]
         fallbacks = 0
         for target in targets:
@@ -564,35 +570,18 @@ class TestAgainstReferenceLoop:
         _, names, covers = data.draw(moore_families(max_ground=5, max_draws=8))
         lat = ExplicitLattice(names, covers)
         d = data.draw(st.integers(1, 3))
+        masks = st.integers(0, (1 << lat.size) - 1)
         inner = tuple(
-            MonotoneDNF.from_mask(lat, lat.minimal(data.draw(st.integers(0, (1 << lat.size) - 1))))
-            for _ in range(d)
+            MonotoneDNF.from_mask(lat, lat.up_and_minimal(data.draw(masks))[1]) for _ in range(d)
         )
         target = ComposedTarget(lat, data.draw(st.integers(0, (1 << (1 << d)) - 1)), inner)
-        degree = max(monotone_degree(target), 1)
+        degree = max(len(strict_decompose(target).levels), 1)
         assert assert_same_run(degree, target, ORDERS[order])
         if degree > 1:
             assert not assert_same_run(degree - 1, target, ORDERS[order])
         h, stats, _ = learn_counting_fallbacks(degree, target, ORDERS[order])
         assert h.dense().mask == target.dense().mask
         assert stats.max_descent_inspections <= lat.sigma()
-
-
-class TestQueryStats:
-    @pytest.mark.parametrize(
-        "counts, within",
-        [
-            ({}, True),
-            ({"counterexamples": 3, "mq_used": 12}, True),
-            ({"counterexamples": 4}, False),
-            ({"mq_used": 13}, False),
-        ],
-    )
-    def test_within_bounds_fails_on_either_bound(self, counts, within):
-        assert QueryStats(eq_bound=3, mq_bound=12, **counts).within_bounds() is within
-
-    def test_absent_bounds_never_fail(self):
-        assert QueryStats(counterexamples=10**6, mq_used=10**6).within_bounds()
 
 
 class TestBoundHelper:
