@@ -104,9 +104,9 @@ class MonotoneDNF:
     def from_mask(cls, lattice: Lattice, mask: int) -> "MonotoneDNF":
         """Trusted constructor from a dense antichain, skipping the pairwise check.
 
-        Callers pass the output of ``lattice.minimal`` (or an equivalent
-        level), which is an antichain by construction.  Only the mask is
-        kept; ``minimals`` is peeled from it when first read.
+        Callers pass the minimal elements from ``lattice.up_and_minimal``
+        (or an equivalent level), which are an antichain by construction.
+        Only the mask is kept; ``minimals`` is peeled from it when first read.
         """
         g = object.__new__(cls)
         fields = g.__dict__

@@ -6,8 +6,9 @@ dense is a bit string in element-id order; mdnf is a list of element names;
 xor is a list of mdnf payloads; composed is {"F": bit string of 2^d, "g":
 [mdnf...]}.  Writers emit minimals in canonical order so outputs are
 byte-stable.  A relative lattice file path resolves against the function
-file's directory, as ``save_function`` writes it; ``dumps_function`` and
-records keep it relative to the working directory.  Input files are read
+file's directory, as ``save_function`` writes it, from where the lattice
+file was found when loaded; ``dumps_function`` and records keep the path as
+loaded, relative to the working directory at load time.  Input files are read
 here only: every way a load fails is a ``DmonoError`` that names the file.
 """
 
@@ -32,9 +33,10 @@ def lattice_descriptor(lattice: Lattice, base_dir: str | Path | None = None) -> 
                 "explicit lattice was built in memory; load it from a file "
                 "to make functions over it serializable"
             )
-        # as loaded, relative to the working directory, unless rebased
+        # as loaded, relative to the working directory, unless rebased from
+        # where load_lattice found the file
         if base_dir is not None and not os.path.isabs(path):
-            path = os.path.relpath(path, base_dir)
+            path = os.path.relpath(lattice.resolved_path or path, base_dir)
         return {"file": path}
     raise FileFormatError(f"cannot describe lattice {lattice!r}")
 
@@ -167,7 +169,9 @@ def _read_text(path: Path) -> str:
 
 def load_lattice(path: str | Path) -> ExplicitLattice:
     path = Path(path)
-    return parse_lattice(_read_text(path), source=str(path))
+    lat = parse_lattice(_read_text(path), source=str(path))
+    lat.resolved_path = os.path.abspath(path)
+    return lat
 
 
 def load_function(path: str | Path) -> tuple[Representation, dict]:

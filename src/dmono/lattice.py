@@ -99,19 +99,9 @@ class Lattice:
         """Dense indicator of the union of up-sets of the set bits of mask."""
         raise NotImplementedError
 
-    def minimal(self, mask: int, up: int) -> int:
-        """Points of ``mask`` with no immediate predecessor in ``up``.
-
-        With ``up`` the up-closure of ``mask``, nothing of ``mask`` sits
-        strictly below a kept point, so the result is the antichain of
-        minimal elements.  ``up = mask`` gives the local minima instead.
-        """
-        raise NotImplementedError
-
     def up_and_minimal(self, mask: int) -> tuple[int, int]:
         """The up-closure of ``mask`` and its antichain of minimal elements."""
-        up = self.up_closure(mask)
-        return up, self.minimal(mask, up)
+        raise NotImplementedError
 
     def element_names(self, elems: Iterable[int]) -> list[str]:
         """Names of ids this lattice issued, with no check per id.
@@ -276,12 +266,6 @@ class CubeLattice(Lattice):
             above |= step
         return up, mask & ~above
 
-    def minimal(self, mask: int, up: int) -> int:
-        shadow = 0  # every element with an immediate predecessor in up
-        for j, zeros in enumerate(self._coordinate_clear_masks()):
-            shadow |= (up & zeros) << (1 << j)
-        return mask & ~shadow
-
 
 class ExplicitLattice(Lattice):
     """Lattice given by named elements and covering pairs, fully validated.
@@ -291,6 +275,10 @@ class ExplicitLattice(Lattice):
     is immutable and every query reads per-element state: the up-set of
     each element as a bit set and its lower covers as a tuple of ids.
     """
+
+    # absolute path of the file it was loaded from, set by ``load_lattice``;
+    # ``source_path`` keeps the path as given, for describe() and records
+    resolved_path: str | None = None
 
     def __init__(
         self,
@@ -392,7 +380,7 @@ class ExplicitLattice(Lattice):
                 for y in group[i + 1 :]:
                     common = ups[x] & ups[y]
                     if common not in by_up:
-                        bounds = [names[c] for c in mask_elements(self.minimal(common, common))]
+                        bounds = [names[c] for c in mask_elements(self.up_and_minimal(common)[1])]
                         raise LatticeValidationError(
                             f"elements {names[x]!r} and {names[y]!r} have no unique "
                             f"least upper bound (minimal upper bounds: {bounds})"
@@ -441,14 +429,16 @@ class ExplicitLattice(Lattice):
             mask &= ~out  # points already covered add nothing new
         return out
 
-    def minimal(self, mask: int, up: int) -> int:
-        # test only the mask's own points, each against its lower covers
+    def up_and_minimal(self, mask: int) -> tuple[int, int]:
+        # a point of the mask is minimal when none of its lower covers lies
+        # in the closure; test only the mask's own points
+        up = self.up_closure(mask)
         preds = self._lower_covers
-        out = 0
+        low = 0
         for a in mask_elements(mask):
             if not any(up >> b & 1 for b in preds[a]):
-                out |= 1 << a
-        return out
+                low |= 1 << a
+        return up, low
 
     def element_names(self, elems: Iterable[int]) -> list[str]:
         names = self.names

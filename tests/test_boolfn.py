@@ -382,8 +382,9 @@ class TestFromMask:
 
 
 class TestMinimalElements:
-    # a function's minimal points are up_and_minimal(mask)[1], its local
-    # minima minimal(mask, mask)
+    # a function's minimal points are up_and_minimal(mask)[1]; its local
+    # minima, the points with no immediate predecessor where it is 1, come
+    # from the order scan
     def test_global_min_examples(self, cube2):
         f = DenseFunction.from_bits(cube2, "0110")  # x1 xor x2
         assert cube2.up_and_minimal(f.mask)[1] == elements_mask([0b01, 0b10])
@@ -393,18 +394,21 @@ class TestMinimalElements:
 
     def test_local_min_examples(self, cube2):
         f = DenseFunction.from_bits(cube2, "0110")
-        assert cube2.minimal(f.mask, f.mask) == elements_mask([0b01, 0b10])
-        # value 1 exactly on {00, 11}: both are local minimal points
-        mask = elements_mask([0b00, 0b11])
-        assert cube2.minimal(mask, mask) == mask
-        assert cube2.up_and_minimal(mask)[1] == elements_mask([0b00])
+        assert brute_local_min(cube2, f.evaluate) == [0b01, 0b10]
+        assert cube2.up_and_minimal(f.mask)[1] == elements_mask([0b01, 0b10])
+        # value 1 exactly on {00, 11}: both are local minimal points, and
+        # only 00 is minimal
+        f = DenseFunction(cube2, elements_mask([0b00, 0b11]))
+        assert brute_local_min(cube2, f.evaluate) == [0b00, 0b11]
+        assert cube2.up_and_minimal(f.mask)[1] == elements_mask([0b00])
 
     def test_local_contains_global(self):
         lat = CubeLattice(4)
         rng = random.Random(11)
         for _ in range(50):
-            mask = rng.getrandbits(lat.size)
-            assert lat.up_and_minimal(mask)[1] & ~lat.minimal(mask, mask) == 0
+            f = DenseFunction(lat, rng.getrandbits(lat.size))
+            low = set(mask_elements(lat.up_and_minimal(f.mask)[1]))
+            assert low <= set(brute_local_min(lat, f.evaluate))
 
     def test_monotone_local_equals_global(self):
         lat = CubeLattice(5)
@@ -412,7 +416,8 @@ class TestMinimalElements:
         for _ in range(30):
             g = random_mdnf(rng, lat)
             up = g.dense().mask
-            assert lat.minimal(up, up) == lat.up_and_minimal(up)[1] == g.mask
+            assert lat.up_and_minimal(up)[1] == g.mask
+            assert brute_local_min(lat, g.evaluate) == list(g.minimals)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force_on_cubes(self, n):
@@ -422,7 +427,6 @@ class TestMinimalElements:
             f = DenseFunction(lat, rng.getrandbits(lat.size))
             low = lat.up_and_minimal(f.mask)[1]
             assert mask_elements(low) == brute_global_min(lat, f.evaluate)
-            assert mask_elements(lat.minimal(f.mask, f.mask)) == brute_local_min(lat, f.evaluate)
 
     def test_matches_brute_force_on_explicit(self, diamond, chain4):
         for lat in (diamond, chain4):
@@ -430,7 +434,6 @@ class TestMinimalElements:
                 f = DenseFunction(lat, mask)
                 low = lat.up_and_minimal(mask)[1]
                 assert mask_elements(low) == brute_global_min(lat, f.evaluate)
-                assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, f.evaluate)
 
 
 class TestClosure:
@@ -501,8 +504,6 @@ class TestStrictDecompose:
             assert strict_decompose(f).dense().mask == mask
 
     def test_pentagon_identity_and_minimality(self):
-        from oracles import brute_global_min, brute_local_min
-
         lat = ExplicitLattice(
             ["top", "c", "bot", "a", "b"],
             [("bot", "a"), ("a", "c"), ("c", "top"), ("bot", "b"), ("b", "top")],
@@ -510,15 +511,15 @@ class TestStrictDecompose:
         for mask in range(1 << lat.size):
             f = DenseFunction(lat, mask)
             assert strict_decompose(f).dense().mask == mask
-            low = lat.up_and_minimal(mask)[1]
-            assert mask_elements(low) == brute_global_min(lat, f.evaluate)
-            assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, f.evaluate)
+            low = mask_elements(lat.up_and_minimal(mask)[1])
+            assert low == brute_global_min(lat, f.evaluate)
+            assert set(low) <= set(brute_local_min(lat, f.evaluate))
 
     def test_multiple_bottom_most_elements_are_local_minimal(self):
         lat = ExplicitLattice(["p", "q", "t"], [("p", "t"), ("q", "t")])
-        mask = 0b011  # value 1 exactly at p and q
-        assert lat.element_names(mask_elements(lat.minimal(mask, mask))) == ["p", "q"]
-        assert lat.minimal(mask, mask) == lat.up_and_minimal(mask)[1]
+        f = DenseFunction(lat, 0b011)  # value 1 exactly at p and q
+        assert lat.element_names(brute_local_min(lat, f.evaluate)) == ["p", "q"]
+        assert lat.up_and_minimal(f.mask)[1] == f.mask
 
 
 class TestDegree:
@@ -651,7 +652,7 @@ class TestComposedBounds:
             t = self._random_target(rng, n, d, 0)
             allowed = join_products(t.lattice, [g.minimals for g in t.inner])
             mask = t.dense().mask
-            assert set(mask_elements(t.lattice.minimal(mask, mask))) <= allowed
+            assert set(brute_local_min(t.lattice, lambda x: mask >> x & 1)) <= allowed
 
 
 class TestStrictShapeRecovery:

@@ -203,7 +203,7 @@ class TestKernel:
         closures, table = consistent_masks(lat, s0, s1)
         d = max(1, len(closures)) + data.draw(st.integers(0, 1))
         h = consistent(d, DenseState(lat, x0, x1))
-        levels = [lat.minimal(up, up) for up in closures]
+        levels = [lat.up_and_minimal(up)[1] for up in closures]
         padded = levels + [0] * (d - len(levels))
         assert padded_minimals(h, d) == [tuple(mask_elements(m)) for m in padded]
         assert h.dense().mask == table
@@ -293,7 +293,7 @@ def assert_kernel_matches_brute(lat, s0, s1):
     assert not any(levels[len(closures):])
     levels = levels[: len(closures)]
     # level i is the minimal elements of closure i, which is its up-set
-    got_levels = [lat.minimal(up, up) for up in closures]
+    got_levels = [lat.up_and_minimal(up)[1] for up in closures]
     assert [mask_elements(m) for m in got_levels] == levels
     assert [set(mask_elements(up)) for up in closures] == [brute_up_set(lat, lv) for lv in levels]
     assert set(mask_elements(got_table)) == table

