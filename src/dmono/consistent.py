@@ -37,11 +37,11 @@ class DenseState:
     up-closures U_1 ⊋ U_2 ⊋ ... of ``consistent_masks`` and ``table``
     their XOR, all dense masks, which depend on the sample alone.  The
     constructor validates every point of ``x0`` and ``x1`` and rejects a
-    point labeled both ways.  ``add`` files a point and ``fit`` joins it,
-    keeping the state equal to the full rounds on the sample.
+    point labeled both ways.  ``add`` joins one point at once, so the
+    state always equals the full rounds on its sample.
     """
 
-    __slots__ = ("lattice", "s0", "s1", "closures", "table", "_filed")
+    __slots__ = ("lattice", "s0", "s1", "closures", "table")
 
     def __init__(self, lattice: Lattice, x0: Iterable[int] = (), x1: Iterable[int] = ()):
         s0 = elements_mask(lattice.check_element(a) for a in x0)
@@ -50,7 +50,7 @@ class DenseState:
         if overlap:
             name = lattice.element_name((overlap & -overlap).bit_length() - 1)
             raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
-        self.lattice, self.s0, self.s1, self._filed = lattice, s0, s1, None
+        self.lattice, self.s0, self.s1 = lattice, s0, s1
         self.closures, self.table = consistent_masks(lattice, s0, s1)
 
     @property
@@ -62,19 +62,7 @@ class DenseState:
         return tuple(mask_elements(self.s1))
 
     def add(self, q: int, label: int) -> None:
-        """Fit any filed point, then file q, not yet in the sample, under ``label``.
-
-        Raises InvalidElementError for a q off the lattice and ValueError
-        for a label other than 0 or 1, before it fits or files anything.
-        """
-        self.lattice.check_element(q)
-        if label not in (0, 1) or not isinstance(label, int):
-            raise ValueError(f"a label is 0 or 1, not {label!r}")
-        self.fit()
-        self._filed = q, label
-
-    def fit(self) -> None:
-        """Join the filed point q, if any, to the masks, closures and table.
+        """Join q, not yet in the sample, under ``label`` to the masks, closures and table.
 
         A sample point's rank, the number of closures holding it, is the
         largest rank strictly below it, raised by one when its parity
@@ -87,11 +75,13 @@ class DenseState:
         up(q), and a rank one past every closure opens a new one.
         Otherwise the full rounds run on the grown sample.
 
-        Raises InternalError, dropping q, when q is already a sample point.
+        Raises InvalidElementError for a q off the lattice, ValueError for
+        a label other than 0 or 1, and InternalError when q is already a
+        sample point, each before anything changes.
         """
-        if self._filed is None:
-            return
-        (q, label), self._filed = self._filed, None
+        self.lattice.check_element(q)
+        if label not in (0, 1) or not isinstance(label, int):
+            raise ValueError(f"a label is 0 or 1, not {label!r}")
         bit = 1 << q
         points = self.s0 | self.s1
         if mask_bit(points, q):
@@ -122,10 +112,10 @@ class DenseState:
 def consistent(d: int, state: DenseState) -> DenseFunction:
     """Return the table of an h = F_1 xor ... xor F_d agreeing with every sample label.
 
-    Fits the state and returns its table.  The rounds' levels F_i are the
-    table's strict decomposition (a minimal element of closure i never
-    lies in closure i+1), so ``strict_decompose`` of the result gives
-    them back, at most d of them.
+    Reads the state out and changes nothing in it.  The rounds' levels
+    F_i are the table's strict decomposition (a minimal element of
+    closure i never lies in closure i+1), so ``strict_decompose`` of the
+    result gives them back, at most d of them.
 
     Raises ValueError for a d below 1, and InconsistentSampleError when
     the state, which keeps its sample, holds more than d closures, naming
@@ -133,7 +123,6 @@ def consistent(d: int, state: DenseState) -> DenseFunction:
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    state.fit()
     if len(state.closures) > d:
         # round i's positives are the points of U_{i-1} labeled i mod 2
         left = state.closures[d - 1] & (state.s0 if d & 1 else state.s1)

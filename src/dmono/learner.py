@@ -175,10 +175,10 @@ def learn(
     Starts from the constant-0 hypothesis, and per counterexample: infer
     the target's value there (the oracle guarantees disagreement, so no
     membership query is spent), descend to a local minimal disagreement,
-    file that point under its label in the run's ``DenseState``, and
-    rebuild the hypothesis with ``consistent`` on that state.  The sample
-    grew by one point, so the state usually extends one level's up-closure
-    by that point instead of running the full rounds.  Each hypothesis is
+    join that point under its label to the run's ``DenseState``, and read
+    the hypothesis out of that state with ``consistent``.  The sample grew
+    by one point, so the state usually extends one level's up-closure by
+    that point instead of running the full rounds.  Each hypothesis is
     its truth table, which every query and descent reads; the returned
     one's XOR-of-monotone levels are ``strict_decompose`` of it.
     Membership answers are memoized per run, so the raw inspection count
@@ -212,8 +212,8 @@ def learn(
             stats.max_descent_inspections, result.inspections
         )
         stats.trace.append(result)
-        state.add(result.element, result.value)
         started = time.perf_counter()
+        state.add(result.element, result.value)
         try:
             h = consistent(d, state)
         except InconsistentSampleError as exc:

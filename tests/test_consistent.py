@@ -358,7 +358,7 @@ def rule_applies(lat, old_points, labels, q):
 
 
 class TestOnePointExtension:
-    """``DenseState.add`` and its fit against the full rounds and brute force."""
+    """``DenseState.add``'s join against the full rounds and brute force."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -371,15 +371,19 @@ class TestOnePointExtension:
         for k, q in enumerate(order):
             x0, x1 = labeled(order[: k + 1], labels)
             with kernel_runs() as runs:
-                got = add_outcome(d, state, q, labels >> q & 1)
-            assert got == sample_outcome(lat, d, x0, x1)
-            # refused or not, the state is the full rounds on the grown sample
+                state.add(q, labels >> q & 1)
+            # right after the add, before any read-out, the state is the
+            # full rounds on the grown sample
             fresh = DenseState(lat, x0, x1)
             assert (state.s0, state.s1, state.closures, state.table) == (
                 fresh.s0, fresh.s1, fresh.closures, fresh.table
             )
             # the full rounds run exactly when the one-point rule fails
             assert bool(runs) != rule_applies(lat, order[:k], labels, q)
+            with kernel_runs() as runs:
+                got = outcome(d, state)
+            assert runs == []
+            assert got == sample_outcome(lat, d, x0, x1)
             levels, table, violated = brute_consistent_rounds(lat, d, x0, x1)
             if violated is None:
                 assert got == ([tuple(lv) for lv in levels], elements_mask(table))
@@ -405,22 +409,48 @@ class TestOnePointExtension:
         assert padded_minimals(h, 2) == [(0b011,), ()]
         assert h.dense().mask == cube3.up_closure(1 << 0b011)
 
-    def test_a_second_add_fits_the_first_point(self, cube3):
+    def test_the_first_add_joins_its_point(self, cube3):
         state = DenseState(cube3)
         state.add(0b011, 1)
-        assert (state.s0, state.s1, state.table) == (0, 0, 0)
+        up = cube3.up_closure(1 << 0b011)
+        assert (state.s0, state.s1, state.closures, state.table) == (0, 1 << 0b011, [up], up)
         state.add(0b001, 0)
-        assert state.s1 == 1 << 0b011 and state.s0 == 0
+        assert state.s1 == 1 << 0b011 and state.s0 == 1 << 0b001
         assert outcome(2, state) == outcome(2, DenseState(cube3, {0b001}, {0b011}))
 
     def test_a_sample_point_is_refused_and_dropped(self, cube3):
         state = DenseState(cube3, {0b011}, {0b001})
         before = (state.s0, state.s1, list(state.closures), state.table)
-        state.add(0b011, 1)
         with pytest.raises(InternalError, match="^point 011 is already in the sample$"):
-            consistent(2, state)
+            state.add(0b011, 1)
         assert (state.s0, state.s1, state.closures, state.table) == before
         assert outcome(2, state) == outcome(2, DenseState(cube3, {0b011}, {0b001}))
+
+    def test_consistent_runs_no_closure_kernel(self, cube3, monkeypatch):
+        state = DenseState(cube3)
+        for q, label in ((0b001, 1), (0b011, 0), (0b111, 1), (0b000, 0)):
+            state.add(q, label)
+        before = (state.s0, state.s1, list(state.closures), state.table)
+        closures = []
+        closure = cube3.up_closure
+
+        def counted(mask):
+            closures.append(mask)
+            return closure(mask)
+
+        monkeypatch.setattr(cube3, "up_closure", counted)
+        # three closures: d = 1 and 2 are refused, d = 3 is answered
+        with kernel_runs() as runs:
+            got = [outcome(d, state) for d in (1, 2, 3)]
+        assert (runs, closures) == ([], [])
+        assert (state.s0, state.s1, state.closures, state.table) == before
+        # the counter sees the closures that an add makes
+        state.add(0b010, 1)
+        assert closures
+        monkeypatch.undo()
+        x0, x1 = {0b011, 0b000}, {0b001, 0b111}
+        assert got == [sample_outcome(cube3, d, x0, x1) for d in (1, 2, 3)]
+        assert got[0][0] == got[1][0] == "error"
 
     @pytest.mark.parametrize(
         "q, label, error, message",
@@ -436,7 +466,7 @@ class TestOnePointExtension:
     )
     def test_a_bad_add_is_refused_before_anything_is_filed(self, cube2, q, label, error, message):
         state = DenseState(cube2, {0b00}, {0b10})
-        state.add(0b11, 0)  # filed, and fitted only by the next add or consistent
+        state.add(0b11, 0)
         before = (state.s0, state.s1, list(state.closures), state.table)
         with pytest.raises(error, match=message):
             state.add(q, label)

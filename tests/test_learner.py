@@ -645,7 +645,6 @@ class TestEveryCounterexampleOrder:
                 state = DenseState(lat)
                 for q, label in order:
                     state.add(q, label)
-                state.fit()
                 tables.add(state.table)
             assert tables == {f_mask}
 
