@@ -289,34 +289,33 @@ class ExplicitLattice(Lattice):
         names = tuple(names)
         if not names:
             raise LatticeValidationError("a lattice needs at least one element")
-        seen: set[str] = set()
-        for nm in names:
-            if nm in seen:
-                raise LatticeValidationError(f"duplicate element {nm!r}")
-            seen.add(nm)
+        ids = self._ids = {nm: i for i, nm in enumerate(names)}
+        n = self.size = len(names)
+        if len(ids) < n:  # name the first repeat in declaration order
+            seen: set[str] = set()
+            first = next(nm for nm in names if nm in seen or seen.add(nm))
+            raise LatticeValidationError(f"duplicate element {first!r}")
         self.names = names
-        self.size = len(names)
         self.source_path = source_path
-        self._ids = {nm: i for i, nm in enumerate(names)}
 
-        # declared neighbours as small lists; a repeated cover line shows on
-        # both sides, so the sweep's in-degrees stay exact
-        succ: list[list[int]] = [[] for _ in range(self.size)]
-        pred: list[list[int]] = [[] for _ in range(self.size)]
+        # declared successors as small lists and in-degrees; a repeated cover
+        # line counts on both, so the sweep's in-degrees stay exact
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
         for lo_name, hi_name in covers:
-            lo = self._ids.get(lo_name)
-            hi = self._ids.get(hi_name)
+            lo = ids.get(lo_name)
+            hi = ids.get(hi_name)
             if lo is None or hi is None:
                 missing = lo_name if lo is None else hi_name
                 raise LatticeValidationError(f"cover names unknown element {missing!r}")
             if lo == hi:
                 raise LatticeValidationError(f"cover relates {lo_name!r} to itself")
             succ[lo].append(hi)
-            pred[hi].append(lo)
+            indeg[hi] += 1
 
         # Kahn sweep; it stalls exactly on cycles, whatever the pop order
-        indeg = [len(p) for p in pred]
-        ready = [a for a in range(self.size) if not indeg[a]]
+        roots = [a for a in range(n) if not indeg[a]]
+        ready = roots[:]
         order = []
         while ready:
             u = ready.pop()
@@ -325,11 +324,15 @@ class ExplicitLattice(Lattice):
                 indeg[v] -= 1
                 if not indeg[v]:
                     ready.append(v)
-        if len(order) < self.size:
+        if len(order) < n:
             # every left-over element keeps a left-over predecessor, so
             # walking down through them must come back to a visited element
+            pred: list[list[int]] = [[] for _ in range(n)]
+            for a, bs in enumerate(succ):
+                for b in bs:
+                    pred[b].append(a)
             step: dict[int, int] = {}
-            a = next(a for a in range(self.size) if indeg[a])
+            a = next(a for a in range(n) if indeg[a])
             while a not in step:
                 step[a] = min(b for b in pred[a] if indeg[b])
                 a = step[a]
@@ -337,21 +340,22 @@ class ExplicitLattice(Lattice):
                 f"cycle through elements {names[a]!r} and {names[step[a]]!r}"
             )
 
-        # top-down: an up-set is the element, its covers and its successors'
-        # strict up-sets; a declared successor is a cover (once, however
-        # often declared) unless it lies strictly above another declared
-        # successor, which drops transitive input edges
-        ups = [0] * self.size
-        up_covers: list[list[int]] = [[] for _ in range(self.size)]
+        # top-down: an up-set is the element and its successors' up-sets; a
+        # declared successor is a cover (once, however often declared)
+        # unless it lies strictly above another declared successor, which
+        # drops transitive input edges; the covers come out ascending
+        ups = [0] * n
+        up_covers: list[list[int]] = [[]] * n
         for a in reversed(order):
-            above = 0
-            for b in succ[a]:
+            full = above = 0
+            for b in (s := succ[a]):
+                full |= ups[b]
                 above |= ups[b] ^ (1 << b)
-            up_covers[a] = sorted({b for b in succ[a] if not above >> b & 1})
-            ups[a] = 1 << a | elements_mask(up_covers[a]) | above
+            up_covers[a] = mask_elements(full & ~above) if len(s) > 1 else s
+            ups[a] = full | 1 << a
         self._ups = ups
 
-        maximal = [a for a in range(self.size) if not succ[a]]
+        maximal = [a for a in range(n) if not succ[a]]
         if len(maximal) != 1:
             a, b = maximal[0], maximal[1]
             raise LatticeValidationError(
@@ -360,9 +364,9 @@ class ExplicitLattice(Lattice):
             )
         self.top = maximal[0]
 
-        preds: list[list[int]] = [[] for _ in range(self.size)]
-        for a in range(self.size):
-            for c in up_covers[a]:
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for a, cs in enumerate(up_covers):
+            for c in cs:
                 preds[c].append(a)
         self._lower_covers = tuple(map(tuple, preds))
 
@@ -373,10 +377,9 @@ class ExplicitLattice(Lattice):
         # are the elements with no declared predecessor.  An error names the
         # first pair of this sweep that fails
         by_up = self._by_up = {up: a for a, up in enumerate(ups)}
-        groups = [[a for a in range(self.size) if not pred[a]]]
-        groups += up_covers
-        for group in groups:
-            for i, x in enumerate(group):
+        for group in (roots, *up_covers):
+            for i in range(len(group) - 1):
+                x = group[i]
                 for y in group[i + 1 :]:
                     common = ups[x] & ups[y]
                     if common not in by_up:
@@ -388,14 +391,14 @@ class ExplicitLattice(Lattice):
 
         # maximal predecessor sum: the best chain below an element depends
         # only on that element, so one sweep in topological order suffices
-        best = [0] * self.size
+        best = [0] * n
         for a in order:
-            if preds[a]:
-                best[a] = len(preds[a]) + max(best[b] for b in preds[a])
+            if p := preds[a]:
+                best[a] = len(p) + max(map(best.__getitem__, p))
         self._sigma = best[self.top]
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, ExplicitLattice)
             and other.names == self.names
             and other._ups == self._ups
@@ -460,9 +463,8 @@ def parse_lattice(text: str, source: str = "<lattice>") -> ExplicitLattice:
     then ``cover <lower> <upper>`` lines.  Blank lines and ``#`` comments
     are skipped.  Errors carry the source name and line number.
     """
-    names: list[str] = []
+    names: dict[str, None] = {}  # in declaration order
     covers: list[tuple[str, str]] = []
-    declared: set[str] = set()
     saw_header = False
     saw_cover = False
 
@@ -470,38 +472,36 @@ def parse_lattice(text: str, source: str = "<lattice>") -> ExplicitLattice:
         return LatticeValidationError(f"{source}:{lineno}: {message}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        # the common line first: a cover after the header
+        if len(tokens) == 3 and tokens[0] == "cover" and saw_header:
+            _, lo, hi = tokens
+            if lo not in names or hi not in names:
+                raise fail(lineno, f"cover names unknown element {hi if lo in names else lo!r}")
+            saw_cover = True
+            covers.append((lo, hi))
+        elif not tokens or tokens[0][0] == "#":
             continue
-        if not saw_header:
-            if line != "lattice v1":
+        elif not saw_header:
+            if (line := raw.strip()) != "lattice v1":
                 raise fail(lineno, f"expected 'lattice v1' header, got {line!r}")
             saw_header = True
-            continue
-        tokens = line.split()
-        if tokens[0] == "elem":
+        elif tokens[0] == "elem":
             if len(tokens) != 2:
                 raise fail(lineno, "elem takes exactly one name")
             if saw_cover:
                 raise fail(lineno, "elem lines must precede cover lines")
-            if tokens[1] in declared:
+            if tokens[1] in names:
                 raise fail(lineno, f"duplicate element {tokens[1]!r}")
-            declared.add(tokens[1])
-            names.append(tokens[1])
+            names[tokens[1]] = None
         elif tokens[0] == "cover":
-            if len(tokens) != 3:
-                raise fail(lineno, "cover takes exactly two names")
-            for nm in tokens[1:]:
-                if nm not in declared:
-                    raise fail(lineno, f"cover names unknown element {nm!r}")
-            saw_cover = True
-            covers.append((tokens[1], tokens[2]))
+            raise fail(lineno, "cover takes exactly two names")
         else:
             raise fail(lineno, f"unknown directive {tokens[0]!r}")
     if not saw_header:
         raise LatticeValidationError(f"{source}: empty file, expected 'lattice v1' header")
     try:
-        return ExplicitLattice(names, covers, source_path=source)
+        return ExplicitLattice(tuple(names), covers, source_path=source)
     except LatticeValidationError as exc:
         raise LatticeValidationError(f"{source}: {exc}") from None
 

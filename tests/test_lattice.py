@@ -494,6 +494,20 @@ class TestChainProductAtScale:
             assert list(lat.immediate_predecessors(a)) == sorted(below)
 
 
+@st.composite
+def noisy_lattice_text(draw, names, covers):
+    """``lattice_file_text`` with drawn comment and blank lines, spacing and line endings."""
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    edge = st.sampled_from(["", " ", "\t", "  "])
+    filler = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  #cover x y", "#elem z"]), max_size=2)
+    records = [["elem", nm] for nm in names] + [["cover", lo, hi] for lo, hi in covers]
+    lines = draw(filler) + [draw(edge) + "lattice v1" + draw(edge)]
+    for first, *rest in records:
+        lines += draw(filler)
+        lines.append(draw(edge) + first + "".join(draw(gap) + nm for nm in rest) + draw(edge))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
 class TestLatticeFiles:
     def test_load_diamond(self, tmp_path):
         path = tmp_path / "diamond.lat"
@@ -531,6 +545,30 @@ class TestLatticeFiles:
         with pytest.raises(LatticeValidationError, match="bad.lat"):
             load_lattice(path)
 
+    def test_two_parses_are_equal_and_one_cover_line_apart_is_not(self):
+        text = lattice_file_text(PENTAGON_NAMES, PENTAGON_COVERS)
+        lat, again = parse_lattice(text), parse_lattice(text)
+        assert lat is not again and lat == again and hash(lat) == hash(again)
+        assert lat != parse_lattice(text.replace("cover a c\n", "cover a top\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(single_top_orders(), moore_families().map(lambda f: f[1:])), st.data())
+    def test_noisy_file_loads_as_the_constructor_builds(self, order, data):
+        names, covers = order
+        if covers:
+            covers = covers + data.draw(st.lists(st.sampled_from(covers), max_size=3))
+        text = data.draw(noisy_lattice_text(names, covers))
+        try:
+            want = ExplicitLattice(names, covers)
+        except LatticeValidationError as exc:
+            with pytest.raises(LatticeValidationError) as got:
+                parse_lattice(text)
+            assert str(got.value) == f"<lattice>: {exc}"
+            return
+        lat = parse_lattice(text)
+        assert lat.names == want.names and lat._ups == want._ups
+        assert lat._lower_covers == want._lower_covers and lat.sigma() == want.sigma()
+
     @pytest.mark.parametrize(
         "content", [None, b"lattice v1\nelem \xff\n"], ids=["missing", "not-utf8"]
     )
@@ -566,6 +604,7 @@ class TestBoundaryRejections:
             ("lattice v1\nelem a\nelem b\ncover a\n", "<lattice>:4: cover takes exactly two names"),
             ("lattice v1\nelem a\ncover a a a\n", "<lattice>:3: cover takes exactly two names"),
             ("lattice v1\nelem a\n# b\n\nelem a\n", "<lattice>:5: duplicate element 'a'"),
+            ("cover a b\n", "<lattice>:1: expected 'lattice v1' header, got 'cover a b'"),
             ("# a comment\n\n  # another\n", "<lattice>: empty file, expected 'lattice v1' header"),
             ("", "<lattice>: empty file, expected 'lattice v1' header"),
         ],

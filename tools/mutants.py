@@ -83,6 +83,46 @@ MUTANTS = (
         ("tests/test_lattice.py",),
     ),
     Mutant(
+        "explicit-transitive-cover",
+        "lattice.py",
+        "mask_elements(full & ~above) if len(s) > 1 else s",
+        "sorted(set(s))",
+        "explicit validation keeps a transitive cover line as a cover",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "explicit-join-no-bottom",
+        "lattice.py",
+        "for group in (roots, *up_covers):",
+        "for group in up_covers:",
+        "the join sweep skips the implicit bottom's group of upper covers",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "explicit-sigma-steps",
+        "lattice.py",
+        "best[a] = len(p) + max(",
+        "best[a] = 1 + max(",
+        "sigma adds 1 per step instead of the number of lower covers",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "explicit-self-cover",
+        "lattice.py",
+        "if lo == hi:",
+        "if False:",
+        "explicit validation accepts a cover of an element by itself",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "parse-unknown-name",
+        "lattice.py",
+        "if lo not in names or hi not in names:",
+        "if False:",
+        "the lattice-file parser drops its line-numbered unknown-name check",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
         "built-once-shared",
         "boolfn.py",
         'table = self.__dict__.get("_dense")\n'
