@@ -7,11 +7,11 @@ least significant bit, so witnesses and serialized goldens are byte-stable.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .boolfn import ComposedTarget, MonotoneDNF, XorHypothesis
 from .errors import GenerationError
-from .lattice import CubeLattice, mask_bit
+from .lattice import CubeLattice
 
 
 def parity_table(d: int) -> int:
@@ -26,6 +26,16 @@ def parity_table(d: int) -> int:
 def _block_layout(d: int, t: int) -> list[range]:
     """Bit positions of d t-wide blocks, packed consecutively from bit 0."""
     return [range(i * t, (i + 1) * t) for i in range(d)]
+
+
+def _join_block(points: int, bits: Iterable[int]) -> int:
+    """The dense set of every point of ``points`` joined with one of ``bits``."""
+    joined = 0
+    for b in bits:
+        # blocks are disjoint, so the shift by 2^b sets bit b, which is
+        # clear in every point of the set
+        joined |= points << (1 << b)
+    return joined
 
 
 def tightness_dimension(d: int, t: int) -> int:
@@ -89,17 +99,12 @@ def prefix_levels(d: int, t: int) -> XorHypothesis:
         raise ValueError("prefix levels need d >= 1 and t >= 1")
     lat = CubeLattice(d * t)
     # rows[k]: the dense set of points taking one variable from each of k
-    # blocks seen so far.  Adding a block moves every point of rows[k-1]
-    # up by one of the block's variables: a shift by 2^b sets bit b of
-    # each point, which is clear since the block is new.  Descending k
-    # reads rows[k-1] before this block joins it
+    # blocks seen so far.  Descending k reads rows[k-1] before this block
+    # joins it
     rows = [1] + [0] * d
-    for blk in range(d):
-        for k in range(blk + 1, 0, -1):
-            below, row = rows[k - 1], rows[k]
-            for b in range(blk * t, blk * t + t):
-                row |= below << (1 << b)
-            rows[k] = row
+    for i, blk in enumerate(_block_layout(d, t)):
+        for k in range(i + 1, 0, -1):
+            rows[k] |= _join_block(rows[k - 1], blk)
     return XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, row) for row in rows[1:]))
 
 
@@ -127,26 +132,21 @@ def takimoto_blocks(target: ComposedTarget) -> list[list[int]]:
     return [sorted(outer - inner) for outer, inner in zip(per, per[1:])]
 
 
-def chain_witness_check(
-    target: ComposedTarget, indices: Sequence[int], levels: XorHypothesis
-) -> bool:
-    """Check that the chain picked by one column per block hits every level.
+def chain_witness_check(target: ComposedTarget, levels: XorHypothesis) -> bool:
+    """Check that every chain picking one variable per block hits every level.
 
-    ``indices[i]`` chooses a column (0-based) inside block i+1; the chain's
-    k-th element sets the chosen bit of blocks 1..k and must be a minimal
-    element of the k-th level of ``levels``, the target's strict
-    decomposition.
+    A chain's k-th element sets its picked variables of blocks 1..k and
+    must be a minimal element of the k-th level of ``levels``, the target's
+    strict decomposition; a missing level fails.  The k-th elements of all
+    chains form one dense set, so each level takes one inclusion test.
     """
     blocks = takimoto_blocks(target)
-    if len(indices) != len(blocks):
-        raise ValueError(f"need exactly {len(blocks)} column indices")
-    for j, blk in zip(indices, blocks):
-        if not 0 <= j < len(blk):
-            raise IndexError(f"column {j} out of range for a block of {len(blk)}")
-    x = 0
-    for k, (j, blk) in enumerate(zip(indices, blocks)):
-        x |= 1 << blk[j]
-        if k >= len(levels.levels) or not mask_bit(levels.levels[k].mask, x):
+    if len(levels.levels) < len(blocks):
+        return False
+    heads = 1
+    for blk, lv in zip(blocks, levels.levels):
+        heads = _join_block(heads, blk)
+        if heads & lv.mask != heads:
             return False
     return True
 

@@ -3,12 +3,13 @@
 Everything here is deliberately definitional: order scans, exhaustive
 chain enumeration, and the literal down-set recursion for the maximal
 predecessor sum.  None of it shares code with the package's production
-paths, so agreement is meaningful; the one exception is
+paths, so agreement is meaningful; the exceptions are
 ``reference_learn``, which reruns the learner's loop on point sets and
 validated samples, so it shares the rebuild rounds and the descent but
-none of the loop's mask bookkeeping, and ``worst_case_run``, which plays
+none of the loop's mask bookkeeping, ``worst_case_run``, which plays
 the learner's own hypotheses and descents against every counterexample
-order.
+order, and ``brute_chain_witnesses``, which reads the blocks off the
+target with ``takimoto_blocks`` and walks each chain one element at a time.
 """
 
 from itertools import combinations, permutations, product
@@ -25,6 +26,8 @@ from dmono import (
     strict_decompose,
 )
 from dmono.errors import DegreeTooSmallError, InconsistentSampleError
+from dmono.families import takimoto_blocks
+from dmono.lattice import mask_bit
 
 
 def brute_mask_elements(mask):
@@ -214,6 +217,21 @@ def brute_prefix_levels(d, t):
                 mask |= 1 << x
         levels.append(mask)
     return levels
+
+
+def brute_chain_witnesses(target, levels):
+    """Walk every chain picking one variable per block, one element at a time.
+
+    A chain's k-th element sets its picked variables of blocks 1..k and
+    must be a minimal element of the k-th level; a missing level fails.
+    """
+    for picks in product(*takimoto_blocks(target)):
+        x = 0
+        for k, b in enumerate(picks):
+            x |= 1 << b
+            if k >= len(levels.levels) or not mask_bit(levels.levels[k].mask, x):
+                return False
+    return True
 
 
 def maximal_chains_cube(n):

@@ -5,7 +5,6 @@ print.  Every tolerance here is exact; the three timed criteria assert
 their stated wall-clock budgets.
 """
 
-import itertools
 import random
 import time
 from functools import lru_cache
@@ -138,8 +137,7 @@ def test_criterion_6_nested_family_separation():
         target = takimoto_family(d, t)
         xor = strict_decompose(target)
         assert xor.size >= t**d
-        for picks in itertools.product(range(t), repeat=d):
-            assert chain_witness_check(target, picks, levels=xor)
+        assert chain_witness_check(target, xor)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(6, f"nested-family blowup is at least t^d with every chain witness in place ({elapsed:.2f}s)")

@@ -18,6 +18,7 @@ from dmono import (
     learn,
     save_function,
     strict_decompose,
+    takimoto_family,
     tightness_family,
 )
 from dmono.cli import build_parser, main
@@ -461,6 +462,24 @@ class TestVerify:
         assert code == 0
         names = {ln.split()[2] for ln in out.strip().splitlines()}
         assert {"separation-size", "chain-witnesses"} <= names
+
+    def test_nested_target_whose_chain_witnesses_miss(self, capsys, tmp_path):
+        # F = g_1 | g_2 = g_1 with nested blocks: the target has degree 1,
+        # so no chain's second element has a level to be minimal in
+        path = tmp_path / "or.json"
+        doc = function_to_doc(takimoto_family(2, 2), {"family": "takimoto", "d": 2, "t": 2})
+        doc["payload"]["F"] = "0111"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            f"PASS {path} decompose-roundtrip",
+            f"PASS {path} levels-strict",
+            f"PASS {path} degree-bound",
+            f"PASS {path} sms-bound",
+            f"PASS {path} separation-size",
+            f"FAIL {path} chain-witnesses (a chain witness missed its level)",
+        ]
 
     def test_directory_and_against(self, capsys, tmp_path, parity_file):
         hyp = tmp_path / "learned.json"

@@ -20,7 +20,7 @@ from dmono.boolfn import MonotoneDNF, XorHypothesis
 from dmono.errors import GenerationError
 from dmono.families import _distinct_draws, takimoto_blocks
 
-from oracles import brute_prefix_levels
+from oracles import brute_chain_witnesses, brute_prefix_levels
 
 
 class TestTightness:
@@ -97,6 +97,39 @@ class TestPrefixLevels:
             assert nested_disjoint_violation(prefix_levels(d, t)) is None
 
 
+def _nested_block_case(rng):
+    """A random nested-block target on a cube of n <= 12 and a variant of its levels.
+
+    d = 1..4 blocks of 1..3 variables at random bit positions, g_i the
+    union of blocks i..d, a parity or random outer table.  The levels are
+    the strict decomposition as it is, shuffled, truncated, with one
+    minimal element dropped, or rebuilt in tuple form.
+    """
+    d = rng.randint(1, 4)
+    widths = [rng.randint(1, 3) for _ in range(d)]
+    lat = CubeLattice(rng.randint(sum(widths), 12))
+    bits = rng.sample(range(lat.n), sum(widths))
+    blocks = [bits[sum(widths[:i]) : sum(widths[: i + 1])] for i in range(d)]
+    inner = tuple(
+        MonotoneDNF(lat, tuple(1 << b for blk in blocks[i:] for b in blk)) for i in range(d)
+    )
+    outer = parity_table(d) if rng.random() < 0.5 else rng.getrandbits(1 << d)
+    target = ComposedTarget(lat, outer, inner)
+    levels = list(strict_decompose(target).levels)
+    form = rng.choice(["as-is", "shuffled", "truncated", "dropped", "tuples"])
+    if form == "shuffled":
+        rng.shuffle(levels)
+    elif form == "truncated":
+        del levels[rng.randrange(len(levels) + 1) :]
+    elif form == "dropped" and levels:
+        k = rng.randrange(len(levels))
+        a = rng.choice(levels[k].minimals)
+        levels[k] = MonotoneDNF.from_mask(lat, levels[k].mask & ~(1 << a))
+    elif form == "tuples":
+        levels = [MonotoneDNF(lat, lv.minimals) for lv in levels]
+    return target, XorHypothesis(lat, tuple(levels))
+
+
 class TestTakimoto:
     def test_minimal_parameters(self):
         tk = takimoto_family(2, 1)
@@ -128,11 +161,11 @@ class TestTakimoto:
         assert xor.size >= 2**2
 
     def test_chain_witnesses_all_pass(self):
-        for d, t in [(2, 1), (2, 2), (3, 1)]:
+        for d, t in [(2, 1), (2, 2), (3, 1), (3, 2)]:
             tk = takimoto_family(d, t)
             levels = strict_decompose(tk)
-            for picks in itertools.product(range(t), repeat=d):
-                assert chain_witness_check(tk, picks, levels=levels)
+            assert chain_witness_check(tk, levels)
+            assert brute_chain_witnesses(tk, levels)
 
     def test_chain_witnesses_read_minimal_elements_of_either_form(self):
         tk = takimoto_family(2, 2)
@@ -141,18 +174,8 @@ class TestTakimoto:
         # the chain's second element lies above the first level's minima
         # but is not one of them, and the first is not a minimum of level 2
         for wrong in [(levels[0], levels[0]), levels[::-1], (as_tuples[0],) * 2]:
-            for picks in itertools.product(range(2), repeat=2):
-                assert not chain_witness_check(tk, picks, levels=XorHypothesis(tk.lattice, wrong))
-        for picks in itertools.product(range(2), repeat=2):
-            assert chain_witness_check(tk, picks, levels=XorHypothesis(tk.lattice, as_tuples))
-
-    def test_witness_index_validation(self):
-        tk = takimoto_family(2, 2)
-        levels = strict_decompose(tk)
-        with pytest.raises(IndexError):
-            chain_witness_check(tk, (0, 2), levels=levels)
-        with pytest.raises(ValueError):
-            chain_witness_check(tk, (0,), levels=levels)
+            assert not chain_witness_check(tk, XorHypothesis(tk.lattice, wrong))
+        assert chain_witness_check(tk, XorHypothesis(tk.lattice, as_tuples))
 
     def test_blocks_need_single_variable_minterms(self):
         lat = CubeLattice(3)
@@ -189,8 +212,8 @@ class TestTakimoto:
         lat = CubeLattice(2)
         target = ComposedTarget(lat, 0b1010, (MonotoneDNF(lat, (0b01, 0b10)), MonotoneDNF(lat, (0b10,))))
         assert takimoto_blocks(target) == [[0], [1]]
-        assert not chain_witness_check(target, (0, 0), levels=strict_decompose(target))
-        assert chain_witness_check(target, (0, 0), levels=prefix_levels(2, 1))
+        assert not chain_witness_check(target, strict_decompose(target))
+        assert chain_witness_check(target, prefix_levels(2, 1))
 
     def test_uneven_variant(self):
         # nested blocks of 4, 2 and 1 variables: the witnesses need no equal widths
@@ -206,8 +229,18 @@ class TestTakimoto:
         assert xor.dense().mask == tk.dense().mask
         count = 4 * 2 * 1
         assert xor.size >= count
-        for picks in itertools.product(range(4), range(2), range(1)):
-            assert chain_witness_check(tk, picks, levels=xor)
+        assert chain_witness_check(tk, xor)
+        assert brute_chain_witnesses(tk, xor)
+
+    def test_chain_witnesses_agree_with_the_per_chain_walk(self):
+        rng = random.Random(7)
+        verdicts = {True: 0, False: 0}
+        for _ in range(2980):
+            target, levels = _nested_block_case(rng)
+            want = brute_chain_witnesses(target, levels)
+            assert chain_witness_check(target, levels) == want
+            verdicts[want] += 1
+        assert min(verdicts.values()) >= 500
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,62 @@ MUTANTS = (
         "mask_bit's AND branch reads bit i + 1",
         ("tests/test_lattice.py", "tests/test_learner.py"),
     ),
+    Mutant(
+        "cube-fused-last-pass",
+        "lattice.py",
+        "above |= step",
+        "above = step",
+        "the cube's fused up_and_minimal keeps only the last pass's points above the mask",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "composed-zero-bit",
+        "boolfn.py",
+        "cell &= gm if idx >> i & 1 else full ^ gm",
+        "cell &= gm if idx >> i & 1 else gm",
+        "composed dense() reads g_i's closure where the outer index has a 0 bit",
+        ("tests/test_boolfn.py",),
+    ),
+    Mutant(
+        "decompose-files-reach",
+        "boolfn.py",
+        "levels.append(MonotoneDNF.from_mask(lat, low))",
+        "levels.append(MonotoneDNF.from_mask(lat, reach))",
+        "strict_decompose files a level's closure as its minimal elements",
+        ("tests/test_boolfn.py",),
+    ),
+    Mutant(
+        "prefix-levels-upward",
+        "families.py",
+        "for k in range(i + 1, 0, -1):",
+        "for k in range(1, i + 2):",
+        "prefix_levels walks k upward, so a block joins a row it has already joined",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "cube-names-unpadded",
+        "lattice.py",
+        'spec = f"0{self.n}b"',
+        'spec = "b"',
+        "cube element names drop their zero padding",
+        ("tests/test_fileio.py",),
+    ),
+    Mutant(
+        "witness-overlap",
+        "families.py",
+        "if heads & lv.mask != heads:",
+        "if not heads & lv.mask:",
+        "the chain witnesses test an overlap with a level instead of inclusion in it",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "witness-missing-level",
+        "families.py",
+        "    if len(levels.levels) < len(blocks):\n        return False\n",
+        "",
+        "the chain witnesses pass when blocks outnumber the levels",
+        ("tests/test_families.py",),
+    ),
 )
 
 
