@@ -89,7 +89,7 @@ class MonotoneDNF:
 
     def __post_init__(self):
         elems = sorted({self.lattice.check_element(a) for a in self.minimals})
-        leq = self.lattice._leq
+        leq = self.lattice.leq
         for i, a in enumerate(elems):
             for b in elems[i + 1 :]:
                 if leq(a, b) or leq(b, a):
@@ -146,7 +146,7 @@ class MonotoneDNF:
 
     def evaluate(self, x: int) -> int:
         self.lattice.check_element(x)
-        return int(any(self.lattice._leq(a, x) for a in self.minimals))
+        return int(any(self.lattice.leq(a, x) for a in self.minimals))
 
     @_built_once
     def dense(self) -> DenseFunction:
@@ -276,7 +276,7 @@ def chain_alternations(f: Representation, chain: Sequence[int]) -> int:
     lat = f.lattice
     xs = [lat.check_element(x) for x in chain]
     for a, b in zip(xs, xs[1:]):
-        if a == b or not lat._leq(a, b):
+        if a == b or not lat.leq(a, b):
             raise InvalidChainError(
                 f"{lat.element_name(a)} followed by {lat.element_name(b)} "
                 "is not strictly ascending"

@@ -413,7 +413,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dmono", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("learn", parents=[], help="exactly learn a target from a file")
+    p = sub.add_parser("learn", help="exactly learn a target from a file")
     p.add_argument("target", type=Path)
     p.add_argument("-d", type=int, required=True, help="monotonicity degree to learn at")
     _add_flags(p, seed=True, trace=True)

@@ -73,22 +73,33 @@ def is_bit_string(s: str) -> bool:
 
 
 class Lattice:
-    """Shared machinery; concrete orders supply the primitive queries."""
+    """A finite lattice whose elements are the ids ``0 .. size - 1``.
+
+    A new lattice supplies:
+
+    - ``size`` and ``top``;
+    - the order queries ``leq``, ``join`` and ``immediate_predecessors``,
+      and ``sigma``;
+    - the subset kernels ``up_closure`` and ``up_and_minimal``;
+    - ``element_names``, ``parse_element`` and ``describe``.
+
+    The queries take ids that came from the lattice or that passed
+    ``check_element``, and check nothing.  The shared boundary,
+    ``check_element`` and ``element_name``, checks the ids it is given.
+    """
 
     size: int
     top: int
 
     # ---- primitives -------------------------------------------------
-    # the cores take ids already checked or issued by the lattice; the
-    # public queries below check once and call them
 
-    def _leq(self, a: int, b: int) -> bool:
+    def leq(self, a: int, b: int) -> bool:
         raise NotImplementedError
 
-    def _join(self, a: int, b: int) -> int:
+    def join(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def _preds(self, a: int) -> tuple[int, ...]:
+    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def sigma(self) -> int:
@@ -119,26 +130,10 @@ class Lattice:
 
     # ---- shared -----------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def check_element(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.size:
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
-
-    def leq(self, a: int, b: int) -> bool:
-        self.check_element(a)
-        self.check_element(b)
-        return self._leq(a, b)
-
-    def join(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
-        return self._join(a, b)
-
-    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
-        return self._preds(self.check_element(a))
 
     def element_name(self, a: int) -> str:
         return self.element_names((self.check_element(a),))[0]
@@ -182,16 +177,18 @@ class CubeLattice(Lattice):
             raise InvalidElementError(f"{a!r} is not an element of {self.describe()}")
         return a
 
-    def _leq(self, a: int, b: int) -> bool:
+    def leq(self, a: int, b: int) -> bool:
         return a | b == b
 
-    def _join(self, a: int, b: int) -> int:
+    def join(self, a: int, b: int) -> int:
         return a | b
 
-    def _preds(self, a: int) -> tuple[int, ...]:
-        # peel set bits high first: clearing a higher bit gives a smaller word
+    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
+        # peel set bits high first: clearing a higher bit gives a smaller word;
+        # ``> 0`` ends the loop on a negative non-element, whose peels never
+        # reach 0
         preds, rest = [], a
-        while rest:
+        while rest > 0:
             rest ^= (bit := 1 << rest.bit_length() - 1)
             preds.append(a ^ bit)
         return tuple(preds)
@@ -413,13 +410,13 @@ class ExplicitLattice(Lattice):
     def describe(self) -> str:
         return self.source_path or f"explicit:{self.size}"
 
-    def _leq(self, a: int, b: int) -> bool:
+    def leq(self, a: int, b: int) -> bool:
         return bool(self._ups[a] >> b & 1)
 
-    def _join(self, a: int, b: int) -> int:
+    def join(self, a: int, b: int) -> int:
         return self._by_up[self._ups[a] & self._ups[b]]
 
-    def _preds(self, a: int) -> tuple[int, ...]:
+    def immediate_predecessors(self, a: int) -> tuple[int, ...]:
         return self._lower_covers[a]
 
     def sigma(self) -> int:

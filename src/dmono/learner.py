@@ -139,7 +139,7 @@ def descend_to_local_min(
     length = table.bit_length()
     cache.setdefault(a, value)
     while True:
-        for b in lattice._preds(a):
+        for b in lattice.immediate_predecessors(a):
             inspections += 1
             vb = cache.get(b)
             if vb is None:

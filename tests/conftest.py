@@ -83,20 +83,23 @@ def _point_name(p):
     return "p" + "-".join(map(str, p))
 
 
-def shuffled_chain_product(dims, rng):
-    """Product of chains 0 < 1 < ... < k-1, declared and covered in shuffled order.
+def chain_product(dims, rng=None):
+    """Product of chains 0 < 1 < ... < k-1; returns the points by id and the lattice.
 
-    Returns the points by id and the lattice.
+    The points are declared in lexicographic order, a linear extension of
+    the product order, unless ``rng`` shuffles them and the cover lines.
     """
     points = list(itertools.product(*(range(k) for k in dims)))
-    rng.shuffle(points)
+    if rng is not None:
+        rng.shuffle(points)
     covers = [
         (_point_name(p), _point_name(p[:j] + (p[j] + 1,) + p[j + 1 :]))
         for p in points
         for j, k in enumerate(dims)
         if p[j] + 1 < k
     ]
-    rng.shuffle(covers)
+    if rng is not None:
+        rng.shuffle(covers)
     return points, ExplicitLattice([_point_name(p) for p in points], covers)
 
 

@@ -41,7 +41,7 @@ def brute_lt(lat, a, b):
 
 def brute_immediate_predecessors(lat, a):
     """Definitional covers: b < a with nothing strictly between."""
-    below = [b for b in lat.elements() if brute_lt(lat, b, a)]
+    below = [b for b in range(lat.size) if brute_lt(lat, b, a)]
     return sorted(
         b
         for b in below
@@ -51,7 +51,7 @@ def brute_immediate_predecessors(lat, a):
 
 def brute_join(lat, a, b):
     """Unique minimal common upper bound by exhaustive scan; None if absent."""
-    uppers = [c for c in lat.elements() if lat.leq(a, c) and lat.leq(b, c)]
+    uppers = [c for c in range(lat.size) if lat.leq(a, c) and lat.leq(b, c)]
     mins = [c for c in uppers if not any(brute_lt(lat, u, c) for u in uppers)]
     return mins[0] if len(mins) == 1 else None
 
@@ -107,7 +107,7 @@ def sigma_downset_recursion(lat, domain=None):
     the current top without memoization.  Singleton domains score 0.
     """
     if domain is None:
-        domain = frozenset(lat.elements())
+        domain = frozenset(range(lat.size))
     if len(domain) == 1:
         return 0
     tops = [a for a in domain if not any(brute_lt(lat, a, b) for b in domain)]
@@ -129,14 +129,14 @@ def brute_global_min(lat, value):
     """Points with value 1 and value 0 strictly everywhere below."""
     return sorted(
         a
-        for a in lat.elements()
-        if value(a) and not any(brute_lt(lat, b, a) and value(b) for b in lat.elements())
+        for a in range(lat.size)
+        if value(a) and not any(brute_lt(lat, b, a) and value(b) for b in range(lat.size))
     )
 
 
 def brute_up_set(lat, points):
     """Every element above some point, by order scan."""
-    return {x for x in lat.elements() if any(lat.leq(a, x) for a in points)}
+    return {x for x in range(lat.size) if any(lat.leq(a, x) for a in points)}
 
 
 def brute_descent(lat, a, hypothesis, value):
@@ -179,7 +179,7 @@ def brute_consistent_rounds(lat, d, x0, x1):
 
 def brute_strict_levels(lat, value):
     """Minimal points of each residue of the strict decomposition."""
-    cur = {x for x in lat.elements() if value(x)}
+    cur = {x for x in range(lat.size) if value(x)}
     levels = []
     while cur:
         levels.append(brute_global_min(lat, lambda x: x in cur))
@@ -190,14 +190,14 @@ def brute_strict_levels(lat, value):
 def brute_local_min(lat, value):
     return sorted(
         a
-        for a in lat.elements()
+        for a in range(lat.size)
         if value(a) and not any(value(b) for b in brute_immediate_predecessors(lat, a))
     )
 
 
 def brute_closure_value(lat, value, x):
     """Least monotone upper bound, evaluated pointwise by down-set scan."""
-    return int(any(value(y) for y in lat.elements() if lat.leq(y, x)))
+    return int(any(value(y) for y in range(lat.size) if lat.leq(y, x)))
 
 
 def brute_prefix_levels(d, t):
@@ -253,8 +253,8 @@ def maximal_chains(lat):
     A chain starts at an element with no predecessor (it covers the
     implicit bottom) and ends at the top.
     """
-    covers = {a: brute_immediate_predecessors(lat, a) for a in lat.elements()}
-    upper = {a: [b for b in lat.elements() if a in covers[b]] for a in lat.elements()}
+    covers = {a: brute_immediate_predecessors(lat, a) for a in range(lat.size)}
+    upper = {a: [b for b in range(lat.size) if a in covers[b]] for a in range(lat.size)}
 
     def climb(chain):
         ups = upper[chain[-1]]
@@ -262,7 +262,7 @@ def maximal_chains(lat):
             return [chain]
         return [c for b in ups for c in climb(chain + [b])]
 
-    return [c for a in lat.elements() if not covers[a] for c in climb([a])]
+    return [c for a in range(lat.size) if not covers[a] for c in climb([a])]
 
 
 def max_chain_alternations(lat, value, chains):

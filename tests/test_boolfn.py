@@ -71,12 +71,12 @@ class TestEvaluate:
     def test_composed_parity_example(self, cube2):
         f = xor12(cube2)
         assert f.evaluate(0b11) == 0
-        for x in cube2.elements():
+        for x in range(cube2.size):
             assert f.evaluate(x) == (x & 1) ^ (x >> 1 & 1)
 
     def test_empty_xor_is_zero(self, cube2):
         h = XorHypothesis(cube2, ())
-        assert all(h.evaluate(x) == 0 for x in cube2.elements())
+        assert all(h.evaluate(x) == 0 for x in range(cube2.size))
 
     def test_off_lattice_ids_rejected(self, cube2, tmp_path):
         path = tmp_path / "zero.json"
@@ -107,12 +107,12 @@ class TestEvaluate:
     def test_dense_roundtrip(self, cube2):
         f = DenseFunction.from_bits(cube2, "0110")
         assert f.bits() == "0110"
-        assert [f.evaluate(x) for x in cube2.elements()] == [0, 1, 1, 0]
+        assert [f.evaluate(x) for x in range(cube2.size)] == [0, 1, 1, 0]
 
     @pytest.mark.parametrize("bits", ["0000", "1111", "1000", "0001", "0011"])
     def test_bits_roundtrip_edge_tables(self, cube2, bits):
         f = DenseFunction.from_bits(cube2, bits)
-        assert [f.evaluate(x) for x in cube2.elements()] == [int(ch) for ch in bits]
+        assert [f.evaluate(x) for x in range(cube2.size)] == [int(ch) for ch in bits]
         assert f.bits() == bits
 
     # int(..., 2) reads fullwidth and Arabic-Indic digits and underscores;
@@ -156,7 +156,7 @@ class TestComposedDense:
         )
         outer = data.draw(st.integers(0, (1 << (1 << d)) - 1)) & ~1 | origin
         f = ComposedTarget(lat, outer, inner)
-        assert f.dense().mask == elements_mask(x for x in lat.elements() if f.evaluate(x))
+        assert f.dense().mask == elements_mask(x for x in range(lat.size) if f.evaluate(x))
 
     def test_table_is_built_once_per_target(self, monkeypatch):
         # both oracles of a learn run read one target's table, so its inner
@@ -250,7 +250,7 @@ class TestAntichainForms:
         assert by_mask.mask == by_tuple.mask == mins
         up = elements_mask(brute_up_set(lat, elems))
         assert by_mask.dense().mask == by_tuple.dense().mask == up
-        for x in lat.elements():
+        for x in range(lat.size):
             assert by_mask.evaluate(x) == by_tuple.evaluate(x) == up >> x & 1
         # both forms known on both sides now: masks are compared
         assert by_mask == by_tuple and hash(by_mask) == hash(by_tuple)
@@ -265,7 +265,7 @@ class TestAntichainForms:
 
         # moving one element (or adding one to an empty antichain) is a
         # different function, whichever forms meet
-        outside = [x for x in lat.elements() if not mins >> x & 1]
+        outside = [x for x in range(lat.size) if not mins >> x & 1]
         if not outside:
             return
         b = data.draw(st.sampled_from(outside))
@@ -452,7 +452,7 @@ class TestClosure:
         for _ in range(20):
             f = DenseFunction(lat, rng.getrandbits(lat.size))
             closed = MonotoneDNF.from_mask(lat, lat.up_and_minimal(f.mask)[1]).dense()
-            for x in lat.elements():
+            for x in range(lat.size):
                 assert closed.evaluate(x) == brute_closure_value(lat, f.evaluate, x)
 
     def test_implied_by_original(self):
@@ -535,8 +535,8 @@ class TestDegree:
             f = DenseFunction(lat, mask)
             pointwise_monotone = all(
                 f.evaluate(x) >= f.evaluate(y)
-                for x in lat.elements()
-                for y in lat.elements()
+                for x in range(lat.size)
+                for y in range(lat.size)
                 if lat.leq(y, x)
             )
             assert (len(strict_decompose(f).levels) <= 1) == pointwise_monotone
@@ -551,8 +551,8 @@ class TestDegree:
             f = DenseFunction(lat, mask)
             pointwise_monotone = all(
                 f.evaluate(x) >= f.evaluate(y)
-                for x in lat.elements()
-                for y in lat.elements()
+                for x in range(lat.size)
+                for y in range(lat.size)
                 if lat.leq(y, x)
             )
             assert (len(strict_decompose(f).levels) <= 1) == pointwise_monotone
@@ -663,7 +663,7 @@ class TestStrictShapeRecovery:
             dense_prev = prev.dense().mask
             pool = [
                 x
-                for x in lat.elements()
+                for x in range(lat.size)
                 if dense_prev >> x & 1 and x not in set(prev.minimals)
             ]
             if not pool:

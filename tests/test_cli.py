@@ -25,7 +25,7 @@ from dmono.cli import build_parser, main
 from dmono.errors import InvalidElementError
 from dmono.fileio import function_to_doc, load_function
 
-from conftest import DIAMOND_COVERS, DIAMOND_NAMES, lattice_file_text, shuffled_chain_product
+from conftest import DIAMOND_COVERS, DIAMOND_NAMES, chain_product, lattice_file_text
 from oracles import brute_consistent_rounds
 
 
@@ -343,10 +343,10 @@ class TestConsistentCommand:
         if spec == "cube:3":
             lat = CubeLattice(3)
         else:
-            _, lat = shuffled_chain_product((2, 3, 2), rng)
+            _, lat = chain_product((2, 3, 2), rng)
             covers = [
                 (lat.element_name(p), lat.element_name(x))
-                for x in lat.elements()
+                for x in range(lat.size)
                 for p in lat.immediate_predecessors(x)
             ]
             spec = str(tmp_path / "chains.lat")
@@ -643,7 +643,7 @@ class TestRecordNames:
     @pytest.mark.parametrize("fixture", ["parity_file", "diamond_file"])
     def test_element_name_still_checks_its_id(self, request, fixture):
         lat = load_function(request.getfixturevalue(fixture))[0].lattice
-        assert lat.element_names(lat.elements()) == [lat.element_name(a) for a in lat.elements()]
+        assert lat.element_names(range(lat.size)) == [lat.element_name(a) for a in range(lat.size)]
         for a in (-1, lat.size):
             with pytest.raises(InvalidElementError):
                 lat.element_name(a)

@@ -77,7 +77,7 @@ class TestPrefixLevels:
         for k, level in enumerate(levels, start=1):
             words = tuple(
                 x
-                for x in lat.elements()
+                for x in range(lat.size)
                 if x.bit_count() == k
                 and all((x >> (b * t) & block).bit_count() <= 1 for b in range(d))
             )

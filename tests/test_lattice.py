@@ -14,11 +14,11 @@ from conftest import (
     DIAMOND_NAMES,
     PENTAGON_COVERS,
     PENTAGON_NAMES,
+    chain_product,
     inclusion_covers,
     lattice_file_text,
     moore_families,
     set_name,
-    shuffled_chain_product,
     single_top_orders,
     top_down_chain,
 )
@@ -39,10 +39,10 @@ CHAIN4_NAMES = ["a", "b", "c", "d"]
 def _reversed_cube(n):
     """The n-cube as an explicit lattice whose ids run top-down."""
     cube = CubeLattice(n)
-    names = [cube.element_name(a) for a in reversed(cube.elements())]
+    names = [cube.element_name(a) for a in reversed(range(cube.size))]
     covers = [
         (cube.element_name(b), cube.element_name(a))
-        for a in cube.elements()
+        for a in range(cube.size)
         for b in cube.immediate_predecessors(a)
     ]
     return ExplicitLattice(names, covers)
@@ -70,7 +70,7 @@ class TestCubeOrder:
         assert not cube3.leq(0b010, 0b001)
 
     def test_leq_reflexive(self, cube3):
-        for a in cube3.elements():
+        for a in range(cube3.size):
             assert cube3.leq(a, a)
 
     def test_join_examples(self):
@@ -78,7 +78,7 @@ class TestCubeOrder:
         assert cube4.join(0b0110, 0b0011) == 0b0111
 
     def test_join_idempotent(self, cube3):
-        for a in cube3.elements():
+        for a in range(cube3.size):
             assert cube3.join(a, a) == a
 
     def test_preds_examples(self, cube3):
@@ -98,15 +98,9 @@ class TestCubeOrder:
                 assert cube.immediate_predecessors(a) == scan
 
     def test_unknown_element_rejected(self, cube3, diamond):
+        # the boundary checks; the queries trust the ids they are given
         for lat in (cube3, diamond):
-            queries = [
-                lambda a: lat.leq(a, 0),
-                lambda a: lat.leq(0, a),
-                lambda a: lat.join(a, 0),
-                lambda a: lat.join(0, a),
-                lat.immediate_predecessors,
-                lat.element_name,
-            ]
+            queries = [lat.check_element, lat.element_name]
             for bad in (-1, lat.size, 1.0, "3", None):
                 message = f"{bad!r} is not an element of {lat.describe()}"
                 for query in queries:
@@ -154,34 +148,14 @@ class TestCubeOrder:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_preds_match_definition(self, n):
         lat = CubeLattice(n)
-        for a in lat.elements():
+        for a in range(lat.size):
             assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
 
     def test_join_matches_exhaustive_scan(self):
         lat = CubeLattice(4)
-        for a in lat.elements():
-            for b in lat.elements():
+        for a in range(lat.size):
+            for b in range(lat.size):
                 assert lat.join(a, b) == brute_join(lat, a, b)
-
-
-def assert_cores_answer_as_queries(lat):
-    """Each unchecked core equals its checked query on every element or pair."""
-    for a in lat.elements():
-        assert lat._preds(a) == lat.immediate_predecessors(a)
-        assert lat.element_name(a) == lat.element_names([a])[0]
-        for b in lat.elements():
-            assert lat._leq(a, b) == lat.leq(a, b)
-            assert lat._join(a, b) == lat.join(a, b)
-
-
-CORE_LATTICES = {f"cube{n}": CubeLattice(n) for n in range(1, 7)} | {
-    name: KERNEL_LATTICES[name] for name in ("diamond", "pentagon", "chain5-top-down")
-}
-
-
-@pytest.mark.parametrize("name", CORE_LATTICES)
-def test_cores_answer_as_checked_queries(name):
-    assert_cores_answer_as_queries(CORE_LATTICES[name])
 
 
 class TestSigma:
@@ -222,7 +196,7 @@ class TestUpAndMinimal:
         # spread of them past it, then random masks of every density
         lat = CubeLattice(n)
         rng = random.Random(200 + n)
-        points = lat.elements() if n <= 6 else rng.sample(lat.elements(), 40)
+        points = range(lat.size) if n <= 6 else rng.sample(range(lat.size), 40)
         masks = [0, (1 << lat.size) - 1] + [1 << a for a in points]
         masks += [rng.getrandbits(lat.size) & rng.getrandbits(lat.size) for _ in range(10)]
         masks += [rng.getrandbits(lat.size) for _ in range(10)]
@@ -326,23 +300,23 @@ class TestExplicitLattice:
 
     def test_explicit_cube_matches_builtin(self):
         cube = CubeLattice(2)
-        names = [cube.element_name(a) for a in cube.elements()]
+        names = [cube.element_name(a) for a in range(cube.size)]
         covers = [
             (cube.element_name(b), cube.element_name(a))
-            for a in cube.elements()
+            for a in range(cube.size)
             for b in cube.immediate_predecessors(a)
         ]
         exp = ExplicitLattice(names, covers)
-        for a in cube.elements():
+        for a in range(cube.size):
             assert exp.immediate_predecessors(a) == cube.immediate_predecessors(a)
-            for b in cube.elements():
+            for b in range(cube.size):
                 assert exp.leq(a, b) == cube.leq(a, b)
                 assert exp.join(a, b) == cube.join(a, b)
         assert exp.sigma() == cube.sigma()
 
     def test_preds_match_definition(self, diamond, chain4):
         for lat in (diamond, chain4):
-            for a in lat.elements():
+            for a in range(lat.size):
                 assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
 
     def test_pentagon_with_scrambled_declaration(self):
@@ -355,9 +329,9 @@ class TestExplicitLattice:
         assert lat.join(a, b) == top
         assert lat.sigma() == 4
         assert sigma_downset_recursion(lat) == 4
-        for x in lat.elements():
+        for x in range(lat.size):
             assert list(lat.immediate_predecessors(x)) == brute_immediate_predecessors(lat, x)
-            for y in lat.elements():
+            for y in range(lat.size):
                 assert lat.join(x, y) == brute_join(lat, x, y)
 
     def test_several_bottom_most_elements_allowed(self):
@@ -385,12 +359,11 @@ class TestMooreFamilies:
     def test_queries_match_inclusion_order(self, family):
         sets, names, covers = family
         lat = ExplicitLattice(names, covers)
-        for a in lat.elements():
-            for b in lat.elements():
+        for a in range(lat.size):
+            for b in range(lat.size):
                 assert lat.leq(a, b) == (sets[a] & sets[b] == sets[a])
                 assert lat.join(a, b) == brute_join(lat, a, b)
             assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
-        assert_cores_answer_as_queries(lat)
         assert sets[lat.top] == max(sets)
         if lat.size <= 10:
             assert lat.sigma() == sigma_downset_recursion(lat)
@@ -453,9 +426,9 @@ def assert_validation_matches_brute(names, covers):
     ok, failing = brute_is_lattice(names, covers)
     if ok:
         lat = ExplicitLattice(names, covers)
-        for a in lat.elements():
+        for a in range(lat.size):
             assert list(lat.immediate_predecessors(a)) == brute_immediate_predecessors(lat, a)
-            for b in lat.elements():
+            for b in range(lat.size):
                 assert lat.join(a, b) == brute_join(lat, a, b)
         return
     # rejected, naming the first failing pair of the validation sweep
@@ -481,7 +454,7 @@ class TestValidationAgainstBruteForce:
 class TestChainProductAtScale:
     def test_shuffled_16_cubed(self):
         rng = random.Random(16)
-        points, lat = shuffled_chain_product((16, 16, 16), rng)
+        points, lat = chain_product((16, 16, 16), rng)
         ids = {p: i for i, p in enumerate(points)}
         assert lat.sigma() == 132
         assert points[lat.top] == (15, 15, 15)
@@ -661,7 +634,7 @@ class TestDenseSweeps:
             mask = rng.getrandbits(lat.size)
             closed = lat.up_closure(mask)
             pts = mask_elements(mask)
-            for x in lat.elements():
+            for x in range(lat.size):
                 expected = any(lat.leq(a, x) for a in pts)
                 assert bool(closed >> x & 1) == expected
 
@@ -699,7 +672,7 @@ class TestDenseSweeps:
         masks = lat._coordinate_clear_masks()
         assert len(masks) == n
         for j, zeros in enumerate(masks):
-            assert zeros == elements_mask(x for x in lat.elements() if not x >> j & 1)
+            assert zeros == elements_mask(x for x in range(lat.size) if not x >> j & 1)
         assert lat._coordinate_clear_masks() is masks
 
     def test_explicit_sweeps_match_pointwise(self):
@@ -707,5 +680,5 @@ class TestDenseSweeps:
             for mask in range(1 << lat.size):
                 closed = lat.up_closure(mask)
                 pts = mask_elements(mask)
-                for x in lat.elements():
+                for x in range(lat.size):
                     assert bool(closed >> x & 1) == any(lat.leq(a, x) for a in pts)

@@ -34,10 +34,10 @@ from conftest import (
     DIAMOND_NAMES,
     PENTAGON_COVERS,
     PENTAGON_NAMES,
+    chain_product,
     checked_ids,
     kernel_runs,
     moore_families,
-    shuffled_chain_product,
 )
 from oracles import (
     brute_descent,
@@ -88,7 +88,7 @@ class TestMembershipOracle:
         lat = data.draw(LATTICES)
         for f in draw_representations(data, lat):
             mq = MembershipOracle.for_function(f)
-            assert [mq.query(x) for x in lat.elements()] == [f.evaluate(x) for x in lat.elements()]
+            assert [mq.query(x) for x in range(lat.size)] == [f.evaluate(x) for x in range(lat.size)]
             assert mq.mq_count == lat.size
 
     @settings(max_examples=20, deadline=None)
@@ -280,7 +280,7 @@ class TestWorkedTrace:
         assert stats.eq_used == 1
         assert stats.counterexamples == 0
         assert stats.mq_used == 0
-        assert all(h.evaluate(x) == 0 for x in cube3.elements())
+        assert all(h.evaluate(x) == 0 for x in range(cube3.size))
 
     def test_single_minterm_monotone_run(self, cube3):
         target = MonotoneDNF(cube3, (0b110,))
@@ -609,11 +609,11 @@ EVERY_FUNCTION = {
     "cube3": lambda: CubeLattice(3),
     "diamond": lambda: ExplicitLattice(DIAMOND_NAMES, DIAMOND_COVERS),
     "pentagon": lambda: ExplicitLattice(PENTAGON_NAMES, PENTAGON_COVERS),
-    "chains3x3": lambda: shuffled_chain_product((3, 3), random.Random(3))[1],
+    "chains3x3": lambda: chain_product((3, 3), random.Random(3))[1],
 }
 SEEDED_FUNCTIONS = {
     "cube4": lambda: CubeLattice(4),
-    "chains2x2x3": lambda: shuffled_chain_product((2, 2, 3), random.Random(12))[1],
+    "chains2x2x3": lambda: chain_product((2, 2, 3), random.Random(12))[1],
 }
 
 
@@ -660,3 +660,38 @@ class TestEveryCounterexampleOrder:
         rng = random.Random(lat.size)
         for _ in range(200):
             self.check(lat, rng.randrange(1, 1 << lat.size))
+
+
+# lattices whose ids are a linear extension of the order: x < y gives
+# id x < id y.  Cube ids are one; chain products declared in lexicographic
+# order are another
+LINEAR_EXTENSIONS = {f"cube{n}": lambda n=n: CubeLattice(n) for n in range(3, 9)} | {
+    "chains" + "x".join(map(str, dims)): lambda dims=dims: chain_product(dims)[1]
+    for dims in ((3, 3), (5, 6), (2, 3, 4), (2, 2, 2, 3), (3, 4, 5))
+}
+
+
+class TestShippedOrderSweep:
+    """On ids that extend the order, the lowest-id teacher sweeps upward.
+
+    The predecessors of the lowest disagreement have lower ids and agree,
+    so it is already a local minimum; every earlier sample point has a
+    lower id, so none lies in up(q) and the one-point rule applies; and
+    the update changes h only on ids above q, so the next counterexample
+    lies higher.  Declared top-down, the same grids make descents move and
+    the full rounds rerun, so this pins the shipped order, not the theorem.
+    """
+
+    @pytest.mark.parametrize("make", LINEAR_EXTENSIONS.values(), ids=LINEAR_EXTENSIONS.keys())
+    def test_counterexamples_ascend_without_descents_or_fallbacks(self, make):
+        lat = make()
+        rng = random.Random(lat.size)
+        for _ in range(100):
+            f = DenseFunction(lat, rng.randrange(1, 1 << lat.size))
+            d = len(strict_decompose(f).levels)
+            h, stats, fallbacks = learn_counting_fallbacks(d, f, EquivalenceOracle)
+            assert h == f
+            ids = [r.counterexample for r in stats.trace]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert all(r.steps == 0 for r in stats.trace)
+            assert fallbacks == 0

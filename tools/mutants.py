@@ -151,6 +151,38 @@ MUTANTS = (
         ("tests/test_lattice.py",),
     ),
     Mutant(
+        "cube-preds-low-first",
+        "lattice.py",
+        "rest ^= (bit := 1 << rest.bit_length() - 1)",
+        "rest ^= (bit := rest & -rest)",
+        "the cube's immediate predecessors come out in descending order",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "cube-point-one-clear",
+        "lattice.py",
+        "out |= clear[j]",
+        "out = clear[j]",
+        "the cube's clear-mask point closure keeps only its last coordinate's mask",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "cube-sweep-unfiltered",
+        "lattice.py",
+        "mask |= (mask & zeros) << (1 << j)",
+        "mask |= mask << (1 << j)",
+        "the cube's closure sweep also shifts points whose coordinate is already 1",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "teacher-highest",
+        "learner.py",
+        "return (diff ^ (diff - 1)).bit_length() - 1",
+        "return diff.bit_length() - 1",
+        "the equivalence oracle answers the highest disagreeing id, not the lowest",
+        ("tests/test_learner.py",),
+    ),
+    Mutant(
         "composed-zero-bit",
         "boolfn.py",
         "cell &= gm if idx >> i & 1 else full ^ gm",
