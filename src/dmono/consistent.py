@@ -132,9 +132,4 @@ def consistent(d: int, state: DenseState) -> DenseFunction:
             f"(violated at {state.lattice.element_name(point)})",
             point=point,
         )
-    # the learner makes one per round: filling the frozen instance's dict
-    # directly skips ``__post_init__``, whose size check the closures meet
-    h = object.__new__(DenseFunction)
-    fields = h.__dict__
-    fields["lattice"], fields["mask"] = state.lattice, state.table
-    return h
+    return DenseFunction.from_mask(state.lattice, state.table)

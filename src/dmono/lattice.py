@@ -453,20 +453,24 @@ class ExplicitLattice(Lattice):
             ) from None
 
 
-def parse_lattice(text: str, source: str = "<lattice>") -> ExplicitLattice:
+def parse_lattice(text: str, source: str | None = None) -> ExplicitLattice:
     """Parse the one-record-per-line lattice format.
 
     Header ``lattice v1``, then ``elem <name>`` lines in declaration order,
     then ``cover <lower> <upper>`` lines.  Blank lines and ``#`` comments
-    are skipped.  Errors carry the source name and line number.
+    are skipped.  Errors carry the source name, ``<lattice>`` when there is
+    none, and the line number.  ``source`` becomes the lattice's
+    ``source_path``, so a lattice parsed without one counts as built in
+    memory, and functions over it cannot be written to a file.
     """
+    where = source or "<lattice>"
     names: dict[str, None] = {}  # in declaration order
     covers: list[tuple[str, str]] = []
     saw_header = False
     saw_cover = False
 
     def fail(lineno: int, message: str) -> LatticeValidationError:
-        return LatticeValidationError(f"{source}:{lineno}: {message}")
+        return LatticeValidationError(f"{where}:{lineno}: {message}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -496,9 +500,9 @@ def parse_lattice(text: str, source: str = "<lattice>") -> ExplicitLattice:
         else:
             raise fail(lineno, f"unknown directive {tokens[0]!r}")
     if not saw_header:
-        raise LatticeValidationError(f"{source}: empty file, expected 'lattice v1' header")
+        raise LatticeValidationError(f"{where}: empty file, expected 'lattice v1' header")
     try:
         return ExplicitLattice(tuple(names), covers, source_path=source)
     except LatticeValidationError as exc:
-        raise LatticeValidationError(f"{source}: {exc}") from None
+        raise LatticeValidationError(f"{where}: {exc}") from None
 

@@ -18,6 +18,7 @@ from dmono import (
     DenseFunction,
     DenseState,
     MembershipOracle,
+    MonotoneDNF,
     QueryStats,
     XorHypothesis,
     consistent,
@@ -47,6 +48,33 @@ def brute_immediate_predecessors(lat, a):
         for b in below
         if not any(brute_lt(lat, b, c) and brute_lt(lat, c, a) for c in below)
     )
+
+
+def brute_antichain_pair(lat, elems):
+    """The first comparable pair of ``elems`` in ascending order, or None."""
+    elems = sorted(set(elems))
+    for i, a in enumerate(elems):
+        for b in elems[i + 1 :]:
+            if lat.leq(a, b) or lat.leq(b, a):
+                return a, b
+    return None
+
+
+def brute_value(f, x):
+    """f at x from the definitions: an order scan per monotone part, no table."""
+    if isinstance(f, DenseFunction):
+        return f.mask >> x & 1
+    if isinstance(f, MonotoneDNF):
+        return int(any(f.lattice.leq(a, x) for a in f.minimals))
+    if isinstance(f, XorHypothesis):
+        return sum(brute_value(lv, x) for lv in f.levels) & 1
+    idx = sum(brute_value(g, x) << i for i, g in enumerate(f.inner))
+    return f.outer >> idx & 1
+
+
+def brute_table(lat, value):
+    """The checked ``DenseFunction`` holding ``value`` read at every element."""
+    return DenseFunction(lat, sum(value(x) << x for x in range(lat.size)))
 
 
 def brute_join(lat, a, b):

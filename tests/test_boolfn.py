@@ -19,6 +19,7 @@ from dmono import (
     dumps_function,
     nested_disjoint_violation,
     parity_table,
+    prefix_levels,
     strict_decompose,
 )
 from dmono.errors import InternalError, InvalidChainError, InvalidElementError
@@ -31,16 +32,21 @@ from conftest import (
     DIAMOND_NAMES,
     PENTAGON_COVERS,
     PENTAGON_NAMES,
+    chain_product,
     checked_ids,
     moore_families,
     top_down_chain,
 )
 from oracles import (
+    brute_antichain_pair,
     brute_closure_value,
+    brute_consistent_rounds,
     brute_global_min,
     brute_local_min,
     brute_mask_elements,
+    brute_table,
     brute_up_set,
+    brute_value,
     join_products,
     max_chain_alternations,
     maximal_chains_cube,
@@ -361,6 +367,148 @@ class TestValidation:
     def test_level_lattice_mismatch(self, cube2, cube3):
         with pytest.raises(ValueError, match="lattice"):
             XorHypothesis(cube2, (MonotoneDNF(cube3, (1,)),))
+
+
+def shuffled_chain_products(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+    """Products of chains of ``dims`` elements, points and covers shuffled."""
+    return st.tuples(dims, st.randoms(use_true_random=False)).map(
+        lambda args: chain_product(*args)[1]
+    )
+
+
+class TestLargeAntichains:
+    """Past a size set by the lattice, one ``up_and_minimal`` sweep tests the antichain."""
+
+    @pytest.mark.parametrize(
+        "lat, elems, pair",
+        [
+            # ten points of cube:8, 10^2 past both 64 and 2^8/16
+            (CubeLattice(8), [1 << j for j in range(8)] + [0b11, 0b1100], ("00000001", "00000011")),
+            # the 15 points of coordinate sum 4 in 5^3, ids in lexicographic order, and one above
+            (
+                chain_product((5, 5, 5))[1],
+                [a * 25 + b * 5 + 4 - a - b for a in range(5) for b in range(5 - a)]
+                + [1 * 25 + 1 * 5 + 3],
+                ("p0-1-3", "p1-1-3"),
+            ),
+        ],
+        ids=["cube8", "chain-product"],
+    )
+    def test_non_antichain_names_the_first_comparable_pair(self, monkeypatch, lat, elems, pair):
+        sweeps = []
+        sweep = lat.up_and_minimal
+        monkeypatch.setattr(lat, "up_and_minimal", lambda m: sweeps.append(m) or sweep(m))
+        with pytest.raises(ValueError) as exc:
+            MonotoneDNF(lat, elems[::-1])
+        assert str(exc.value) == (
+            f"minimals are not an antichain: {pair[0]} and {pair[1]} are comparable"
+        )
+        assert sweeps == [elements_mask(elems)]
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_prefix_level_is_accepted_by_one_sweep(self, monkeypatch, d):
+        # the largest prefix level of tightness(d, 2): 240 minimals at n = 12
+        lat = CubeLattice(2 * d)
+        level = max(prefix_levels(d, 2).levels, key=lambda lv: lv.size)
+        monkeypatch.setattr(lat, "leq", lambda a, b: pytest.fail("pairwise scan ran"))
+        assert MonotoneDNF(lat, level.minimals).mask == level.mask
+
+    @pytest.mark.parametrize(
+        "lat, k",
+        [(CubeLattice(16), 64), (CubeLattice(23), 100), (CubeLattice(50000000), 100)],
+        ids=["cube16-small", "cube23", "cube50000000"],
+    )
+    def test_scan_where_a_sweep_costs_more(self, monkeypatch, lat, k):
+        # at n = 16 a sweep pays from 65 minimals; past n = 22 never, and a
+        # cube past the cap builds nothing of its size
+        pairs = []
+        leq = lat.leq
+        monkeypatch.setattr(lat, "leq", lambda a, b: pairs.append(a) or leq(a, b))
+        monkeypatch.setattr(lat, "up_and_minimal", lambda m: pytest.fail("sweep ran"))
+        # points with two set coordinates, ascending
+        points = tuple(1 << i | 1 << j for j in range(16) for i in range(j))[:k]
+        tracemalloc.start()
+        try:
+            g = MonotoneDNF(lat, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.minimals == points
+        assert len(pairs) == k * (k - 1)
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sweep_and_scan_agree(self, data):
+        # lattices with levels of 10-20 elements, past the sweep's size
+        lat = data.draw(
+            st.integers(5, 6).map(CubeLattice)
+            | shuffled_chain_products(st.lists(st.integers(3, 4), min_size=3, max_size=3))
+            | moore_families(max_ground=6, max_draws=12).map(
+                lambda fam: ExplicitLattice(fam[1], fam[2])
+            )
+        )
+        # elements of one height are an antichain: one level, the largest
+        # first, less two points or fewer, and two more points or fewer,
+        # which often break it
+        height = {}
+        for a in sorted(range(lat.size), key=lambda a: -len(brute_up_set(lat, [a]))):
+            height[a] = 1 + max((height[p] for p in lat.immediate_predecessors(a)), default=0)
+        levels = sorted(
+            ([a for a in height if height[a] == h] for h in set(height.values())), key=len
+        )
+        level = data.draw(st.sampled_from(levels[::-1]))
+        elems = set(level) - data.draw(st.sets(st.sampled_from(level), max_size=2))
+        elems = sorted(elems | data.draw(st.sets(st.integers(0, lat.size - 1), max_size=2)))
+        pair = brute_antichain_pair(lat, elems)
+        mask = elements_mask(elems)
+        assert (lat.up_and_minimal(mask)[1] == mask) == (pair is None)
+        if pair is None:
+            assert MonotoneDNF(lat, elems).minimals == tuple(elems)
+        else:
+            with pytest.raises(ValueError) as exc:
+                MonotoneDNF(lat, elems)
+            a, b = lat.element_names(pair)
+            assert str(exc.value) == f"minimals are not an antichain: {a} and {b} are comparable"
+
+
+class TestTrustedTables:
+    """Every table the package computes is the checked table of its pointwise values."""
+
+    @staticmethod
+    def assert_is_table(got, want):
+        assert type(got) is DenseFunction
+        assert vars(got) == vars(want)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_dense_and_consistent_tables_match_pointwise_ones(self, data):
+        lat = data.draw(
+            st.integers(1, 6).map(CubeLattice)
+            | shuffled_chain_products()
+            | moore_families().map(lambda fam: ExplicitLattice(fam[1], fam[2]))
+        )
+        masks = st.integers(0, (1 << lat.size) - 1)
+        antichains = masks.map(lambda m: MonotoneDNF.from_mask(lat, lat.up_and_minimal(m)[1]))
+        inner = tuple(data.draw(st.lists(antichains, min_size=1, max_size=3)))
+        functions = [
+            data.draw(antichains),
+            XorHypothesis(lat, tuple(data.draw(st.lists(antichains, max_size=3)))),
+            ComposedTarget(lat, data.draw(st.integers(0, (1 << (1 << len(inner))) - 1)), inner),
+            DenseFunction(lat, data.draw(masks)),
+        ]
+        for f in functions:
+            self.assert_is_table(f.dense(), brute_table(lat, lambda x: brute_value(f, x)))
+        points = data.draw(st.lists(st.integers(0, lat.size - 1), unique=True, max_size=8))
+        labels = [data.draw(st.integers(0, 1)) for _ in points]
+        x0 = [p for p, v in zip(points, labels) if not v]
+        x1 = [p for p, v in zip(points, labels) if v]
+        state = DenseState(lat, x0, x1)
+        d = max(1, len(state.closures))
+        _, table, violated = brute_consistent_rounds(lat, d, x0, x1)
+        assert violated is None
+        self.assert_is_table(consistent(d, state), brute_table(lat, table.__contains__))
 
 
 class TestFromMask:

@@ -595,7 +595,8 @@ class TestVerify:
         self, capsys, tmp_path, monkeypatch, edit, roundtrip, strict
     ):
         # the shared level tables are built from the decomposition verify
-        # checks, so a broken one fails the check that covers its fault
+        # checks, so a broken one fails the check that covers its fault;
+        # decompose's roundtrip_ok reads the same levels
         import dmono.cli
 
         path = tmp_path / "t33.json"
@@ -612,6 +613,9 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == f"{roundtrip} {path} decompose-roundtrip"
         assert lines[1].startswith(f"{strict} {path} levels-strict")
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0
+        assert record_of(out)["roundtrip_ok"] is (roundtrip == "PASS")
 
     def test_against_file_past_the_cap_exits_3_before_any_check(self, capsys, tmp_path):
         path, other = tmp_path / "t.json", tmp_path / "big.json"

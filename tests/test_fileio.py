@@ -13,6 +13,7 @@ from dmono import (
     dumps_function,
     load_function,
     loads_function,
+    parse_lattice,
     save_function,
     tightness_family,
 )
@@ -224,6 +225,17 @@ class TestErrors:
         g = MonotoneDNF(diamond, (diamond.parse_element("p"),))
         with pytest.raises(FileFormatError, match="memory"):
             dumps_function(g)
+
+    def test_lattice_parsed_from_text_refuses_serialization(self):
+        # a parsed lattice with no source names no file a load could read
+        lat = parse_lattice(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        assert lat.source_path is None
+        assert lat.describe() == "explicit:4"
+        g = MonotoneDNF(lat, (lat.parse_element("p"),))
+        with pytest.raises(FileFormatError, match="built in memory"):
+            dumps_function(g)
+        named = parse_lattice(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS), "d.lat")
+        assert named.source_path == "d.lat"
 
 
 def rejection(text):

@@ -61,3 +61,43 @@ def test_every_module_level_import_is_read():
         if (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def dict_and_new_uses(source: str) -> list[str]:
+    """Calls of ``object.__new__`` and uses of an instance ``__dict__``, by line.
+
+    Either one lets code build or fill a representation past its
+    constructor's checks; a use counts even as a read, since a write can
+    go through a name bound to the dict.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(f"__dict__ (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ):
+            found.append(f"object.__new__ (line {node.lineno})")
+    return found
+
+
+def test_dict_scan_flags_new_and_dict_uses():
+    source = (
+        "h = object.__new__(C)\n"
+        "fields = h.__dict__\n"
+        "fields['mask'] = 0\n"
+        "C.__new__(C)\n"
+        "vars(h)\n"
+    )
+    assert dict_and_new_uses(source) == ["object.__new__ (line 1)", "__dict__ (line 2)"]
+
+
+def test_only_boolfn_builds_representations_past_their_checks():
+    package = sorted((ROOT / "src" / "dmono").glob("*.py"))
+    found = {path.name: names for path in package if (names := dict_and_new_uses(path.read_text()))}
+    assert set(found) == {"boolfn.py"}
+    assert sum(name.startswith("object.__new__") for name in found["boolfn.py"]) == 1

@@ -230,6 +230,31 @@ MUTANTS = (
         "the chain witnesses pass when blocks outnumber the levels",
         ("tests/test_families.py",),
     ),
+    Mutant(
+        "antichain-sweep-inverted",
+        "boolfn.py",
+        "return lattice.up_and_minimal(mask)[1] == mask",
+        "return lattice.up_and_minimal(mask)[1] != mask",
+        "the antichain sweep accepts exactly the sets that are not antichains",
+        ("tests/test_boolfn.py",),
+    ),
+    Mutant(
+        "decompose-roundtrip-true",
+        "cli.py",
+        '"roundtrip_ok": xor.dense().mask == table.mask,',
+        '"roundtrip_ok": True,',
+        "decompose's roundtrip_ok reads true whatever the levels XOR to",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify-roundtrip-one-level-short",
+        "cli.py",
+        'checks.append(("decompose-roundtrip", xor.dense().mask == table.mask, ""))',
+        'checks.append(("decompose-roundtrip", '
+        'XorHypothesis(xor.lattice, xor.levels[:-1]).dense().mask == table.mask, ""))',
+        "verify's decompose-roundtrip check XORs one level too few",
+        ("tests/test_cli.py",),
+    ),
 )
 
 
