@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import InternalError, InvalidChainError
-from .lattice import CubeLattice, Lattice, elements_mask, is_bit_string, mask_bit, mask_elements
+from .lattice import DEFAULT_MAX_N, CubeLattice, Lattice, elements_mask, is_bit_string
+from .lattice import mask_bit, mask_elements
 
 
 def _from_mask(cls, lattice: Lattice, mask: int):
@@ -33,17 +34,16 @@ def _antichain_by_sweep(lattice: Lattice, elems: list[int]) -> bool:
     """Whether ``elems`` pass one ``up_and_minimal`` sweep, where it beats the pairwise scan.
 
     False sends the caller to the scan: for k <= 8 elements, on a cube past
-    the default cap n = 22 or with k² <= 2^n/16, and when the sweep finds
-    the set is no antichain.  Measured on a 2-core x86-64 VM, the scan of
-    k(k-1)/2 pairs costs 0.13-0.2 µs a pair on a cube, and 0.3-1.2 µs on an
-    explicit lattice of 512-20,736 elements.  A sweep costs 4-7 µs an element
-    of ``elems`` on an explicit lattice, and about 3 ns an element of the
-    cube from n = 16 on (12 ms at n = 22).
+    the default cap n = ``DEFAULT_MAX_N`` or with k² <= 2^n/16, and when the
+    sweep finds the set is no antichain.  Measured on a 2-core x86-64 VM,
+    the scan of k(k-1)/2 pairs costs 0.13-0.2 µs a pair on a cube, and
+    0.3-1.2 µs on an explicit lattice of 512-20,736 elements.  A sweep costs
+    4-7 µs an element of ``elems`` on an explicit lattice, and about 3 ns an
+    element of the cube from n = 16 on (12 ms at n = 22).
     """
     k2 = len(elems) ** 2
-    if k2 <= 64 or (
-        isinstance(lattice, CubeLattice) and (lattice.n > 22 or k2 <= 1 << lattice.n >> 4)
-    ):
+    cube = isinstance(lattice, CubeLattice)
+    if k2 <= 64 or cube and (lattice.n > DEFAULT_MAX_N or k2 <= 1 << lattice.n >> 4):
         return False
     mask = elements_mask(elems)
     return lattice.up_and_minimal(mask)[1] == mask
@@ -255,43 +255,63 @@ class ComposedTarget:
 
     @_built_once
     def dense(self) -> DenseFunction:
-        # the elements whose inner-value tuple is idx, OR-ed over outer's
-        # ones; the inner closures are built here, not kept on the inner functions
+        """The XOR, over the monomials of ``outer``'s algebraic normal form, of their ANDs.
+
+        The form is one XOR sweep over the d-cube's clear masks.  A monomial
+        costs one table-wide AND per index: d for AND, d·2^(d-1) for NOR.
+        """
+        anf = self.outer
+        for i, zeros in enumerate(CubeLattice(self.d)._coordinate_clear_masks()):
+            anf ^= (anf & zeros) << (1 << i)
         full = (1 << self.lattice.size) - 1
         gmasks = [self.lattice.up_closure(g.mask) for g in self.inner]
         out = 0
-        for idx in mask_elements(self.outer):
+        for mono in mask_elements(anf):
             cell = full
-            for i, gm in enumerate(gmasks):
-                cell &= gm if idx >> i & 1 else full ^ gm
-            out |= cell
+            for i in mask_elements(mono):
+                cell &= gmasks[i]
+            out ^= cell
         return DenseFunction.from_mask(self.lattice, out)
 
 
 Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget]
 
 
-def strict_decompose(f: Representation) -> XorHypothesis:
-    """Peel monotone closures off f until nothing remains.
+def consistent_masks(lattice: Lattice, s0: int, s1: int) -> tuple[list[int], list[int], int]:
+    """The rounds on a sample: the up-closures, their minimal masks and the table.
 
-    Each level is the closure of the current residue and the next residue
-    is their XOR.  The XOR of all levels reproduces f exactly; consecutive
-    levels strictly shrink and share no minimal elements; the level count
-    is the monotonicity degree, which never exceeds the element count;
-    more levels than that mean a bug, not bad input.
+    ``s0`` and ``s1`` are the negative and positive points as disjoint
+    dense masks, trusted as given.  Round i takes the up-closure U_i of the
+    current positives, then swaps the roles: the negatives outside U_i
+    (where level i is already 0) are parked, the rest become the next
+    positives, and the old positives (plus the parked points) become the
+    next negatives, until no positives remain.  The minimal elements of
+    U_i are positives of round i, so U_1 ⊋ U_2 ⊋ ... (more rounds than
+    elements mean a bug); level i is the set of minimal elements of U_i.
     """
-    fd = f.dense()
-    lat = fd.lattice
-    levels = []
-    cur = fd.mask
-    while cur:
-        if len(levels) == lat.size:
-            raise InternalError(f"decomposition did not terminate within {lat.size} levels")
-        # the minimal elements of cur, keeping the closure for the next residue
-        reach, low = lat.up_and_minimal(cur)
-        levels.append(MonotoneDNF.from_mask(lat, low))
-        cur ^= reach
-    return XorHypothesis(lat, tuple(levels))
+    closures, minimals, table = [], [], 0
+    while s1:
+        if len(closures) == lattice.size:
+            raise InternalError(f"the rounds did not terminate within {lattice.size} levels")
+        up, low = lattice.up_and_minimal(s1)
+        closures.append(up)
+        minimals.append(low)
+        table ^= up
+        s0, s1 = s1 | (s0 & ~up), s0 & up
+    return closures, minimals, table
+
+
+def strict_decompose(f: Representation) -> XorHypothesis:
+    """The rounds on the sample that labels every element by f.
+
+    Each level is the minimal elements of the current residue, and the
+    next residue is the residue XOR its closure.  The XOR of all levels
+    reproduces f exactly; consecutive levels strictly shrink and share no
+    minimal elements; the level count is the monotonicity degree.
+    """
+    lat, table = f.lattice, f.dense().mask
+    _, minimals, _ = consistent_masks(lat, ((1 << lat.size) - 1) ^ table, table)
+    return XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, low) for low in minimals))
 
 
 def chain_alternations(f: Representation, chain: Sequence[int]) -> int:

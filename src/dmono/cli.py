@@ -42,10 +42,8 @@ from .families import (
     tightness_family,
 )
 from .fileio import dumps_function, function_to_doc, load_function, load_lattice
-from .lattice import CubeLattice, Lattice
+from .lattice import DEFAULT_MAX_N, CubeLattice, Lattice
 from .learner import EquivalenceOracle, MembershipOracle, counterexample_bound, learn
-
-DEFAULT_MAX_N = 22
 
 
 class _Parser(argparse.ArgumentParser):

@@ -4,30 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .boolfn import DenseFunction
+from .boolfn import DenseFunction, consistent_masks
 from .errors import InconsistentSampleError, InternalError, InvalidSampleError
 from .lattice import Lattice, elements_mask, mask_bit, mask_elements
-
-
-def consistent_masks(lattice: Lattice, s0: int, s1: int) -> tuple[list[int], int]:
-    """Mask kernel of ``consistent``: the rounds' up-closures and the truth table.
-
-    ``s0`` and ``s1`` are the negative and positive points as disjoint
-    dense masks, trusted as given.  Round i takes the up-closure U_i of the
-    current positives, then swaps the roles: the negatives outside U_i
-    (where level i is already 0) are parked, the rest become the next
-    positives, and the old positives (plus the parked points) become the
-    next negatives, until no positives remain.  The minimal elements of
-    U_i are positives of round i, so U_1 ⊋ U_2 ⊋ ...; level i is the set
-    of minimal elements of U_i, and the closures' XOR is the table.
-    """
-    closures, table = [], 0
-    while s1:
-        up = lattice.up_closure(s1)
-        closures.append(up)
-        table ^= up
-        s0, s1 = s1 | (s0 & ~up), s0 & up
-    return closures, table
 
 
 class DenseState:
@@ -51,7 +30,7 @@ class DenseState:
             name = lattice.element_name((overlap & -overlap).bit_length() - 1)
             raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
         self.lattice, self.s0, self.s1 = lattice, s0, s1
-        self.closures, self.table = consistent_masks(lattice, s0, s1)
+        self.closures, _, self.table = consistent_masks(lattice, s0, s1)
 
     @property
     def x0(self) -> tuple[int, ...]:
@@ -102,7 +81,7 @@ class DenseState:
             fresh = grown ^ old
             if points & fresh:
                 # an old point above q would change its rank
-                self.closures, self.table = consistent_masks(self.lattice, s0, s1)
+                self.closures, _, self.table = consistent_masks(self.lattice, s0, s1)
             else:
                 closures[rank - 1] = grown
                 self.table ^= fresh

@@ -16,6 +16,9 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidElementError, LatticeValidationError
 
+# the CLI's cap on a cube's dimension, which ``--max-n`` moves
+DEFAULT_MAX_N = 22
+
 
 def mask_elements(mask: int) -> list[int]:
     """Set bit positions of ``mask`` in ascending (canonical) order."""

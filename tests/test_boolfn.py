@@ -164,6 +164,22 @@ class TestComposedDense:
         f = ComposedTarget(lat, outer, inner)
         assert f.dense().mask == elements_mask(x for x in range(lat.size) if f.evaluate(x))
 
+    @pytest.mark.parametrize("origin", [0, 1])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_normal_form_table_matches_brute_table(self, origin, data):
+        # the table from outer's algebraic normal form against the table of
+        # pointwise evaluation, up to d = 6 inner functions
+        lat = data.draw(st.integers(1, 6).map(CubeLattice) | shuffled_chain_products())
+        d = data.draw(st.integers(1, 6))
+        masks = st.integers(0, (1 << lat.size) - 1)
+        inner = tuple(
+            MonotoneDNF.from_mask(lat, lat.up_and_minimal(data.draw(masks))[1]) for _ in range(d)
+        )
+        outer = data.draw(st.integers(0, (1 << (1 << d)) - 1)) & ~1 | origin
+        f = ComposedTarget(lat, outer, inner)
+        assert f.dense() == brute_table(lat, f.evaluate)
+
     def test_table_is_built_once_per_target(self, monkeypatch):
         # both oracles of a learn run read one target's table, so its inner
         # closures are built once, not once per oracle
@@ -626,10 +642,11 @@ class TestStrictDecompose:
         assert strict_decompose(DenseFunction(cube2, 0)).levels == ()
 
     def test_cap_trips_internal_error(self, cube2, monkeypatch):
-        # a closure of nothing never shrinks the residue, so the guard
-        # trips once the levels reach the element count
+        # a closure of the whole lattice swaps positives and negatives
+        # forever, so the guard trips once the levels reach the element count
         calls = []
-        monkeypatch.setattr(cube2, "up_and_minimal", lambda mask: calls.append(mask) or (0, 0))
+        whole = (1 << cube2.size) - 1
+        monkeypatch.setattr(cube2, "up_and_minimal", lambda mask: calls.append(mask) or (whole, 0))
         with pytest.raises(InternalError, match="within 4 levels"):
             strict_decompose(DenseFunction.from_bits(cube2, "0110"))
         assert len(calls) == 4

@@ -200,10 +200,13 @@ class TestKernel:
         lat = data.draw(KERNEL_LATTICES)
         s0, s1 = draw_sample_masks(data, lat)
         x0, x1 = mask_elements(s0), mask_elements(s1)
-        closures, table = consistent_masks(lat, s0, s1)
+        closures, minimals, table = consistent_masks(lat, s0, s1)
         d = max(1, len(closures)) + data.draw(st.integers(0, 1))
         h = consistent(d, DenseState(lat, x0, x1))
         levels = [lat.up_and_minimal(up)[1] for up in closures]
+        assert minimals == levels
+        brute_levels = brute_consistent_rounds(lat, len(closures), x0, x1)[0]
+        assert [mask_elements(m) for m in minimals] == brute_levels
         padded = levels + [0] * (d - len(levels))
         assert padded_minimals(h, d) == [tuple(mask_elements(m)) for m in padded]
         assert h.dense().mask == table
@@ -284,7 +287,7 @@ class TestKernel:
 
 def assert_kernel_matches_brute(lat, s0, s1):
     x0, x1 = mask_elements(s0), mask_elements(s1)
-    closures, got_table = consistent_masks(lat, s0, s1)
+    closures, minimals, got_table = consistent_masks(lat, s0, s1)
     # each round's level holds at least one sample point, so as many rounds
     # as points explain the sample, the last ones empty
     rounds = len(x0) + len(x1)
@@ -295,6 +298,7 @@ def assert_kernel_matches_brute(lat, s0, s1):
     # level i is the minimal elements of closure i, which is its up-set
     got_levels = [lat.up_and_minimal(up)[1] for up in closures]
     assert [mask_elements(m) for m in got_levels] == levels
+    assert [mask_elements(m) for m in minimals] == levels
     assert [set(mask_elements(up)) for up in closures] == [brute_up_set(lat, lv) for lv in levels]
     assert set(mask_elements(got_table)) == table
 

@@ -183,20 +183,28 @@ MUTANTS = (
         ("tests/test_learner.py",),
     ),
     Mutant(
-        "composed-zero-bit",
+        "composed-normal-form-or",
         "boolfn.py",
-        "cell &= gm if idx >> i & 1 else full ^ gm",
-        "cell &= gm if idx >> i & 1 else gm",
-        "composed dense() reads g_i's closure where the outer index has a 0 bit",
+        "anf ^= (anf & zeros) << (1 << i)",
+        "anf |= (anf & zeros) << (1 << i)",
+        "composed dense() ORs outer's table up the d-cube instead of taking its normal form",
         ("tests/test_boolfn.py",),
     ),
     Mutant(
         "decompose-files-reach",
         "boolfn.py",
-        "levels.append(MonotoneDNF.from_mask(lat, low))",
-        "levels.append(MonotoneDNF.from_mask(lat, reach))",
-        "strict_decompose files a level's closure as its minimal elements",
+        "minimals.append(low)",
+        "minimals.append(up)",
+        "the rounds file a round's closure as its minimal elements",
         ("tests/test_boolfn.py",),
+    ),
+    Mutant(
+        "rounds-positives-outside",
+        "boolfn.py",
+        "s0, s1 = s1 | (s0 & ~up), s0 & up",
+        "s0, s1 = s1 | (s0 & ~up), s0 & ~up",
+        "the rounds take the next positives outside the closure, not inside it",
+        ("tests/test_boolfn.py", "tests/test_consistent.py"),
     ),
     Mutant(
         "prefix-levels-upward",
