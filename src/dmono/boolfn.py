@@ -277,17 +277,16 @@ class ComposedTarget:
 Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget]
 
 
-def consistent_masks(lattice: Lattice, s0: int, s1: int) -> tuple[list[int], list[int], int]:
+def consistent_masks(lattice: Lattice, points: int, s1: int) -> tuple[list[int], list[int], int]:
     """The rounds on a sample: the up-closures, their minimal masks and the table.
 
-    ``s0`` and ``s1`` are the negative and positive points as disjoint
-    dense masks, trusted as given.  Round i takes the up-closure U_i of the
-    current positives, then swaps the roles: the negatives outside U_i
-    (where level i is already 0) are parked, the rest become the next
-    positives, and the old positives (plus the parked points) become the
-    next negatives, until no positives remain.  The minimal elements of
-    U_i are positives of round i, so U_1 ⊋ U_2 ⊋ ... (more rounds than
-    elements mean a bug); level i is the set of minimal elements of U_i.
+    ``points`` is the sample and ``s1 ⊆ points`` its positives, as dense
+    masks trusted as given.  Round i takes the up-closure U_i of the
+    current positives, and the next positives are the other points of
+    U_i, ``s1 ^= points & up`` (s1 lies in U_i), until no positives
+    remain.  The minimal elements of U_i are positives of round i, so
+    U_1 ⊋ U_2 ⊋ ... (more rounds than elements mean a bug); level i is
+    the set of minimal elements of U_i.
     """
     closures, minimals, table = [], [], 0
     while s1:
@@ -297,20 +296,20 @@ def consistent_masks(lattice: Lattice, s0: int, s1: int) -> tuple[list[int], lis
         closures.append(up)
         minimals.append(low)
         table ^= up
-        s0, s1 = s1 | (s0 & ~up), s0 & up
+        s1 ^= points & up
     return closures, minimals, table
 
 
 def strict_decompose(f: Representation) -> XorHypothesis:
     """The rounds on the sample that labels every element by f.
 
-    Each level is the minimal elements of the current residue, and the
-    next residue is the residue XOR its closure.  The XOR of all levels
-    reproduces f exactly; consecutive levels strictly shrink and share no
-    minimal elements; the level count is the monotonicity degree.
+    Every element is a point, so each round peels: a level is the minimal
+    elements of the residue, which then XORs its closure away.  The levels
+    XOR to f; consecutive levels strictly shrink and share no minimal
+    elements; the level count is the monotonicity degree.
     """
-    lat, table = f.lattice, f.dense().mask
-    _, minimals, _ = consistent_masks(lat, ((1 << lat.size) - 1) ^ table, table)
+    lat = f.lattice
+    _, minimals, _ = consistent_masks(lat, (1 << lat.size) - 1, f.dense().mask)
     return XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, low) for low in minimals))
 
 

@@ -12,15 +12,15 @@ from .lattice import Lattice, elements_mask, mask_bit, mask_elements
 class DenseState:
     """A growing sample and the nested closures that the rounds build on it.
 
-    ``s0``/``s1`` hold the negative/positive points, ``closures`` the
-    up-closures U_1 ⊋ U_2 ⊋ ... of ``consistent_masks`` and ``table``
-    their XOR, all dense masks, which depend on the sample alone.  The
-    constructor validates every point of ``x0`` and ``x1`` and rejects a
-    point labeled both ways.  ``add`` joins one point at once, so the
+    ``points`` holds the sample, ``closures`` the up-closures U_1 ⊋ U_2 ⊋
+    ... of ``consistent_masks`` and ``table`` their XOR, all dense masks
+    that depend on the sample alone; a point's label is its table bit.
+    The constructor validates every point of ``x0`` and ``x1`` and rejects
+    a point labeled both ways.  ``add`` joins one point at once, so the
     state always equals the full rounds on its sample.
     """
 
-    __slots__ = ("lattice", "s0", "s1", "closures", "table")
+    __slots__ = ("lattice", "points", "closures", "table")
 
     def __init__(self, lattice: Lattice, x0: Iterable[int] = (), x1: Iterable[int] = ()):
         s0 = elements_mask(lattice.check_element(a) for a in x0)
@@ -29,19 +29,19 @@ class DenseState:
         if overlap:
             name = lattice.element_name((overlap & -overlap).bit_length() - 1)
             raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
-        self.lattice, self.s0, self.s1 = lattice, s0, s1
-        self.closures, _, self.table = consistent_masks(lattice, s0, s1)
+        self.lattice, self.points = lattice, s0 | s1
+        self.closures, _, self.table = consistent_masks(lattice, self.points, s1)
 
     @property
     def x0(self) -> tuple[int, ...]:
-        return tuple(mask_elements(self.s0))
+        return tuple(mask_elements(self.points & ~self.table))
 
     @property
     def x1(self) -> tuple[int, ...]:
-        return tuple(mask_elements(self.s1))
+        return tuple(mask_elements(self.points & self.table))
 
     def add(self, q: int, label: int) -> None:
-        """Join q, not yet in the sample, under ``label`` to the masks, closures and table.
+        """Join q, not yet in the sample, under ``label`` to the points, closures and table.
 
         A sample point's rank, the number of closures holding it, is the
         largest rank strictly below it, raised by one when its parity
@@ -62,10 +62,9 @@ class DenseState:
         if label not in (0, 1) or not isinstance(label, int):
             raise ValueError(f"a label is 0 or 1, not {label!r}")
         bit = 1 << q
-        points = self.s0 | self.s1
+        points = self.points
         if mask_bit(points, q):
             raise InternalError(f"point {self.lattice.element_name(q)} is already in the sample")
-        s0, s1 = (self.s0, self.s1 | bit) if label else (self.s0 | bit, self.s1)
         closures = self.closures
         held = 0
         for up in closures:
@@ -81,11 +80,12 @@ class DenseState:
             fresh = grown ^ old
             if points & fresh:
                 # an old point above q would change its rank
-                self.closures, _, self.table = consistent_masks(self.lattice, s0, s1)
+                s1 = points & self.table | label << q
+                self.closures, _, self.table = consistent_masks(self.lattice, points | bit, s1)
             else:
                 closures[rank - 1] = grown
                 self.table ^= fresh
-        self.s0, self.s1 = s0, s1
+        self.points = points | bit
 
 
 def consistent(d: int, state: DenseState) -> DenseFunction:
@@ -104,7 +104,7 @@ def consistent(d: int, state: DenseState) -> DenseFunction:
         raise ValueError("degree must be at least 1")
     if len(state.closures) > d:
         # round i's positives are the points of U_{i-1} labeled i mod 2
-        left = state.closures[d - 1] & (state.s0 if d & 1 else state.s1)
+        left = state.closures[d - 1] & state.points & (~state.table if d & 1 else state.table)
         point = (left & -left).bit_length() - 1
         raise InconsistentSampleError(
             f"no {d}-monotone function matches the sample "

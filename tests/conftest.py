@@ -52,9 +52,9 @@ def kernel_runs():
     kernel = module.consistent_masks
     runs = []
 
-    def spy(lat, s0, s1):
-        runs.append(s0 | s1)
-        return kernel(lat, s0, s1)
+    def spy(lat, points, s1):
+        runs.append(points)
+        return kernel(lat, points, s1)
 
     with mock.patch.object(module, "consistent_masks", spy):
         yield runs

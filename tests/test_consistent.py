@@ -43,7 +43,7 @@ class TestSample:
         lat = CubeLattice(4)
         sample = DenseState(lat, x0, x1)
         assert (sample.x0, sample.x1) == (tuple(sorted(x0)), tuple(sorted(x1)))
-        assert (sample.s0, sample.s1) == (elements_mask(x0), elements_mask(x1))
+        assert sample.points == elements_mask(x0 | x1)
 
     def test_points_read_back_as_ascending_tuples(self, cube3):
         state = DenseState(cube3, [0b110, 0b001], iter((0b111, 0b010)))
@@ -200,7 +200,7 @@ class TestKernel:
         lat = data.draw(KERNEL_LATTICES)
         s0, s1 = draw_sample_masks(data, lat)
         x0, x1 = mask_elements(s0), mask_elements(s1)
-        closures, minimals, table = consistent_masks(lat, s0, s1)
+        closures, minimals, table = consistent_masks(lat, s0 | s1, s1)
         d = max(1, len(closures)) + data.draw(st.integers(0, 1))
         h = consistent(d, DenseState(lat, x0, x1))
         levels = [lat.up_and_minimal(up)[1] for up in closures]
@@ -287,7 +287,7 @@ class TestKernel:
 
 def assert_kernel_matches_brute(lat, s0, s1):
     x0, x1 = mask_elements(s0), mask_elements(s1)
-    closures, minimals, got_table = consistent_masks(lat, s0, s1)
+    closures, minimals, got_table = consistent_masks(lat, s0 | s1, s1)
     # each round's level holds at least one sample point, so as many rounds
     # as points explain the sample, the last ones empty
     rounds = len(x0) + len(x1)
@@ -379,9 +379,11 @@ class TestOnePointExtension:
             # right after the add, before any read-out, the state is the
             # full rounds on the grown sample
             fresh = DenseState(lat, x0, x1)
-            assert (state.s0, state.s1, state.closures, state.table) == (
-                fresh.s0, fresh.s1, fresh.closures, fresh.table
+            assert (state.points, state.closures, state.table) == (
+                fresh.points, fresh.closures, fresh.table
             )
+            # the labels read back from the table are the sample's
+            assert (state.x0, state.x1) == (tuple(x0), tuple(x1))
             # the full rounds run exactly when the one-point rule fails
             assert bool(runs) != rule_applies(lat, order[:k], labels, q)
             with kernel_runs() as runs:
@@ -417,24 +419,25 @@ class TestOnePointExtension:
         state = DenseState(cube3)
         state.add(0b011, 1)
         up = cube3.up_closure(1 << 0b011)
-        assert (state.s0, state.s1, state.closures, state.table) == (0, 1 << 0b011, [up], up)
+        assert (state.points, state.closures, state.table) == (1 << 0b011, [up], up)
         state.add(0b001, 0)
-        assert state.s1 == 1 << 0b011 and state.s0 == 1 << 0b001
+        assert state.points == 1 << 0b011 | 1 << 0b001
+        assert (state.x0, state.x1) == ((0b001,), (0b011,))
         assert outcome(2, state) == outcome(2, DenseState(cube3, {0b001}, {0b011}))
 
     def test_a_sample_point_is_refused_and_dropped(self, cube3):
         state = DenseState(cube3, {0b011}, {0b001})
-        before = (state.s0, state.s1, list(state.closures), state.table)
+        before = (state.points, list(state.closures), state.table)
         with pytest.raises(InternalError, match="^point 011 is already in the sample$"):
             state.add(0b011, 1)
-        assert (state.s0, state.s1, state.closures, state.table) == before
+        assert (state.points, state.closures, state.table) == before
         assert outcome(2, state) == outcome(2, DenseState(cube3, {0b011}, {0b001}))
 
     def test_consistent_runs_no_closure_kernel(self, cube3, monkeypatch):
         state = DenseState(cube3)
         for q, label in ((0b001, 1), (0b011, 0), (0b111, 1), (0b000, 0)):
             state.add(q, label)
-        before = (state.s0, state.s1, list(state.closures), state.table)
+        before = (state.points, list(state.closures), state.table)
         closures = []
         closure = cube3.up_closure
 
@@ -447,7 +450,7 @@ class TestOnePointExtension:
         with kernel_runs() as runs:
             got = [outcome(d, state) for d in (1, 2, 3)]
         assert (runs, closures) == ([], [])
-        assert (state.s0, state.s1, state.closures, state.table) == before
+        assert (state.points, state.closures, state.table) == before
         # the counter sees the closures that an add makes
         state.add(0b010, 1)
         assert closures
@@ -471,10 +474,10 @@ class TestOnePointExtension:
     def test_a_bad_add_is_refused_before_anything_is_filed(self, cube2, q, label, error, message):
         state = DenseState(cube2, {0b00}, {0b10})
         state.add(0b11, 0)
-        before = (state.s0, state.s1, list(state.closures), state.table)
+        before = (state.points, list(state.closures), state.table)
         with pytest.raises(error, match=message):
             state.add(q, label)
-        assert (state.s0, state.s1, state.closures, state.table) == before
+        assert (state.points, state.closures, state.table) == before
         assert outcome(2, state) == outcome(2, DenseState(cube2, {0b00, 0b11}, {0b10}))
 
     def test_point_above_a_lower_rank_falls_back(self, cube2):

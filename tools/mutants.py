@@ -59,6 +59,22 @@ MUTANTS = (
         ("tests/test_consistent.py",),
     ),
     Mutant(
+        "fallback-drops-label",
+        "consistent.py",
+        "s1 = points & self.table | label << q",
+        "s1 = points & self.table",
+        "the full-rounds fallback labels the new point 0 whatever its label",
+        ("tests/test_consistent.py",),
+    ),
+    Mutant(
+        "negatives-xor-table",
+        "consistent.py",
+        "mask_elements(self.points & ~self.table)",
+        "mask_elements(self.points ^ self.table)",
+        "x0 reads the points XOR the table, which holds the table's ones off the sample",
+        ("tests/test_consistent.py",),
+    ),
+    Mutant(
         "descent-positive-only",
         "learner.py",
         "if vb != hb:",
@@ -201,8 +217,8 @@ MUTANTS = (
     Mutant(
         "rounds-positives-outside",
         "boolfn.py",
-        "s0, s1 = s1 | (s0 & ~up), s0 & up",
-        "s0, s1 = s1 | (s0 & ~up), s0 & ~up",
+        "        s1 ^= points & up\n",
+        "        s1 ^= points & ~up\n",
         "the rounds take the next positives outside the closure, not inside it",
         ("tests/test_boolfn.py", "tests/test_consistent.py"),
     ),
