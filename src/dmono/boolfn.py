@@ -10,7 +10,7 @@ handle it by rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import InternalError, InvalidChainError
 from .lattice import DEFAULT_MAX_N, CubeLattice, Lattice, elements_mask, is_bit_string
@@ -80,16 +80,11 @@ class DenseFunction:
 
     @classmethod
     def from_bits(cls, lattice: Lattice, bits: str) -> "DenseFunction":
-        if isinstance(lattice, CubeLattice):
-            # compared by the dimension and named as 2^n: a file may name a
-            # cube whose size is too large to build or to print in decimal
-            k = len(bits)
-            fits = k & (k - 1) == 0 and k.bit_length() == lattice.n + 1
-            count = f"2^{lattice.n}"
-        else:
-            fits, count = len(bits) == lattice.size, lattice.size
-        if not fits or not is_bit_string(bits):
-            raise ValueError(f"dense payload must be exactly {count} characters of 0/1")
+        # ``size`` is read only once the length has the largest id's bit
+        # length, so a file naming a huge lattice builds nothing of its size
+        k = len(bits)
+        if (k - 1).bit_length() != lattice.id_bits or k != lattice.size or not is_bit_string(bits):
+            raise ValueError(f"dense payload must be exactly {lattice.size_text} characters of 0/1")
         return cls(lattice, int(bits[::-1], 2))  # character i is bit i
 
     def bits(self) -> str:
@@ -277,8 +272,8 @@ class ComposedTarget:
 Representation = Union[DenseFunction, MonotoneDNF, XorHypothesis, ComposedTarget]
 
 
-def consistent_masks(lattice: Lattice, points: int, s1: int) -> tuple[list[int], list[int], int]:
-    """The rounds on a sample: the up-closures, their minimal masks and the table.
+def consistent_rounds(lattice: Lattice, points: int, s1: int) -> Iterator[tuple[int, int]]:
+    """The rounds on a sample, as a stream of (up-closure, minimal mask) pairs.
 
     ``points`` is the sample and ``s1 ⊆ points`` its positives, as dense
     masks trusted as given.  Round i takes the up-closure U_i of the
@@ -286,31 +281,29 @@ def consistent_masks(lattice: Lattice, points: int, s1: int) -> tuple[list[int],
     U_i, ``s1 ^= points & up`` (s1 lies in U_i), until no positives
     remain.  The minimal elements of U_i are positives of round i, so
     U_1 ⊋ U_2 ⊋ ... (more rounds than elements mean a bug); level i is
-    the set of minimal elements of U_i.
+    the set of minimal elements of U_i.  A caller keeps what it reads.
     """
-    closures, minimals, table = [], [], 0
+    rounds = 0
     while s1:
-        if len(closures) == lattice.size:
+        if rounds == lattice.size:
             raise InternalError(f"the rounds did not terminate within {lattice.size} levels")
         up, low = lattice.up_and_minimal(s1)
-        closures.append(up)
-        minimals.append(low)
-        table ^= up
+        yield up, low
+        rounds += 1
         s1 ^= points & up
-    return closures, minimals, table
 
 
 def strict_decompose(f: Representation) -> XorHypothesis:
     """The rounds on the sample that labels every element by f.
 
-    Every element is a point, so each round peels: a level is the minimal
-    elements of the residue, which then XORs its closure away.  The levels
-    XOR to f; consecutive levels strictly shrink and share no minimal
-    elements; the level count is the monotonicity degree.
+    Every element is a point, so each round peels: a level, the minimal
+    elements of the residue, is kept, and its closure XORed away.  The
+    levels XOR to f; consecutive levels strictly shrink and share no
+    minimal elements; the level count is the monotonicity degree.
     """
     lat = f.lattice
-    _, minimals, _ = consistent_masks(lat, (1 << lat.size) - 1, f.dense().mask)
-    return XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, low) for low in minimals))
+    rounds = consistent_rounds(lat, (1 << lat.size) - 1, f.dense().mask)
+    return XorHypothesis(lat, tuple(MonotoneDNF.from_mask(lat, low) for _, low in rounds))
 
 
 def chain_alternations(f: Representation, chain: Sequence[int]) -> int:

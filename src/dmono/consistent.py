@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
 from typing import Iterable
 
-from .boolfn import DenseFunction, consistent_masks
+from .boolfn import DenseFunction, consistent_rounds
 from .errors import InconsistentSampleError, InternalError, InvalidSampleError
 from .lattice import Lattice, elements_mask, mask_bit, mask_elements
 
@@ -13,7 +15,7 @@ class DenseState:
     """A growing sample and the nested closures that the rounds build on it.
 
     ``points`` holds the sample, ``closures`` the up-closures U_1 ⊋ U_2 ⊋
-    ... of ``consistent_masks`` and ``table`` their XOR, all dense masks
+    ... of ``consistent_rounds`` and ``table`` their XOR, all dense masks
     that depend on the sample alone; a point's label is its table bit.
     The constructor validates every point of ``x0`` and ``x1`` and rejects
     a point labeled both ways.  ``add`` joins one point at once, so the
@@ -30,7 +32,8 @@ class DenseState:
             name = lattice.element_name((overlap & -overlap).bit_length() - 1)
             raise InvalidSampleError(f"point {name} is labeled both 0 and 1")
         self.lattice, self.points = lattice, s0 | s1
-        self.closures, _, self.table = consistent_masks(lattice, self.points, s1)
+        self.closures = [up for up, _ in consistent_rounds(lattice, self.points, s1)]
+        self.table = reduce(xor, self.closures, 0)
 
     @property
     def x0(self) -> tuple[int, ...]:
@@ -81,7 +84,8 @@ class DenseState:
             if points & fresh:
                 # an old point above q would change its rank
                 s1 = points & self.table | label << q
-                self.closures, _, self.table = consistent_masks(self.lattice, points | bit, s1)
+                self.closures = [up for up, _ in consistent_rounds(self.lattice, points | bit, s1)]
+                self.table = reduce(xor, self.closures, 0)
             else:
                 closures[rank - 1] = grown
                 self.table ^= fresh

@@ -17,9 +17,10 @@ from .lattice import CubeLattice
 def parity_table(d: int) -> int:
     """Truth table of d-input XOR, one bit per packed input tuple."""
     table = 0
-    for k in range(1 << d):
-        if k.bit_count() & 1:
-            table |= 1 << k
+    for i in range(d):
+        # the 2^i tuples with input i set flip the parities of the 2^i below
+        w = 1 << i
+        table |= (table ^ ((1 << w) - 1)) << w
     return table
 
 

@@ -81,6 +81,8 @@ class Lattice:
     A new lattice supplies:
 
     - ``size`` and ``top``;
+    - ``id_bits``, the bit length of the largest id, and ``size_text``,
+      the size as messages print it, which the cap checks read;
     - the order queries ``leq``, ``join`` and ``immediate_predecessors``,
       and ``sigma``;
     - the subset kernels ``up_closure`` and ``up_and_minimal``;
@@ -93,6 +95,8 @@ class Lattice:
 
     size: int
     top: int
+    id_bits: int
+    size_text: str
 
     # ---- primitives -------------------------------------------------
 
@@ -149,6 +153,8 @@ class CubeLattice(Lattice):
         if n < 1:
             raise ValueError("cube dimension must be at least 1")
         self.n = n
+        # 2^n may be too large to build, or to print in decimal
+        self.id_bits, self.size_text = n, f"2^{n}"
         self._clear_masks: list[int] | None = None
         self._full = 0  # every element's bit, set beside the clear masks
 
@@ -291,6 +297,7 @@ class ExplicitLattice(Lattice):
             raise LatticeValidationError("a lattice needs at least one element")
         ids = self._ids = {nm: i for i, nm in enumerate(names)}
         n = self.size = len(names)
+        self.id_bits, self.size_text = (n - 1).bit_length(), str(n)
         if len(ids) < n:  # name the first repeat in declaration order
             seen: set[str] = set()
             first = next(nm for nm in names if nm in seen or seen.add(nm))

@@ -49,14 +49,14 @@ def kernel_runs():
     """Record the sample mask of every full-rounds ``consistent`` run in the block."""
     # ``dmono.consistent`` names the function, so reach the module directly
     module = sys.modules["dmono.consistent"]
-    kernel = module.consistent_masks
+    kernel = module.consistent_rounds
     runs = []
 
     def spy(lat, points, s1):
         runs.append(points)
         return kernel(lat, points, s1)
 
-    with mock.patch.object(module, "consistent_masks", spy):
+    with mock.patch.object(module, "consistent_rounds", spy):
         yield runs
 
 

@@ -925,6 +925,18 @@ class TestSizeCap:
             assert err.startswith("dmono: ") and "--max-n" in err
         assert run_cli(capsys, "sigma", str(path), "--max-n", "3")[:2] == (0, "4\n")
 
+    def test_a_lattice_file_of_2_to_the_cap_elements_fits(self, capsys, tmp_path):
+        # the diamond's 4 = 2^2 elements have ids 0..3, of at most 2 bits
+        path = tmp_path / "diamond.lat"
+        path.write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        assert run_cli(capsys, "sigma", str(path), "--max-n", "2") == (0, "3\n", "")
+        assert run_cli(capsys, "sigma", str(path), "--max-n", "1") == (
+            3,
+            "",
+            f"dmono: {path} has 4 elements; exhaustive work is capped at 2^1 "
+            "(raise with --max-n)\n",
+        )
+
     @pytest.mark.parametrize(
         "argv, n",
         [

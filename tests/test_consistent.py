@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from dmono import (
     random_composed,
     strict_decompose,
 )
-from dmono.consistent import consistent_masks
+from dmono.consistent import consistent_rounds
 from dmono.errors import (
     InconsistentSampleError,
     InternalError,
@@ -200,7 +202,7 @@ class TestKernel:
         lat = data.draw(KERNEL_LATTICES)
         s0, s1 = draw_sample_masks(data, lat)
         x0, x1 = mask_elements(s0), mask_elements(s1)
-        closures, minimals, table = consistent_masks(lat, s0 | s1, s1)
+        closures, minimals, table = full_rounds(lat, s0 | s1, s1)
         d = max(1, len(closures)) + data.draw(st.integers(0, 1))
         h = consistent(d, DenseState(lat, x0, x1))
         levels = [lat.up_and_minimal(up)[1] for up in closures]
@@ -218,6 +220,16 @@ class TestKernel:
         assert all(lo & hi == hi != lo for lo, hi in zip(closures, closures[1:]))
         assert all(closures)
         assert table & s1 == s1 and table & s0 == 0
+
+    def test_a_round_runs_when_it_is_taken(self, cube3, monkeypatch):
+        # positives 001 and 111 around the negative 011 take three rounds
+        calls = []
+        kernel = cube3.up_and_minimal
+        monkeypatch.setattr(cube3, "up_and_minimal", lambda m: calls.append(m) or kernel(m))
+        points, s1 = 1 << 0b001 | 1 << 0b011 | 1 << 0b111, 1 << 0b001 | 1 << 0b111
+        assert next(consistent_rounds(cube3, points, s1)) == kernel(s1)
+        assert calls == [s1]
+        assert len(list(consistent_rounds(cube3, points, s1))) == 3
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -285,9 +297,16 @@ class TestKernel:
         assert padded_minimals(h, d) == [tuple(lv) for lv in levels]
 
 
+def full_rounds(lat, points, s1):
+    """The rounds' closures, their minimal masks and the closures' XOR, the table."""
+    rounds = list(consistent_rounds(lat, points, s1))
+    closures = [up for up, _ in rounds]
+    return closures, [low for _, low in rounds], reduce(xor, closures, 0)
+
+
 def assert_kernel_matches_brute(lat, s0, s1):
     x0, x1 = mask_elements(s0), mask_elements(s1)
-    closures, minimals, got_table = consistent_masks(lat, s0 | s1, s1)
+    closures, minimals, got_table = full_rounds(lat, s0 | s1, s1)
     # each round's level holds at least one sample point, so as many rounds
     # as points explain the sample, the last ones empty
     rounds = len(x0) + len(x1)

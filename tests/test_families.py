@@ -352,5 +352,8 @@ class TestSizeBounds:
     def test_parity_table(self):
         assert parity_table(1) == 0b10
         assert parity_table(2) == 0b0110
-        for k in range(8):
-            assert (parity_table(3) >> k & 1) == k.bit_count() % 2
+        for d in range(13):
+            table = parity_table(d)
+            assert table >> (1 << d) == 0
+            for k in range(1 << d):
+                assert (table >> k & 1) == k.bit_count() % 2

@@ -300,6 +300,19 @@ class TestBoundaryRejections:
             load_function(path)
         assert str(exc.value) == f"{path}: dense payload must be exactly 2^2 characters of 0/1"
 
+    def test_dense_payload_over_a_lattice_file_has_its_size(self, tmp_path):
+        # the diamond's largest id, 3, has as many bits as a 3-character
+        # payload's last index, and one fewer than a 5-character one's
+        (tmp_path / "diamond.lat").write_text(lattice_file_text(DIAMOND_NAMES, DIAMOND_COVERS))
+        path = tmp_path / "f.json"
+        for payload in ("011", "01101"):
+            path.write_text(doc_text({"file": "diamond.lat"}, payload=payload))
+            with pytest.raises(FileFormatError) as exc:
+                load_function(path)
+            assert str(exc.value) == f"{path}: dense payload must be exactly 4 characters of 0/1"
+        path.write_text(doc_text({"file": "diamond.lat"}, payload="0110"))
+        assert load_function(path)[0].bits() == "0110"
+
 
 # lattice files beside the fuzzed function file; "" and "." name the directory
 FUZZ_LATTICES = ("ok.lat", "bad.lat", "bin.lat", "dir.lat", "missing.lat", "", ".")

@@ -209,8 +209,8 @@ MUTANTS = (
     Mutant(
         "decompose-files-reach",
         "boolfn.py",
-        "minimals.append(low)",
-        "minimals.append(up)",
+        "yield up, low",
+        "yield up, up",
         "the rounds file a round's closure as its minimal elements",
         ("tests/test_boolfn.py",),
     ),
@@ -221,6 +221,38 @@ MUTANTS = (
         "        s1 ^= points & ~up\n",
         "the rounds take the next positives outside the closure, not inside it",
         ("tests/test_boolfn.py", "tests/test_consistent.py"),
+    ),
+    Mutant(
+        "explicit-id-bits-of-size",
+        "lattice.py",
+        "(n - 1).bit_length()",
+        "n.bit_length()",
+        "an explicit lattice states the bit length of its size, not of its largest id",
+        ("tests/test_cli.py", "tests/test_fileio.py"),
+    ),
+    Mutant(
+        "cube-size-text-decimal",
+        "lattice.py",
+        'f"2^{n}"',
+        "str(1 << n)",
+        "a cube prints its size in decimal, which past the digit limit cannot print",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "from-bits-length-bits",
+        "boolfn.py",
+        "(k - 1).bit_length() != lattice.id_bits",
+        "k.bit_length() != lattice.id_bits",
+        "from_bits compares the payload length's bit length, not its last index's",
+        ("tests/test_boolfn.py", "tests/test_fileio.py"),
+    ),
+    Mutant(
+        "parity-no-complement",
+        "families.py",
+        "table |= (table ^ ((1 << w) - 1)) << w",
+        "table |= table << w",
+        "the parity table's upper half copies its lower half instead of complementing it",
+        ("tests/test_families.py",),
     ),
     Mutant(
         "prefix-levels-upward",
